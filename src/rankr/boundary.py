@@ -158,25 +158,11 @@ def busemann(xi: BoundaryPoint, gx, gy) -> float:
 def _scaled_cartan_vector(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Cartan projection of a @ diag(exp(v)), exact in the log domain.
 
-    The partial sums of the log singular values are log norms of exterior
-    powers; pulling the dominant exponent out of each compound keeps full
-    relative accuracy however stretched the ray is (a plain SVD of the
-    assembled matrix loses the small singular values to roundoff).
-    """
-    from itertools import combinations
-
-    n = len(v)
-    cum = [0.0]
-    for size in range(1, n + 1):
-        idx = list(combinations(range(n), size))
-        compound = np.array(
-            [[np.linalg.det(a[np.ix_(r, c)]) for c in idx] for r in idx]
-        )
-        weights = np.array([v[list(c)].sum() for c in idx])
-        top = weights.max()
-        cum.append(top + np.log(np.linalg.norm(compound * np.exp(weights - top), 2)))
-    mu = np.diff(cum)
-    return np.sort(mu)[::-1]
+    Its transpose e^{diag v} a.T is a row-graded matrix, so the graded SVD
+    kernel keeps full relative accuracy however stretched the ray is (a
+    plain SVD of the assembled matrix loses the small singular values to
+    roundoff)."""
+    return kernel.graded_log_singular_values(v[None], a.T[None])[0]
 
 
 def busemann_oracle(xi: BoundaryPoint, gx, gy, s_values=(64.0, 128.0, 256.0)) -> float:
@@ -219,14 +205,11 @@ def boundary_converges(seq, xi: BoundaryPoint, eps: float) -> bool:
     """True iff the tail of seq is eps-close to xi in flag and direction."""
     if not seq:
         return False
-    ok = [
-        flag_distance(p.flag, xi.flag) < eps
-        and np.linalg.norm(p.direction - xi.direction) < eps
-        for p in seq
-    ]
-    if not ok[-1]:
-        return False
-    return True
+    last = seq[-1]
+    return bool(
+        flag_distance(last.flag, xi.flag) < eps
+        and np.linalg.norm(last.direction - xi.direction) < eps
+    )
 
 
 # ---------------------------------------------------------------------------

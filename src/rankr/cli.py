@@ -56,6 +56,18 @@ def _chamber_center(n: int) -> np.ndarray:
     return h / np.linalg.norm(h)
 
 
+def _spec_matrix(value, shape, what) -> np.ndarray:
+    """A finite float array of the given shape, or a SpecError naming it."""
+    try:
+        m = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{what} is not numeric: {exc}")
+    if m.shape != shape or not np.all(np.isfinite(m)):
+        size = "x".join(str(d) for d in shape)
+        raise SpecError(f"{what} is not a finite {size} array")
+    return m
+
+
 def load_spec(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -72,18 +84,29 @@ def load_spec(path: str) -> dict:
     if has_gens == has_schottky:
         raise SpecError("exactly one of 'generators' or 'schottky' is required")
     if has_gens:
-        for entry in spec["generators"]:
-            m = np.asarray(entry["matrix"], dtype=float)
-            if m.shape != (n, n):
-                raise SpecError(f"generator {entry.get('name')} is not {n}x{n}")
+        if not isinstance(spec["generators"], list):
+            raise SpecError("'generators' must be a list")
+        for i, entry in enumerate(spec["generators"]):
+            if not isinstance(entry, dict) or "matrix" not in entry:
+                raise SpecError(f"generator {i} has no 'matrix'")
+            name = entry.get("name", i)
+            m = _spec_matrix(entry["matrix"], (n, n), f"generator {name}")
             if abs(np.linalg.det(m) - 1.0) > defaults.EPS_DET * 1e3:
-                raise SpecError(f"generator {entry.get('name')} is not det 1")
+                raise SpecError(f"generator {name} is not det 1")
     else:
         recipe = spec["schottky"]
-        if "flags" not in recipe or "L" not in recipe:
+        if not isinstance(recipe, dict) or "flags" not in recipe or "L" not in recipe:
             raise SpecError("schottky recipe needs 'flags' and 'L'")
-        if len(recipe["flags"]) != 2 * len(recipe["L"]):
+        frames = recipe["flags"]
+        extra = recipe.get("parabolic_flags", [])
+        if not all(isinstance(v, list) for v in (frames, extra, recipe["L"])):
+            raise SpecError("schottky 'flags', 'parabolic_flags' and 'L' must be lists")
+        if len(frames) != 2 * len(recipe["L"]):
             raise SpecError("schottky recipe needs two flags per L vector")
+        for i, frame in enumerate(frames + extra):
+            _spec_matrix(frame, (n, n), f"flag frame {i}")
+        for i, ell in enumerate(recipe["L"]):
+            _spec_matrix(ell, (n,), f"L vector {i}")
     return spec
 
 
@@ -233,6 +256,9 @@ def cmd_schottky(args) -> int:
 
 def cmd_limitset(args) -> int:
     spec = load_spec(args.input)
+    for flag in ("max_word_length", "cone_word_length", "target_length"):
+        if getattr(args, flag) < 1:
+            raise SpecError(f"--{flag.replace('_', '-')} must be at least 1")
     os.makedirs(args.out, exist_ok=True)
     gens, names, table = build_group(spec)
     workers = args.workers
@@ -255,36 +281,32 @@ def cmd_limitset(args) -> int:
             emit_csv(samples, "samples.csv")
         checks["enumerate"] = "ok"
     elif args.subcommand == "cone":
-        report = limitset.cone_theorem_check(
-            gens,
-            lp_values=tuple(
-                lp
-                for lp in (
-                    args.max_word_length - 4,
-                    args.max_word_length - 2,
-                    args.max_word_length,
-                )
-                if lp >= args.min_word_length
-            ),
-            l_cone=args.cone_word_length,
-            workers=workers,
+        # One growth of the cone orbit and one of the max-length orbit feed
+        # the report, the chart and the CSV alike.
+        length = args.max_word_length
+        lp_values = tuple(
+            lp for lp in (length - 4, length - 2, length)
+            if lp >= args.min_word_length
+        )
+        cone = limitset.limit_cone_sample(gens, args.cone_word_length, workers)
+        draw = "svg" in want and spec["n"] in (2, 3)
+        samples = None
+        if "csv" in want:
+            samples = limitset.enumerate_samples(gens, length, workers)
+            lengths, dirs = samples.lengths, samples.dirs
+        else:
+            lengths, dirs = limitset.orbit_directions(gens, length, workers)
+        report = limitset.cone_report(
+            cone, lengths, dirs, lp_values, args.cone_word_length
         )
         checks["trend_non_increasing"] = report["trend_non_increasing"]
         metrics["cone"] = report
-        if "svg" in want and spec["n"] in (2, 3):
-            shell = limitset.directional_sample(
-                gens, args.max_word_length, args.max_word_length, workers
-            )
-            cone = limitset.limit_cone_sample(
-                gens, args.cone_word_length, workers
-            )
+        if draw:
+            shell = limitset.directions_in_range(lengths, dirs, length, length)
             path = os.path.join(args.out, "cone.svg")
             plotting.write_chart(path, shell, cone, title="directions vs limit cone")
             outputs.append(path)
-        if "csv" in want:
-            samples = limitset.enumerate_samples(
-                gens, args.max_word_length, workers
-            )
+        if samples is not None:
             emit_csv(samples, "samples.csv")
     elif args.subcommand in ("minimality", "product", "axdens"):
         if table is None:
@@ -312,7 +334,7 @@ def cmd_limitset(args) -> int:
                 table,
                 args.max_word_length,
                 eps=args.tol,
-                seed=spec.get("seed", 0),
+                seed=spec.get("seed", 0) if args.seed is None else args.seed,
                 workers=workers,
             )
             checks["success_fraction"] = report["success_fraction"]
@@ -364,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lim.add_argument("--cone-word-length", type=int, default=12)
     p_lim.add_argument("--target-length", type=int, default=8)
     p_lim.add_argument("--tol", type=float, default=0.1)
-    p_lim.add_argument("--seed", type=int)
+    p_lim.add_argument("--seed", type=int,
+                       help="pair sampling seed of product (default: the spec seed)")
     p_lim.add_argument("--workers", type=int, default=None)
     p_lim.add_argument("--format", choices=["csv", "json", "svg", "all"],
                        default="all")

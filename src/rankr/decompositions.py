@@ -46,7 +46,9 @@ def cartan_decompose(g) -> KAK:
     column pair is flipped to force det k1 = det k2 = +1.
     """
     g = kernel.as_matrix(g)
-    k1, sigma, k2 = kernel.svd_frames(g)
+    # LAPACK works on g itself; squaring into g.T @ g would lose every
+    # singular value below sqrt(eps) * sigma_1.
+    k1, sigma, k2 = np.linalg.svd(g)
     # Column sign convention on k1.
     for j in range(k1.shape[1]):
         idx = int(np.argmax(np.abs(k1[:, j])))
@@ -120,11 +122,8 @@ def bruhat_cell(g, eps_rank: float = defaults.EPS_RANK) -> lie.WeylElem:
         if w_j is None or w_j in perm:
             raise IllConditionedCell("rank pattern is not a permutation")
         perm.append(w_j)
-    # perm currently holds, per column j, the lowest row index reached.
-    out = [0] * n
-    for j, w_j in enumerate(perm):
-        out[j] = w_j
-    return lie.WeylElem(out)
+    # perm holds, per column j, the lowest row index reached.
+    return lie.WeylElem(perm)
 
 
 def kappa(nplus) -> np.ndarray:

@@ -12,9 +12,11 @@ factored form  w = Q e^{diag a} N  (orthogonal frame, log scales, unit
 upper triangular with moderate entries).  Prepending a generator updates
 the factorization exactly, because QR commutes with right diagonal
 scaling:  g Q e^a N = Q' (R' e^a) N  with QR(g Q) = Q' R' computed on a
-well-scaled matrix.  Singular values and eigenvalue moduli are then read
-off through exterior powers with the exponents carried symbolically, so
-directions stay accurate at any word length.
+well-scaled matrix.  Cartan vectors come from one batched SVD of the
+graded factor e^a N (kernel.graded_log_singular_values), which keeps the
+small singular values to relative accuracy; only the eigenvalue moduli
+are read off through exterior powers, with the exponents carried
+symbolically.  Directions stay accurate at any word length.
 
 Emitted sample order is the depth-first preorder of the word tree with
 children in fixed alphabet order (a < a' < b < b' < ...), recovered by a
@@ -26,12 +28,11 @@ import os
 import string
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from . import boundary, isometries
+from . import boundary, defaults, isometries, kernel
 from .errors import (
     EmptySample,
     IdentityInput,
@@ -41,7 +42,6 @@ from .errors import (
 
 _PAD = -1
 _LOG_OVERFLOW = 345.0  # log 1e150
-_DIR_SNAP = 1e-9
 
 
 def resolve_workers(workers=None) -> int:
@@ -133,6 +133,8 @@ def _word_values(generators, max_length, workers=None):
     """All reduced words of length <= max_length in factored form.
 
     Rows are in depth-first preorder; row 0 is the identity word."""
+    if max_length < 1:
+        raise ValueError("max_length must be at least 1")
     letters = _letter_stack(generators)
     n = letters.shape[-1]
     count = resolve_workers(workers)
@@ -161,51 +163,19 @@ def _materialize(q, a, nu):
     return np.einsum("nij,njk->nik", q, np.exp(a)[:, :, None] * nu)
 
 
-def _compound(vals: np.ndarray, k: int) -> np.ndarray:
-    """k-th exterior power of each matrix in the stack."""
-    n = vals.shape[-1]
-    idx = list(combinations(range(n), k))
-    rows = []
-    for r in idx:
-        rows.append(
-            np.stack(
-                [np.linalg.det(vals[:, list(r)][:, :, list(c)]) for c in idx],
-                axis=1,
-            )
-        )
-    return np.stack(rows, axis=1)
-
-
-def _combo_sums(a: np.ndarray, k: int) -> np.ndarray:
-    n = a.shape[1]
-    return np.stack(
-        [a[:, list(c)].sum(axis=1) for c in combinations(range(n), k)], axis=1
-    )
-
-
 def _graded_compounds(a, nu, k):
     """Exterior power of e^a nu split into (row log-weights, moderate part)."""
-    cn = nu if k == 1 else _compound(nu, k)
-    return _combo_sums(a, k), cn
+    cn = nu if k == 1 else kernel.compound(nu, k)
+    return kernel.combo_sums(a, k), cn
 
 
 def _stack_cartan(a, nu):
     """Centered log singular values of a stack of factored words.
 
-    log(s_1 ... s_k) is the log top singular value of the k-th exterior
-    power; the row weights of e^a stay symbolic, so no precision is lost
-    however squeezed the word is."""
-    count, n = a.shape
-    cum = np.zeros((n + 1, count))
-    for k in range(1, n):
-        w, cn = _graded_compounds(a, nu, k)
-        shift = w.max(axis=1)
-        m = np.exp(w - shift[:, None])[:, :, None] * cn
-        sig = np.linalg.svd(m, compute_uv=False)[:, 0]
-        cum[k] = np.log(np.maximum(sig, 1e-300)) + shift
-    cum[n] = a.sum(axis=1)
-    h = np.diff(cum, axis=0).T
-    return h - h.mean(axis=1, keepdims=True)
+    The graded factor e^a nu goes through the graded SVD kernel, which
+    keeps the small singular values however squeezed the word is."""
+    ls = kernel.graded_log_singular_values(a, nu)
+    return ls - ls.mean(axis=1, keepdims=True)
 
 
 def _stack_log_moduli(q, a, nu):
@@ -219,7 +189,7 @@ def _stack_log_moduli(q, a, nu):
     cum = np.zeros((n + 1, count))
     for k in range(1, n):
         w, cn = _graded_compounds(a, nu, k)
-        cq = q if k == 1 else _compound(q, k)
+        cq = q if k == 1 else kernel.compound(q, k)
         shift = w.max(axis=1)
         m = np.einsum(
             "nij,njk->nik", cq, np.exp(w - shift[:, None])[:, :, None] * cn
@@ -332,15 +302,23 @@ def _classify_stack(q, a, nu, lengths):
     return tags, jdirs
 
 
+def _unit_directions(h):
+    """Rows of h scaled to unit norm; rows with a vanishing Cartan vector
+    stay zero."""
+    norms = np.linalg.norm(h, axis=1)
+    dirs = np.zeros_like(h)
+    nz = norms > 1e-12
+    dirs[nz] = h[nz] / norms[nz, None]
+    return dirs
+
+
 def enumerate_samples(generators, max_length, workers=None) -> SampleSet:
     """Every reduced word of length <= max_length, fully annotated.
 
     Angular flags come from one batched SVD of the graded factor (the
     singular frames stay accurate however squeezed the word is); Cartan
-    vectors from the exterior-power norms; class tags and Jordan
-    directions from one batched dominant-eigenvalue pass."""
-    if max_length < 1:
-        raise ValueError("max_length must be at least 1")
+    vectors from the graded SVD kernel; class tags and Jordan directions
+    from one batched dominant-eigenvalue pass."""
     words, q, a, nu = _word_values(generators, max_length, workers)
     lengths = (words != _PAD).sum(axis=1)
     # Left singular frames of e^a nu, rotated by q.
@@ -348,20 +326,25 @@ def enumerate_samples(generators, max_length, workers=None) -> SampleSet:
     graded = np.exp(a - shift[:, None])[:, :, None] * nu
     u, _, _ = np.linalg.svd(graded)
     frames = np.einsum("nij,njk->nik", q, u)
-    h = _stack_cartan(a, nu)
-    norms = np.linalg.norm(h, axis=1)
-    dirs = np.zeros_like(h)
-    nz = norms > 1e-12
-    dirs[nz] = h[nz] / norms[nz, None]
+    dirs = _unit_directions(_stack_cartan(a, nu))
     tags, jdirs = _classify_stack(q, a, nu, lengths)
     return SampleSet(words, lengths, q, a, nu, dirs, frames, tags, jdirs)
+
+
+def orbit_directions(generators, max_length, workers=None):
+    """(lengths, unit Cartan directions) of every reduced word of length
+    <= max_length: the part of enumerate_samples that shells need, with
+    no frames and no classification.  Zero rows mark words whose Cartan
+    vector vanishes."""
+    words, _, a, nu = _word_values(generators, max_length, workers)
+    return (words != _PAD).sum(axis=1), _unit_directions(_stack_cartan(a, nu))
 
 
 def _snap_unique(dirs: np.ndarray) -> np.ndarray:
     """Grid-snap directions and drop duplicates; rows come back sorted."""
     if len(dirs) == 0:
         return dirs
-    snapped = np.round(dirs / _DIR_SNAP) * _DIR_SNAP
+    snapped = np.round(dirs / defaults.DIR_SNAP) * defaults.DIR_SNAP
     snapped[snapped == 0.0] = 0.0  # normalize -0.0
     return np.unique(snapped, axis=0)
 
@@ -417,15 +400,23 @@ def directional_sample(
     """Cartan directions of words with length in [min_length, max_length]."""
     if min_length < 1:
         raise ValueError("min_length must be at least 1")
-    words, _, a, nu = _word_values(generators, max_length, workers)
-    lengths = (words != _PAD).sum(axis=1)
+    lengths, dirs = orbit_directions(generators, max_length, workers)
+    return directions_in_range(lengths, dirs, min_length, max_length)
+
+
+def directions_in_range(lengths, dirs, min_length, max_length) -> np.ndarray:
+    """Grid-snapped unit Cartan directions of the words with length in
+    [min_length, max_length], picked from per-word directions that
+    orbit_directions or enumerate_samples already computed.  A word's
+    direction is the same arithmetic whatever length its orbit was grown
+    to, so one orbit serves every shell up to its length."""
+    if min_length < 1:
+        raise ValueError("min_length must be at least 1")
     mask = (lengths >= min_length) & (lengths <= max_length)
     if not mask.any():
         raise EmptySample("no words in the requested length range")
-    h = _stack_cartan(a[mask], nu[mask])
-    norms = np.linalg.norm(h, axis=1)
-    nz = norms > 1e-12
-    return _snap_unique(h[nz] / norms[nz, None])
+    picked = dirs[mask]
+    return _snap_unique(picked[picked.any(axis=1)])
 
 
 def one_sided_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -443,11 +434,21 @@ def cone_theorem_check(
 
     For each shell depth the directions of the words of exactly that
     length are compared with the axial translation directions gathered up
-    to l_cone; the forward distance should shrink as the shell deepens."""
+    to l_cone; the forward distance should shrink as the shell deepens.
+    The cone and the deepest orbit are each grown once."""
     cone = limit_cone_sample(generators, l_cone, workers)
+    lengths = dirs = None
+    if lp_values:
+        lengths, dirs = orbit_directions(generators, max(lp_values), workers)
+    return cone_report(cone, lengths, dirs, lp_values, l_cone)
+
+
+def cone_report(cone, lengths, dirs, lp_values, l_cone) -> dict:
+    """The cone_theorem_check report from a computed cone and per-word
+    directions (as returned by orbit_directions) reaching max(lp_values)."""
     rows = []
     for lp in lp_values:
-        shell = directional_sample(generators, lp, min_length=lp, workers=workers)
+        shell = directions_in_range(lengths, dirs, lp, lp)
         rows.append(
             {
                 "shell_length": int(lp),

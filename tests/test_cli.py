@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from rankr import cli, limitset
+from rankr import cli, limitset, plotting
 from conftest import spec_path, write_generator_spec
 
 
@@ -38,6 +38,26 @@ def test_load_spec_rejects_malformed(tmp_path, capsys):
         bad.write_text(json.dumps(payload))
         assert cli.main(["limitset", "enumerate", "--input", str(bad)]) == 1
         capsys.readouterr()
+
+
+def test_load_spec_rejects_malformed_entries(tmp_path, capsys):
+    frame = np.eye(3).tolist()
+    for payload, message in (
+        ({"n": 2, "generators": [{"name": "a"}]}, "generator 0 has no 'matrix'"),
+        (
+            {"n": 2, "generators": [{"name": "a", "matrix": [["x", 0], [0, 1]]}]},
+            "generator a is not numeric",
+        ),
+        (
+            {"n": 3, "schottky": {"flags": [frame, [[1, 0], [0, 1]]],
+                                  "L": [[1, 0, -1]]}},
+            "flag frame 1 is not a finite 3x3 array",
+        ),
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert cli.main(["limitset", "enumerate", "--input", str(bad)]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_decompose_kak_identity(capsys):
@@ -224,6 +244,63 @@ def test_limitset_cone_emits_svg(tmp_path, capsys):
         assert "<svg" in fh.read()
 
 
+def test_limitset_cone_outputs_match_library(tmp_path, capsys):
+    spec = cli.load_spec(spec_path("sl3_l2.json"))
+    gens, names, table = cli.build_group(spec)
+    out = str(tmp_path / "out")
+    code, run = _run(
+        capsys,
+        [
+            "limitset", "cone",
+            "--input", spec_path("sl3_l2.json"),
+            "--out", out,
+            "--max-word-length", "6",
+            "--cone-word-length", "7",
+        ],
+    )
+    assert code == 0
+    report = limitset.cone_theorem_check(gens, lp_values=(2, 4, 6), l_cone=7)
+    assert run["metrics"]["cone"] == json.loads(json.dumps(report))
+    assert run["checks"]["trend_non_increasing"] == report["trend_non_increasing"]
+
+    plotting.write_chart(
+        str(tmp_path / "cone.svg"),
+        limitset.directional_sample(gens, 6, min_length=6),
+        limitset.limit_cone_sample(gens, 7),
+        title="directions vs limit cone",
+    )
+    samples = limitset.enumerate_samples(gens, 6)
+    expected_csv = limitset.write_csv(
+        samples, tmp_path / "samples.csv", names=names, table=table
+    )
+    with open(os.path.join(out, "cone.svg"), "rb") as fh:
+        assert fh.read() == (tmp_path / "cone.svg").read_bytes()
+    with open(os.path.join(out, "samples.csv"), "rb") as fh:
+        assert fh.read() == expected_csv
+
+
+def test_limitset_seed_flag_reaches_product(tmp_path, capsys):
+    def successes(extra):
+        code, run = _run(
+            capsys,
+            [
+                "limitset", "product",
+                "--input", spec_path("sl3_l2.json"),
+                "--out", str(tmp_path / "out"),
+                "--max-word-length", "3",
+                "--tol", "0.05",
+                "--format", "json",
+            ] + extra,
+        )
+        assert code == 0
+        return run["metrics"]["product"]["successes"]
+
+    default = successes([])
+    # The bundled spec has seed 0, which stays the default.
+    assert successes(["--seed", "0"]) == default
+    assert successes(["--seed", "1"]) != default
+
+
 def test_limitset_empty_sample_exit_code(tmp_path, capsys):
     # A rotation generator produces no axial words: the cone is empty.
     theta = 0.7
@@ -287,6 +364,20 @@ def test_limitset_requires_table_for_checks(tmp_path, capsys):
     )
     capsys.readouterr()
     assert code == 1
+
+
+def test_limitset_rejects_word_lengths_below_one(tmp_path, capsys):
+    for flag in ("--max-word-length", "--cone-word-length", "--target-length"):
+        code = cli.main(
+            [
+                "limitset", "cone",
+                "--input", spec_path("sl3_l2.json"),
+                "--out", str(tmp_path / "out"),
+                flag, "0",
+            ]
+        )
+        assert code == 1
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
 
 
 def test_run_report_contains_config_hash(tmp_path, capsys):

@@ -40,6 +40,19 @@ def test_cartan_round_trip_and_determinants():
         assert abs(dec.h.sum()) < 1e-9
 
 
+def test_cartan_decompose_squeezed():
+    # Squaring into the Gram matrix would drown e^{-13} below
+    # sqrt(eps) * e^{10}; the small log singular value must survive.
+    rng = np.random.default_rng(9)
+    h = np.array([10.0, 3.0, -13.0])
+    for _ in range(20):
+        g = random_so(rng, 3) @ np.diag(np.exp(h)) @ random_so(rng, 3)
+        dec = decompositions.cartan_decompose(g)
+        assert np.abs(dec.h - h).max() < 1e-5
+        assert abs(np.linalg.det(dec.k1) - 1.0) < 1e-9
+        assert abs(np.linalg.det(dec.k2) - 1.0) < 1e-9
+
+
 def test_cartan_vector_basics():
     g = random_sl(np.random.default_rng(1), 3)
     assert np.linalg.norm(decompositions.cartan_vector(g, g)) < 1e-9

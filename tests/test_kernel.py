@@ -83,6 +83,32 @@ def test_svd_frames_reconstruct():
         assert np.linalg.norm(k2 @ k2.T - np.eye(n)) < 1e-10
 
 
+def test_graded_log_singular_values_moderate_matches_plain_svd():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 5, 8):
+        a = rng.uniform(-2.0, 2.0, (20, n))
+        m = rng.standard_normal((20, n, n))
+        plain = np.log(np.linalg.svd(np.exp(a)[:, :, None] * m, compute_uv=False))
+        got = kernel.graded_log_singular_values(a, m)
+        assert np.abs(got - plain).max() < 1e-12
+
+
+def test_graded_log_singular_values_closed_form_2x2():
+    # e^{diag a} [[1, x], [0, 1]] with a_1 - a_2 = t has
+    # log s_1 = a_1 + log(1 + x^2) / 2 + O(e^{-2t}) and s_1 s_2 = e^{a_1 + a_2},
+    # on either side of the spread at which the exterior route takes over.
+    for t in (40.0, 550.0, 800.0):
+        for x in (0.0, 0.3, -7.0):
+            a = np.array([[t / 2, -t / 2]])
+            m = np.array([[[1.0, x], [0.0, 1.0]]])
+            top = t / 2 + 0.5 * np.log1p(x * x)
+            got = kernel.graded_log_singular_values(a, m)[0]
+            assert np.allclose(got, [top, -top], atol=1e-12, rtol=0.0)
+            # Reversed scales and swapped rows describe the same matrix.
+            got = kernel.graded_log_singular_values(a[:, ::-1], m[:, ::-1])[0]
+            assert np.allclose(got, [top, -top], atol=1e-12, rtol=0.0)
+
+
 def test_eig_real_jordan_block_is_one_cluster():
     blocks = kernel.eig_real(np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert len(blocks) == 1

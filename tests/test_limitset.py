@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from rankr import boundary, decompositions, isometries, limitset
+from rankr import boundary, decompositions, isometries, kernel, limitset
 from rankr.errors import EmptySample, InsufficientGenerators
-from conftest import random_sl
+from conftest import random_sl, random_so
 
 
 def _shear_pair():
@@ -289,3 +289,43 @@ def test_overflow_flag():
     flagged = next(s for s in samples if s.overflow)
     assert flagged.overflow
     assert np.all(np.isfinite(flagged.cartan_direction))
+
+
+def _exterior_power_cartan(a, nu):
+    """Reference Cartan projection: log(s_1 ... s_k) is the log top singular
+    value of the k-th exterior power of e^a nu, exponents kept symbolic."""
+    ls = kernel._exterior_log_singular_values(a, nu)
+    return ls - ls.mean(axis=1, keepdims=True)
+
+
+def _assert_matches_oracle(a, nu):
+    got = limitset._stack_cartan(a, nu)
+    assert np.all(np.isfinite(got))
+    assert np.abs(got - _exterior_power_cartan(a, nu)).max() <= 1e-11
+
+
+def test_stack_cartan_matches_exterior_powers(sl3_group):
+    _, _, table = sl3_group
+    _, _, a, nu = limitset._word_values(table.effective_generators(), 8)
+    _assert_matches_oracle(a, nu)
+    rng = np.random.default_rng(21)
+    for n, length in ((4, 4), (6, 4), (8, 3)):
+        gens = [random_sl(rng, n), random_sl(rng, n)]
+        _, _, a, nu = limitset._word_values(gens, length)
+        _assert_matches_oracle(a, nu)
+
+
+def test_stack_cartan_wide_spread_and_any_scale_order():
+    # Spreads beyond defaults.GRADED_SPREAD take the exterior-power route.
+    rng = np.random.default_rng(22)
+    k1, k2 = random_so(rng, 3), random_so(rng, 3)
+    g = k1 @ np.diag([np.exp(12.0), 1.0, np.exp(-12.0)]) @ k2
+    _, _, a, nu = limitset._word_values([g], 36)
+    assert np.ptp(a, axis=1).max() > 600.0
+    _assert_matches_oracle(a, nu)
+    # Scales in no particular order, as a factored form never produces but
+    # the kernel accepts: the re-triangularization restores the grading.
+    for n in (3, 5):
+        a = rng.permuted(np.linspace(-150.0, 150.0, n)[None].repeat(50, 0), axis=1)
+        nu = np.eye(n) + np.triu(rng.uniform(-3.0, 3.0, (50, n, n)), 1)
+        _assert_matches_oracle(a, nu)
