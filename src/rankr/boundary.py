@@ -1,9 +1,10 @@
 """The geometric boundary of SL(n,R)/SO(n) and the full-flag boundary K/M.
 
-Flags are stored as chains of orthogonal projectors P_1, ..., P_{n-1}
-(rank i, nested).  Projectors are blind to column signs of a generating
-frame, so the quotient by M = {diagonal +-1, det 1} is exact and flag
-equality is a plain numerical comparison.
+A flag is stored as one canonical frame, computed once from the chain of
+orthogonal projectors P_1, ..., P_{n-1} (rank i, nested).  Projectors are
+blind to the column signs of a generating frame, so the quotient by
+M = {diagonal +-1, det 1} is exact; the projectors themselves are
+derived from the stored frame when a distance needs them.
 
 A boundary point is a pair (flag, unit chamber direction H); the G-action
 moves the flag through the Iwasawa projection and never changes H.
@@ -18,13 +19,21 @@ from .errors import DimensionMismatch, NotOrthogonal
 
 
 class Flag:
-    """A full flag in R^n, canonically a nested chain of projectors."""
+    """A full flag in R^n, stored as its canonical frame (see flag_from_frame)."""
 
-    __slots__ = ("n", "projectors")
+    __slots__ = ("frame",)
 
-    def __init__(self, projectors):
-        self.projectors = [np.asarray(p, dtype=float) for p in projectors]
-        self.n = self.projectors[0].shape[0]
+    def __init__(self, frame):
+        self.frame = frame
+
+    @property
+    def n(self) -> int:
+        return self.frame.shape[0]
+
+    @property
+    def projectors(self) -> np.ndarray:
+        """The nested chain P_1, ..., P_{n-1} as an (n-1, n, n) array."""
+        return frames_to_projector_stack(self.frame[None])[0]
 
     def __repr__(self):
         return f"Flag(n={self.n})"
@@ -54,25 +63,23 @@ def boundary_point(flag: Flag, direction) -> BoundaryPoint:
     return BoundaryPoint(flag, h)
 
 
-def flag_from_frame(k, eps_lin: float = defaults.EPS_LIN) -> Flag:
+def flag_from_frame(k) -> Flag:
+    """The flag whose i-th space is spanned by the first i columns of k.
+
+    Raises NotOrthogonal when ||k^T k - I||_F exceeds 1e-8.  The stored
+    frame is read off the projector chain P_1, ..., P_{n-1}, I, which is
+    blind to column signs: column i is the largest-norm column of
+    P_i - P_{i-1}, normalised with its largest entry positive, and the
+    last column's sign makes det +1.  So every frame of a flag (k m for
+    any m in M) yields the same canonical frame.
+    """
     k = kernel.as_matrix(k)
-    if np.linalg.norm(k.T @ k - np.eye(k.shape[0])) > 1e-8:
+    n = k.shape[0]
+    if np.linalg.norm(k.T @ k - np.eye(n)) > 1e-8:
         raise NotOrthogonal("frame is not orthogonal")
-    projectors = []
-    acc = np.zeros_like(k)
-    for i in range(k.shape[0] - 1):
-        acc = acc + np.outer(k[:, i], k[:, i])
-        projectors.append(acc.copy())
-    return Flag(projectors)
-
-
-def flag_frame(flag: Flag) -> np.ndarray:
-    """A deterministic det +1 orthonormal frame generating the flag."""
-    n = flag.n
     cols = []
     prev = np.zeros((n, n))
-    chain = list(flag.projectors) + [np.eye(n)]
-    for p in chain:
+    for p in [*frames_to_projector_stack(k[None])[0], np.eye(n)]:
         d = p - prev
         j = int(np.argmax(np.linalg.norm(d, axis=0)))
         v = d[:, j]
@@ -82,10 +89,17 @@ def flag_frame(flag: Flag) -> np.ndarray:
             v = -v
         cols.append(v)
         prev = p
-    k = np.column_stack(cols)
-    if np.linalg.det(k) < 0:
-        k[:, -1] *= -1.0
-    return k
+    frame = np.column_stack(cols)
+    if np.linalg.det(frame) < 0:
+        frame[:, -1] *= -1.0
+    # flag_frame hands out this array itself, so no caller may write to it.
+    frame.flags.writeable = False
+    return Flag(frame)
+
+
+def flag_frame(flag: Flag) -> np.ndarray:
+    """The canonical det +1 orthonormal frame generating the flag."""
+    return flag.frame
 
 
 def standard_flag(n: int) -> Flag:
@@ -100,9 +114,7 @@ def flag_distance(f1: Flag, f2: Flag) -> float:
     """max_i ||P_i(f1) - P_i(f2)||_F; a metric on flags."""
     if f1.n != f2.n:
         raise DimensionMismatch(f"{f1.n} vs {f2.n}")
-    return max(
-        float(np.linalg.norm(p - q)) for p, q in zip(f1.projectors, f2.projectors)
-    )
+    return float(np.linalg.norm(f1.projectors - f2.projectors, axis=(1, 2)).max())
 
 
 def flags_equal(f1: Flag, f2: Flag, tol: float = 1e-8) -> bool:
@@ -225,27 +237,19 @@ def frames_to_projector_stack(frames: np.ndarray) -> np.ndarray:
 
 def flag_distances_to_center(stack: np.ndarray, center: Flag) -> np.ndarray:
     """Flag distance of each stacked flag to a fixed center flag."""
-    cp = np.stack(center.projectors)
-    diff = stack - cp[None]
+    diff = stack - center.projectors[None]
     return np.sqrt(np.einsum("nkij,nkij->nk", diff, diff)).max(axis=1)
 
 
 def act_frames(g, frames: np.ndarray) -> np.ndarray:
     """Apply g to a batch of flag frames; returns Iwasawa K-frames."""
     prod = np.einsum("ij,njk->nik", np.asarray(g, dtype=float), frames)
-    q, r = np.linalg.qr(prod)
-    signs = np.sign(np.einsum("nii->ni", r))
-    signs[signs == 0] = 1.0
-    return q * signs[:, None, :]
+    return kernel.qr_pos(prod)[0]
 
 
 def random_frames(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     """Haar-random SO(n) frames (batched)."""
-    gauss = rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(gauss)
-    signs = np.sign(np.einsum("nii->ni", r))
-    signs[signs == 0] = 1.0
-    q = q * signs[:, None, :]
+    q = kernel.qr_pos(rng.standard_normal((count, n, n)))[0]
     dets = np.linalg.det(q)
     q[dets < 0, :, -1] *= -1.0
     return q

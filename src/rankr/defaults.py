@@ -3,7 +3,7 @@
 The underlying theory is exact; every gap between exact statements and
 floating point lives in one of these constants.  Functions take the
 relevant tolerance as a keyword argument defaulting to these values, so
-callers (and the CLI config) can override them per run.
+library callers can override them per call.
 """
 
 # |det - 1| allowed for matrices treated as elements of SL(n,R).
@@ -27,9 +27,6 @@ EPS_CLUSTER = 1e-6
 
 # Condition-number cap for generalized eigenbases.
 COND_CAP = 1e8
-
-# Jacobi sweep cap is SWEEP_FACTOR * n**2.
-SWEEP_FACTOR = 200
 
 # Separation slack required between ping-pong neighbourhoods.
 DELTA_SEP = 1e-9

@@ -1,10 +1,10 @@
 """Dense numerical primitives for small (n <= 8) real matrices.
 
-Symmetric eigenproblems use a self-contained cyclic Jacobi sweep and QR
-uses modified Gram-Schmidt with reorthogonalization; both are textbook
-kernels that are entirely adequate at these sizes and keep tie-breaking
-under our control.  The general (nonsymmetric) spectrum is delegated to
-LAPACK via numpy and re-sorted under a fixed deterministic order.
+QR (qr_pos, one matrix or a stack), the symmetric eigensolver and the
+SVD are LAPACK's via numpy; qr_pos fixes the signs so the diagonal of r
+is positive, which makes the factorization unique.  The general
+(nonsymmetric) spectrum is also delegated to LAPACK and re-sorted under
+a fixed deterministic order.
 
 Stacks of graded matrices e^{diag a} m, whose rows span hundreds of
 orders of magnitude, get their log singular values from one batched
@@ -43,72 +43,25 @@ def normalize_det(g: np.ndarray) -> np.ndarray:
     return g / d ** (1.0 / g.shape[0])
 
 
-def jacobi_eigh(s: np.ndarray, sweep_factor: int = defaults.SWEEP_FACTOR):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def qr_pos(m):
+    """QR with a positive diagonal of one matrix or a stack: m = q r.
 
-    Returns (w, v) with s = v @ diag(w) @ v.T, v orthogonal.  Eigenvalues
-    are returned in descending order.
-    """
-    a = np.array(s, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = max(np.linalg.norm(a), 1e-300)
-    cap = sweep_factor * n * n
-    for _ in range(cap):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                sn = t * c
-                rot_p = c * a[:, p] - sn * a[:, q]
-                rot_q = sn * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - sn * a[q, :]
-                rot_q = sn * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - sn * v[:, q]
-                rot_q = sn * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    else:
-        raise NoConvergence(f"Jacobi sweeps exceeded cap {cap}")
-    w = np.diag(a).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    LAPACK's Householder QR with the sign of each diagonal entry of r
+    moved into the matching column of q, so the factorization is unique;
+    for det(m) > 0 the returned q has det +1."""
+    q, r = np.linalg.qr(m)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0] = 1.0
+    return q * signs[..., None, :], r * signs[..., :, None]
 
 
 def qr_decompose(g, eps_det: float = defaults.EPS_DET):
-    """QR with positive diagonal: g = q r, q orthogonal, diag(r) > 0.
-
-    Modified Gram-Schmidt with one reorthogonalization pass.  For
-    det(g) > 0 the returned q automatically has det +1.
-    """
-    g = as_matrix(g)
-    n = g.shape[0]
-    q = np.zeros((n, n))
-    r = np.zeros((n, n))
-    for j in range(n):
-        vcol = g[:, j].copy()
-        for _ in range(2):
-            h = q[:, :j].T @ vcol
-            vcol = vcol - q[:, :j] @ h
-            r[:j, j] += h
-        nrm = np.linalg.norm(vcol)
-        if nrm < eps_det:
-            raise SingularMatrix(f"Gram-Schmidt pivot {j} has norm {nrm:.3e}")
-        r[j, j] = nrm
-        q[:, j] = vcol / nrm
-    if np.linalg.det(g) > 0 and np.linalg.det(q) < 0:
-        # Cannot occur in exact arithmetic with diag(r) > 0; guard anyway.
-        q[:, -1] *= -1.0
-        r[-1, :] *= -1.0
+    """qr_pos of one matrix; raises SingularMatrix when a pivot of r is
+    below eps_det."""
+    q, r = qr_pos(as_matrix(g))
+    pivot = np.diag(r).min()
+    if pivot < eps_det:
+        raise SingularMatrix(f"QR pivot {pivot:.3e} is below {eps_det:.1e}")
     return q, r
 
 
@@ -212,43 +165,16 @@ def eig_real(g, eps_cluster: float = defaults.EPS_CLUSTER):
     return blocks
 
 
-def singular_values(g, sweep_factor: int = defaults.SWEEP_FACTOR) -> np.ndarray:
-    """Descending singular values via cyclic Jacobi on g.T @ g."""
-    g = as_matrix(g)
-    w, _ = jacobi_eigh(g.T @ g, sweep_factor)
-    return np.sqrt(np.clip(w, 0.0, None))
-
-
-def svd_frames(g, sweep_factor: int = defaults.SWEEP_FACTOR):
-    """Full SVD g = k1 @ diag(sigma) @ k2 built on the Jacobi kernel.
-
-    Returns (k1, sigma, k2) with sigma descending.  No sign or determinant
-    canonicalization is applied here; see decompositions.cartan_decompose.
-    """
-    g = as_matrix(g)
-    w, v = jacobi_eigh(g.T @ g, sweep_factor)
-    sigma = np.sqrt(np.clip(w, 1e-300, None))
-    k1 = (g @ v) / sigma
-    # Columns are orthogonal in exact arithmetic; polish once.
-    k1, _ = np.linalg.qr(k1)
-    # Fix any sign flips introduced by the polish.
-    signs = np.sign(np.sum(k1 * ((g @ v) / sigma), axis=0))
-    signs[signs == 0] = 1.0
-    k1 = k1 * signs
-    k2 = (k1 / sigma).T @ g
-    return k1, sigma, k2
-
-
 def _check_symmetric(s: np.ndarray, eps_lin: float):
     if np.linalg.norm(s - s.T) > eps_lin * max(1.0, np.linalg.norm(s)):
         raise NotSymmetric("input is not symmetric within tolerance")
 
 
 def sym_exp_log(direction: str, s, eps_lin: float = defaults.EPS_LIN) -> np.ndarray:
-    """Matrix exp/log of a symmetric matrix via Jacobi eigendecomposition."""
+    """Matrix exp/log of a symmetric matrix via its eigendecomposition."""
     s = as_matrix(s)
     _check_symmetric(s, eps_lin)
-    w, v = jacobi_eigh(s)
+    w, v = np.linalg.eigh(s)
     if direction == "exp":
         return (v * np.exp(w)) @ v.T
     if direction == "log":

@@ -71,18 +71,10 @@ def _letter_stack(generators):
     return np.stack(letters)
 
 
-def _qr_stack(mats):
-    """Batched QR with a positive diagonal."""
-    q, r = np.linalg.qr(mats)
-    signs = np.sign(np.einsum("nii->ni", r))
-    signs[signs == 0] = 1.0
-    return q * signs[:, None, :], r * signs[:, :, None]
-
-
 def _prepend(letter, q, a, nu):
     """Factored update (q, a, nu) -> factorization of letter @ q e^a nu."""
     prod = np.einsum("ij,njk->nik", letter, q)
-    q2, r2 = _qr_stack(prod)
+    q2, r2 = kernel.qr_pos(prod)
     rd = np.einsum("nii->ni", r2)
     a2 = a + np.log(rd)
     # Unit-upper factor of (r2 e^a): entry (i, j) picks up e^{a_j - a_i}.
@@ -106,7 +98,7 @@ def _grow_block(letters, seed, max_length):
     n = letters.shape[-1]
     words = np.full((1, max_length), _PAD, dtype=np.int8)
     words[0, 0] = seed
-    q, r = _qr_stack(letters[seed][None])
+    q, r = kernel.qr_pos(letters[seed][None])
     rd = np.einsum("nii->ni", r)
     a = np.log(rd)
     nu = r / rd[:, :, None]

@@ -49,11 +49,16 @@ def test_flag_is_m_invariant_and_sign_blind():
     assert boundary.flags_equal(
         boundary.flag_from_frame(k), boundary.flag_from_frame(k @ m)
     )
+    # The canonical frame itself is exact under M, not just close.
+    assert np.array_equal(
+        boundary.flag_frame(boundary.flag_from_frame(k @ m)),
+        boundary.flag_frame(boundary.flag_from_frame(k)),
+    )
     # A single sign flip leaves projectors (and so the flag) unchanged too.
     k2 = random_so(rng, 2)
     flipped = k2 @ np.diag([-1.0, 1.0])
     f1 = boundary.flag_from_frame(k2)
-    f2 = boundary.Flag([np.outer(flipped[:, 0], flipped[:, 0])])
+    f2 = boundary.flag_from_frame(flipped)
     assert boundary.flags_equal(f1, f2)
 
 
@@ -64,6 +69,8 @@ def test_flag_frame_regenerates_flag():
         f = boundary.random_flag(rng, n)
         k = boundary.flag_frame(f)
         assert abs(np.linalg.det(k) - 1.0) < 1e-9
+        with pytest.raises(ValueError):  # the flag's own frame is read-only
+            k[0, 0] = 0.0
         assert boundary.flags_equal(f, boundary.flag_from_frame(k))
 
 
