@@ -79,7 +79,3 @@ class InsufficientGenerators(RankrError):
 
 class EmptySample(RankrError):
     pass
-
-
-class Overflow(RankrError):
-    """Word value grew past the representable range; direction data may still be usable."""

@@ -27,7 +27,6 @@ worker count.
 import os
 import string
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -45,11 +44,12 @@ _LOG_OVERFLOW = 345.0  # log 1e150
 
 
 def resolve_workers(workers=None) -> int:
+    """An explicit worker count wins; else RANKR_THREADS; else the CPU count."""
+    if workers is not None:
+        return max(1, int(workers))
     env = os.environ.get("RANKR_THREADS")
     if env:
         return max(1, int(env))
-    if workers is not None:
-        return max(1, int(workers))
     return os.cpu_count() or 1
 
 
@@ -155,12 +155,6 @@ def _materialize(q, a, nu):
     return np.einsum("nij,njk->nik", q, np.exp(a)[:, :, None] * nu)
 
 
-def _graded_compounds(a, nu, k):
-    """Exterior power of e^a nu split into (row log-weights, moderate part)."""
-    cn = nu if k == 1 else kernel.compound(nu, k)
-    return kernel.combo_sums(a, k), cn
-
-
 def _stack_cartan(a, nu):
     """Centered log singular values of a stack of factored words.
 
@@ -180,7 +174,9 @@ def _stack_log_moduli(q, a, nu):
     count, n = a.shape
     cum = np.zeros((n + 1, count))
     for k in range(1, n):
-        w, cn = _graded_compounds(a, nu, k)
+        # k-th exterior power of e^a nu: row log-weights w, moderate part cn.
+        w = kernel.combo_sums(a, k)
+        cn = nu if k == 1 else kernel.compound(nu, k)
         cq = q if k == 1 else kernel.compound(q, k)
         shift = w.max(axis=1)
         m = np.einsum(
@@ -193,17 +189,6 @@ def _stack_log_moduli(q, a, nu):
     lm = np.diff(cum, axis=0).T
     lm = np.sort(lm, axis=1)[:, ::-1]
     return lm - lm.mean(axis=1, keepdims=True)
-
-
-@dataclass
-class LimitSample:
-    word: tuple
-    length: int
-    tag: str
-    cartan_direction: np.ndarray
-    angular_flag: boundary.Flag
-    jordan_direction: np.ndarray | None
-    overflow: bool = False
 
 
 class SampleSet:
@@ -240,21 +225,6 @@ class SampleSet:
 
     def values(self) -> np.ndarray:
         return _materialize(self.q, self.a, self.nu)
-
-    def sample(self, i) -> LimitSample:
-        jdir = self.jdirs[i]
-        return LimitSample(
-            word=self.word_tuple(i),
-            length=int(self.lengths[i]),
-            tag=self.tags[i],
-            cartan_direction=self.dirs[i],
-            angular_flag=boundary.flag_from_frame(self.frames[i]),
-            jordan_direction=None if np.isnan(jdir[0]) else jdir,
-            overflow=bool(self.overflow[i]),
-        )
-
-    def __iter__(self):
-        return (self.sample(i) for i in range(len(self)))
 
 
 def _classify_stack(q, a, nu, lengths):
@@ -461,13 +431,30 @@ def cone_report(cone, lengths, dirs, lp_values, l_cone) -> dict:
 def _flag_embed(frames: np.ndarray) -> np.ndarray:
     """Flatten projector chains; Euclidean distance here dominates the
     flag distance and is dominated by sqrt(n-1) times it."""
+    n = frames.shape[-1]
     stack = boundary.frames_to_projector_stack(frames)
-    return stack.reshape(len(frames), -1)
+    return stack.reshape(len(frames), (n - 1) * n * n)
 
 
 def _exact_flag_dists(embed_rows, target_row, n):
     diff = (embed_rows - target_row).reshape(len(embed_rows), n - 1, n * n)
     return np.linalg.norm(diff, axis=2).max(axis=1)
+
+
+def _nearest_exact(points, queries, exact, stretch):
+    """(bound, best): the Euclidean and the exact nearest distance from
+    each query row to the point rows.
+
+    exact(rows, query) is a metric d with d <= D <= stretch * d against
+    the Euclidean distance D, so the exact nearest point lies within
+    stretch * bound of the query, and only that ball is refined."""
+    tree = cKDTree(points)
+    bound, _ = tree.query(queries)
+    balls = tree.query_ball_point(queries, bound * stretch + 1e-12)
+    best = np.array(
+        [exact(points[ball], q).min() for ball, q in zip(balls, queries)]
+    )
+    return bound, best
 
 
 def gap_to_neighborhoods(frames: np.ndarray, table) -> np.ndarray:
@@ -495,32 +482,24 @@ def minimality_check(
     n = samples.n
     frame0 = boundary.flag_frame(xi0.flag)
     prod = np.einsum("nij,jk->nik", samples.values(), frame0)
-    orbit = boundary.act_frames(np.eye(n), prod)
-    embed = _flag_embed(orbit)
-    tree = cKDTree(embed)
-    radius = eps * np.sqrt(n - 1)
-    approached = []
-    worst = 0.0
-    for target in targets:
-        trow = _flag_embed(boundary.flag_frame(target)[None])[0]
-        hits = tree.query_ball_point(trow, radius)
-        ok = False
-        if hits:
-            exact = _exact_flag_dists(embed[hits], trow, n)
-            ok = bool(exact.min() < eps)
-            worst = max(worst, float(exact.min())) if ok else worst
-        if not ok:
-            d, _ = tree.query(trow)
-            worst = max(worst, float(d))
-        approached.append(ok)
+    embed = _flag_embed(kernel.qr_pos(prod)[0])
+    queries = _flag_embed(
+        np.array([boundary.flag_frame(t) for t in targets]).reshape(-1, n, n)
+    )
+    bound, best = _nearest_exact(
+        embed, queries, lambda rows, q: _exact_flag_dists(rows, q, n),
+        np.sqrt(n - 1),
+    )
+    approached = best < eps
+    worst = float(np.where(approached, best, bound).max(initial=0.0))
     long_mask = samples.lengths >= 2
     gaps = gap_to_neighborhoods(samples.frames[long_mask], table)
     contained = gaps < 0.0
     return {
         "eps": eps,
-        "targets": len(approached),
-        "all_approached": all(approached),
-        "approached_fraction": float(np.mean(approached)) if approached else 1.0,
+        "targets": len(targets),
+        "all_approached": bool(approached.all()),
+        "approached_fraction": float(approached.mean()) if len(targets) else 1.0,
         "worst_target_distance": worst,
         "containment_fraction": float(np.mean(contained)),
         "containment_worst_gap": float(gaps.max()),
@@ -542,19 +521,17 @@ def product_structure_check(
     embed = _flag_embed(samples.frames[idx])
     dirs = samples.dirs[idx]
     flag_tree = cKDTree(embed)
-    dir_tree = cKDTree(dirs)
     rng = np.random.default_rng(seed)
     successes = 0
     for _ in range(pair_count):
         i, j = rng.choice(len(idx), size=2, replace=False)
-        flag_hits = flag_tree.query_ball_point(embed[i], eps * np.sqrt(n - 1))
-        if flag_hits:
-            exact = _exact_flag_dists(embed[flag_hits], embed[i], n)
-            flag_hits = set(np.asarray(flag_hits)[exact < eps].tolist())
-        else:
-            flag_hits = set()
-        dir_hits = set(dir_tree.query_ball_point(dirs[j], eps))
-        if flag_hits & dir_hits:
+        ball = np.asarray(
+            flag_tree.query_ball_point(embed[i], eps * np.sqrt(n - 1)), dtype=np.intp
+        )
+        # Every word within eps of flag i lies in its flag ball; keep the
+        # part of that ball inside the direction ball of j.
+        both = ball[np.linalg.norm(dirs[ball] - dirs[j], axis=1) <= eps]
+        if (_exact_flag_dists(embed[both], embed[i], n) < eps).any():
             successes += 1
     return {
         "eps": eps,
@@ -571,7 +548,7 @@ def _axial_plus_frames(vals):
     w, v = np.linalg.eig(vals)
     order = np.argsort(-np.abs(w), axis=1)
     basis = np.take_along_axis(v, order[:, None, :], axis=2).real
-    return boundary.act_frames(np.eye(vals.shape[-1]), basis)
+    return kernel.qr_pos(basis)[0]
 
 
 def axial_density_check(
@@ -594,33 +571,27 @@ def axial_density_check(
     plus_embed = np.concatenate(
         [_flag_embed(plus_frames), samples.jdirs[regular]], axis=1
     )
-    tree = cKDTree(plus_embed)
     target_mask = samples.lengths >= min_length
     target_embed = np.concatenate(
         [_flag_embed(samples.frames[target_mask]), samples.dirs[target_mask]],
         axis=1,
     )
     flag_dim = plus_embed.shape[1] - n
-    worst = 0.0
-    all_close = True
-    for row in target_embed:
-        d_embed, _ = tree.query(row)
-        hits = tree.query_ball_point(row, d_embed * (np.sqrt(n - 1) + 1.0) + 1e-12)
-        flag_exact = _exact_flag_dists(
-            plus_embed[hits][:, :flag_dim], row[:flag_dim], n
-        )
-        dir_exact = np.linalg.norm(
-            plus_embed[hits][:, flag_dim:] - row[flag_dim:], axis=1
-        )
-        best = float(np.maximum(flag_exact, dir_exact).min())
-        worst = max(worst, best)
-        if best >= eps:
-            all_close = False
+
+    def joint(rows, row):
+        flag = _exact_flag_dists(rows[:, :flag_dim], row[:flag_dim], n)
+        direction = np.linalg.norm(rows[:, flag_dim:] - row[flag_dim:], axis=1)
+        return np.maximum(flag, direction)
+
+    _, best = _nearest_exact(
+        plus_embed, target_embed, joint, np.sqrt(n - 1) + 1.0
+    )
+    worst = float(best.max(initial=0.0))
     return {
         "eps": eps,
         "targets": int(target_mask.sum()),
         "axial_words": int(regular.sum()),
-        "all_within_eps": all_close,
+        "all_within_eps": bool((best < eps).all()),
         "worst_distance": worst,
     }
 

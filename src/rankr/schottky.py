@@ -188,8 +188,8 @@ def sample_flags_near(
 ) -> np.ndarray:
     """Frames of flags at prescribed flag distances from a center flag.
 
-    Random tangent directions, bisected along a Cayley path until the flag
-    distance matches each target (within 1e-9 or 50 steps).
+    Random tangent directions, bisected along a Cayley path for 50 steps
+    toward the parameter at which the flag distance matches each target.
     """
     n = center.n
     count = len(targets)
@@ -198,24 +198,22 @@ def sample_flags_near(
     skews = raw - raw.transpose(0, 2, 1)
     skews /= np.linalg.norm(skews, axis=(1, 2), keepdims=True)
 
+    def dist(t):
+        frames = _cayley_frames(frame, skews, t)
+        return boundary.flag_distances_to_center(
+            boundary.frames_to_projector_stack(frames), center
+        )
+
     lo = np.zeros(count)
     hi = np.full(count, 0.5)
     for _ in range(12):  # grow until every path crosses its target
-        frames = _cayley_frames(frame, skews, hi)
-        dist = boundary.flag_distances_to_center(
-            boundary.frames_to_projector_stack(frames), center
-        )
-        short = dist < targets
+        short = dist(hi) < targets
         if not short.any():
             break
         hi[short] *= 2.0
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        frames = _cayley_frames(frame, skews, mid)
-        dist = boundary.flag_distances_to_center(
-            boundary.frames_to_projector_stack(frames), center
-        )
-        low = dist < targets
+        low = dist(mid) < targets
         lo[low] = mid[low]
         hi[~low] = mid[~low]
     return _cayley_frames(frame, skews, 0.5 * (lo + hi))

@@ -24,7 +24,8 @@ def test_resolve_workers(monkeypatch):
     assert limitset.resolve_workers(3) == 3
     assert limitset.resolve_workers() >= 1
     monkeypatch.setenv("RANKR_THREADS", "2")
-    assert limitset.resolve_workers(7) == 2
+    assert limitset.resolve_workers() == 2
+    assert limitset.resolve_workers(7) == 7
 
 
 def test_enumerate_counts_and_order():
@@ -89,25 +90,26 @@ def test_directions_survive_extreme_squeezing():
 
 def test_classification_tags():
     samples = limitset.enumerate_samples(_shear_pair(), 2)
-    for s in samples:
-        if s.length == 0:
-            assert s.tag == "identity"
-        elif s.word in ((0,), (1,), (2,), (3,)):
-            assert s.tag == "strictly-parabolic"
-            assert s.jordan_direction is None
-        elif s.word[0] == (s.word[1] ^ 1):
+    words = [samples.word_tuple(i) for i in range(len(samples))]
+    for i, word in enumerate(words):
+        if samples.lengths[i] == 0:
+            assert samples.tags[i] == "identity"
+        elif word in ((0,), (1,), (2,), (3,)):
+            assert samples.tags[i] == "strictly-parabolic"
+            assert np.isnan(samples.jdirs[i]).all()
+        elif word[0] == (word[1] ^ 1):
             raise AssertionError("non-reduced word emitted")
-        elif s.word[1] == (s.word[0] ^ 1):
+        elif word[1] == (word[0] ^ 1):
             raise AssertionError("non-reduced word emitted")
-    ab = next(s for s in samples if s.word == (0, 2))
-    assert ab.tag == "regular-axial"
-    assert ab.jordan_direction is not None
+    ab = words.index((0, 2))
+    assert samples.tags[ab] == "regular-axial"
+    assert not np.isnan(samples.jdirs[ab]).any()
     assert np.allclose(samples.value(0), np.eye(2))
     # a.b = [[5, 2], [2, 1]]; its top eigenvalue fixes the direction.
     lam = max(abs(np.linalg.eigvals(np.array([[5.0, 2.0], [2.0, 1.0]]))))
     expect = np.array([np.log(lam), -np.log(lam)])
     expect = expect / np.linalg.norm(expect)
-    assert np.allclose(ab.jordan_direction, expect, atol=1e-10)
+    assert np.allclose(samples.jdirs[ab], expect, atol=1e-10)
 
 
 def test_limit_cone_single_axial():
@@ -133,9 +135,9 @@ def test_limit_cone_cyclic_dedup():
     # a.b and b.a are conjugate; the cone keeps one direction for the pair.
     gens = _shear_pair()
     samples = limitset.enumerate_samples(gens, 2)
-    ab = next(s for s in samples if s.word == (0, 2))
-    ba = next(s for s in samples if s.word == (2, 0))
-    assert np.allclose(ab.jordan_direction, ba.jordan_direction, atol=1e-12)
+    words = [samples.word_tuple(i) for i in range(len(samples))]
+    ab, ba = words.index((0, 2)), words.index((2, 0))
+    assert np.allclose(samples.jdirs[ab], samples.jdirs[ba], atol=1e-12)
     dirs = limitset.limit_cone_sample(gens, 2)
     # Length-2 axial classes up to rotation and the snap grid.
     assert 1 <= len(dirs) <= 4
@@ -193,7 +195,7 @@ def test_minimality_and_containment(sl3_group):
     rng = np.random.default_rng(0)
     samples = limitset.enumerate_samples(table.effective_generators(), 4)
     targets = [
-        samples.sample(i).angular_flag
+        boundary.flag_from_frame(samples.frames[i])
         for i in rng.choice(
             np.flatnonzero(samples.lengths == 4), size=5, replace=False
         )
@@ -221,6 +223,118 @@ def test_axial_density(sl3_group):
     report = limitset.axial_density_check(table, 6, eps=0.2, min_length=4)
     assert report["all_within_eps"]
     assert report["worst_distance"] < 0.2
+
+
+def _flag_metric(n):
+    return lambda rows, q: limitset._exact_flag_dists(rows, q, n)
+
+
+def _joint_metric(n):
+    flag_dim = (n - 1) * n * n
+
+    def joint(rows, q):
+        flag = limitset._exact_flag_dists(rows[:, :flag_dim], q[:flag_dim], n)
+        direction = np.linalg.norm(rows[:, flag_dim:] - q[flag_dim:], axis=1)
+        return np.maximum(flag, direction)
+
+    return joint
+
+
+def _brute_nearest(points, queries, exact):
+    """(Euclidean, exact) nearest distances over every point."""
+    euclid = np.linalg.norm(points[None] - queries[:, None], axis=2).min(axis=1)
+    return euclid, np.array([exact(points, q).min() for q in queries])
+
+
+def test_nearest_exact_is_brute_force_minimum(sl3_group):
+    _, _, table = sl3_group
+    rng = np.random.default_rng(5)
+    for gens, length in (
+        (table.effective_generators(), 5),
+        ([random_sl(rng, 4), random_sl(rng, 4)], 3),
+    ):
+        samples = limitset.enumerate_samples(gens, length)
+        n = samples.n
+        flags = limitset._flag_embed(samples.frames)
+        queries = limitset._flag_embed(boundary.random_frames(rng, 60, n))
+        bound, best = limitset._nearest_exact(
+            flags, queries, _flag_metric(n), np.sqrt(n - 1)
+        )
+        euclid, exact = _brute_nearest(flags, queries, _flag_metric(n))
+        assert np.allclose(bound, euclid, rtol=0.0, atol=1e-12)
+        assert np.array_equal(best, exact)
+        # Joint (flag, direction) rows, queried with other words' directions.
+        joint = np.concatenate([flags, samples.dirs], axis=1)
+        queries = np.concatenate(
+            [queries, samples.dirs[rng.choice(len(samples), 60)]], axis=1
+        )
+        _, best = limitset._nearest_exact(
+            joint, queries, _joint_metric(n), np.sqrt(n - 1) + 1.0
+        )
+        assert np.array_equal(best, _brute_nearest(joint, queries, _joint_metric(n))[1])
+
+
+def test_minimality_and_axdens_distances_are_brute_force(sl3_group):
+    _, _, table = sl3_group
+    gens = table.effective_generators()
+    xi0 = table.points[1]
+    samples = limitset.enumerate_samples(gens, 5)
+    orbit = np.einsum(
+        "nij,jk->nik", samples.values(), boundary.flag_frame(xi0.flag)
+    )
+    orbit = limitset._flag_embed(kernel.qr_pos(orbit)[0])
+    probe = limitset.enumerate_samples(gens, 4)
+    frames = probe.frames[probe.lengths == 4]
+    euclid, exact = _brute_nearest(
+        orbit, limitset._flag_embed(frames), _flag_metric(3)
+    )
+    # eps splits the targets, so both branches of the worst distance count.
+    eps = float(np.median(exact))
+    targets = [boundary.flag_from_frame(f) for f in frames]
+    report = limitset.minimality_check(table, xi0, targets, 5, eps=eps)
+    approached = exact < eps
+    assert 0 < approached.sum() < len(targets)
+    assert report["approached_fraction"] == approached.mean()
+    assert report["worst_target_distance"] == pytest.approx(
+        np.where(approached, exact, euclid).max(), rel=0.0, abs=1e-12
+    )
+
+    regular = samples.tags == "regular-axial"
+    plus = limitset._axial_plus_frames(samples.values()[regular])
+    points = np.concatenate(
+        [limitset._flag_embed(plus), samples.jdirs[regular]], axis=1
+    )
+    long_words = samples.lengths >= 4
+    queries = np.concatenate(
+        [limitset._flag_embed(samples.frames[long_words]), samples.dirs[long_words]],
+        axis=1,
+    )
+    exact = _brute_nearest(points, queries, _joint_metric(3))[1]
+    report = limitset.axial_density_check(table, 5, eps=0.01, min_length=4)
+    assert report["worst_distance"] == exact.max()
+    assert report["all_within_eps"] == bool((exact < 0.01).all())
+
+
+def test_minimality_without_targets(sl3_group):
+    _, _, table = sl3_group
+    report = limitset.minimality_check(table, table.points[1], [], 4)
+    assert report["targets"] == 0
+    assert report["all_approached"] is True
+    assert report["approached_fraction"] == 1.0
+    assert report["worst_target_distance"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "eps, successes", [(0.005, 262), (0.01, 279), (0.02, 288), (0.04, 297)]
+)
+def test_product_structure_small_eps(sl3_group, eps, successes):
+    # Small eps makes some pairs fail, so the flag/direction ball
+    # intersection decides the count.
+    _, _, table = sl3_group
+    report = limitset.product_structure_check(
+        table, 7, eps=eps, pair_count=300, seed=3
+    )
+    assert report["successes"] == successes
 
 
 def test_word_separation_positive(sl3_group):
@@ -286,9 +400,7 @@ def test_overflow_flag():
     samples = limitset.enumerate_samples([g], 10)
     deep = samples.lengths == 10
     assert samples.overflow[deep].any()
-    flagged = next(s for s in samples if s.overflow)
-    assert flagged.overflow
-    assert np.all(np.isfinite(flagged.cartan_direction))
+    assert np.isfinite(samples.dirs[samples.overflow]).all()
 
 
 def _exterior_power_cartan(a, nu):
