@@ -10,6 +10,10 @@ Stacks of graded matrices e^{diag a} m, whose rows span hundreds of
 orders of magnitude, get their log singular values from one batched
 LAPACK SVD after a re-triangularization that orders the scales, so the
 small singular values keep full relative accuracy.
+
+Exterior powers of a stack (compounds) are built in one pass: the
+2-minors by one batched LAPACK determinant, every larger minor by a
+Laplace expansion along its first row over the minors one size smaller.
 """
 
 from dataclasses import dataclass
@@ -230,19 +234,43 @@ def rank_with_band(m, tol: float = defaults.EPS_RANK):
 # Graded stacks e^{diag a} m
 
 
-def compound(m: np.ndarray, k: int) -> np.ndarray:
-    """k-th exterior power of each matrix in the stack."""
+def compounds(m: np.ndarray, top: int) -> list:
+    """Exterior powers [C_1(m), ..., C_top(m)] of each matrix in a stack.
+
+    C_k has shape (count, C(n,k), C(n,k)), rows and columns indexed by the
+    k-subsets in lexicographic order; C_1 is m itself.  The 2-minors come
+    from one batched LAPACK determinant; each larger k-minor is the
+    Laplace expansion along its first row over the (k-1)-minors of
+    C_{k-1}, k vectorised multiply-adds per k."""
     n = m.shape[-1]
-    idx = list(combinations(range(n), k))
-    rows = []
-    for r in idx:
-        rows.append(
-            np.stack(
-                [np.linalg.det(m[:, list(r)][:, :, list(c)]) for c in idx],
-                axis=1,
+    out = [m]
+    if top < 2:
+        return out[:top]
+    combos = list(combinations(range(n), 2))
+    pairs = np.array(combos)
+    out.append(
+        np.linalg.det(m[:, pairs[:, None, :, None], pairs[None, :, None, :]])
+    )
+    for k in range(3, top + 1):
+        pos = {c: i for i, c in enumerate(combos)}
+        combos = list(combinations(range(n), k))
+        rows = np.array(combos)
+        rest = np.array([pos[c[1:]] for c in combos])[:, None]
+        prev = out[-1]
+        acc = np.zeros((len(m), len(combos), len(combos)))
+        term = np.empty_like(acc)
+        for j in range(k):
+            # Entry (r_0, c_j) times the minor without row r_0 and column c_j.
+            drop = np.array([pos[c[:j] + c[j + 1 :]] for c in combos])[None, :]
+            np.multiply(
+                m[:, rows[:, :1], rows[None, :, j]], prev[:, rest, drop], out=term
             )
-        )
-    return np.stack(rows, axis=1)
+            if j % 2:
+                acc -= term
+            else:
+                acc += term
+        out.append(acc)
+    return out
 
 
 def combo_sums(a: np.ndarray, k: int) -> np.ndarray:
@@ -279,9 +307,8 @@ def _exterior_log_singular_values(b, u):
     power with its row weights kept symbolic, which no spread underflows."""
     count, n = b.shape
     cum = np.zeros((n + 1, count))
-    for k in range(1, n):
+    for k, cu in enumerate(compounds(u, n - 1), start=1):
         w = combo_sums(b, k)
-        cu = u if k == 1 else compound(u, k)
         shift = w.max(axis=1)
         m = np.exp(w - shift[:, None])[:, :, None] * cu
         sig = np.linalg.svd(m, compute_uv=False)[:, 0]

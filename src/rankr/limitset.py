@@ -16,7 +16,9 @@ well-scaled matrix.  Cartan vectors come from one batched SVD of the
 graded factor e^a N (kernel.graded_log_singular_values), which keeps the
 small singular values to relative accuracy; only the eigenvalue moduli
 are read off through exterior powers, with the exponents carried
-symbolically.  Directions stay accurate at any word length.
+symbolically.  The exterior powers of q and N come from kernel.compounds
+(LAPACK 2-minors, Laplace expansion above), a block of words at a time.
+Directions stay accurate at any word length.
 
 Emitted sample order is the depth-first preorder of the word tree with
 children in fixed alphabet order (a < a' < b < b' < ...), recovered by a
@@ -27,6 +29,7 @@ worker count.
 import os
 import string
 from concurrent.futures import ThreadPoolExecutor
+from math import comb
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -41,6 +44,8 @@ from .errors import (
 
 _PAD = -1
 _LOG_OVERFLOW = 345.0  # log 1e150
+_MODULI_BLOCK = 1 << 16
+_CSV_BLOCK = 1024
 
 
 def resolve_workers(workers=None) -> int:
@@ -170,21 +175,34 @@ def _stack_log_moduli(q, a, nu):
     |l_1 ... l_k| is the dominant eigenvalue modulus of the k-th exterior
     power, an isolated and well-conditioned quantity; a plain eigenvalue
     call on the assembled product would fuse the small moduli into
-    spurious complex pairs."""
+    spurious complex pairs.  The exterior powers of q and nu come from one
+    kernel.compounds pass each per block of words: LAPACK determinants for
+    the 2-minors and a Laplace expansion over those for every larger minor."""
     count, n = a.shape
     cum = np.zeros((n + 1, count))
-    for k in range(1, n):
-        # k-th exterior power of e^a nu: row log-weights w, moderate part cn.
-        w = kernel.combo_sums(a, k)
-        cn = nu if k == 1 else kernel.compound(nu, k)
-        cq = q if k == 1 else kernel.compound(q, k)
-        shift = w.max(axis=1)
-        m = np.einsum(
-            "nij,njk->nik", cq, np.exp(w - shift[:, None])[:, :, None] * cn
+    # Blocks of at most _MODULI_BLOCK entries per exterior power keep the
+    # Laplace passes in cache and the memory bounded at any word count.
+    # Every row is computed on its own, and equal blocks never hold a lone
+    # row (numpy's einsum takes another loop for a batch of one), so the
+    # blocks change no bit.
+    step = max(1, _MODULI_BLOCK // comb(n, n // 2) ** 2)
+    parts = max(1, -(-count // step))
+    edges = [count * i // parts for i in range(parts + 1)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rows = slice(lo, hi)
+        powers = zip(
+            kernel.compounds(q[rows], n - 1), kernel.compounds(nu[rows], n - 1)
         )
-        scale = np.maximum(np.abs(m).max(axis=(1, 2)), 1e-300)
-        top = np.abs(np.linalg.eigvals(m / scale[:, None, None])).max(axis=1)
-        cum[k] = np.log(np.maximum(top, 1e-300)) + np.log(scale) + shift
+        for k, (cq, cn) in enumerate(powers, start=1):
+            # k-th exterior power of e^a nu: row log-weights w, moderate part cn.
+            w = kernel.combo_sums(a[rows], k)
+            shift = w.max(axis=1)
+            m = np.einsum(
+                "nij,njk->nik", cq, np.exp(w - shift[:, None])[:, :, None] * cn
+            )
+            scale = np.maximum(np.abs(m).max(axis=(1, 2)), 1e-300)
+            top = np.abs(np.linalg.eigvals(m / scale[:, None, None])).max(axis=1)
+            cum[k, rows] = np.log(np.maximum(top, 1e-300)) + np.log(scale) + shift
     cum[n] = a.sum(axis=1)
     lm = np.diff(cum, axis=0).T
     lm = np.sort(lm, axis=1)[:, ::-1]
@@ -627,14 +645,11 @@ def word_label(word: tuple, names) -> str:
     )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_csv(samples: SampleSet, path, names=None, table=None):
     """Sample CSV: word, length, class, Cartan direction, Jordan direction
     (blank when not axial) and, with a table, the signed gap to the
-    nearest neighborhood.  UTF-8, LF endings, deterministic bytes."""
+    nearest neighborhood.  UTF-8, LF endings, deterministic bytes; every
+    float is written with format(x, ".17g")."""
     n = samples.n
     if names is None:
         top = int(samples.words.max())
@@ -645,23 +660,33 @@ def write_csv(samples: SampleSet, path, names=None, table=None):
         + [f"jdir_{i + 1}" for i in range(n)]
         + ["flag_dist_to_nearest_U"]
     )
-    gaps = None
-    if table is not None:
-        gaps = gap_to_neighborhoods(samples.frames, table)
+    if table is None:
+        gaps = [""] * len(samples)
+    else:
+        gaps = gap_to_neighborhoods(samples.frames, table).tolist()
+        gaps = [format(x, ".17g") for x in gaps]
+    labels = [word_label((c,), names) for c in range(2 * len(names))]
+    blank = "," * (n - 1)
     lines = [",".join(header)]
-    for i in range(len(samples)):
-        row = [
-            word_label(samples.word_tuple(i), names),
-            str(int(samples.lengths[i])),
-            samples.tags[i],
-        ]
-        row += [_fmt(x) for x in samples.dirs[i]]
-        if np.isnan(samples.jdirs[i][0]):
-            row += [""] * n
-        else:
-            row += [_fmt(x) for x in samples.jdirs[i]]
-        row.append("" if gaps is None else _fmt(gaps[i]))
-        lines.append(",".join(row))
+    # Columns go to Python lists _CSV_BLOCK rows at a time: converting all
+    # rows at once makes tens of MB of small objects live together, which
+    # fragments the heap of a process that writes many files.  Word rows
+    # are padded at the end, so a row's letters are its first `length`.
+    for lo in range(0, len(samples), _CSV_BLOCK):
+        rows = slice(lo, lo + _CSV_BLOCK)
+        for word, length, tag, d, j, gap in zip(
+            samples.words[rows].tolist(),
+            samples.lengths[rows].tolist(),
+            samples.tags[rows].tolist(),
+            samples.dirs[rows].tolist(),
+            samples.jdirs[rows].tolist(),
+            gaps[rows],
+        ):
+            label = ".".join([labels[c] for c in word[:length]]) or "e"
+            dcells = ",".join([format(x, ".17g") for x in d])
+            # NaN rows (no Jordan direction) get blank cells.
+            jcells = blank if j[0] != j[0] else ",".join([format(x, ".17g") for x in j])
+            lines.append(f"{label},{length},{tag},{dcells},{jcells},{gap}")
     data = ("\n".join(lines) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)

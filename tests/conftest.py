@@ -1,5 +1,6 @@
 import json
 import os
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,6 +29,24 @@ def random_so(rng: np.random.Generator, n: int) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, -1] *= -1.0
     return q
+
+
+def det_compounds(m: np.ndarray, top: int) -> list:
+    """Reference exterior powers [C_1, ..., C_top]: C_1 is m, and every
+    larger k-minor is one LAPACK determinant, rows and columns in
+    lexicographic subset order."""
+    n = m.shape[-1]
+    out = [m]
+    for k in range(2, top + 1):
+        idx = [list(c) for c in combinations(range(n), k)]
+        out.append(
+            np.stack(
+                [np.stack([np.linalg.det(m[:, r][:, :, c]) for c in idx], axis=1)
+                 for r in idx],
+                axis=1,
+            )
+        )
+    return out[:top]
 
 
 def random_chamber_dir(rng: np.random.Generator, n: int, min_gap: float = 0.25):

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from rankr.errors import (
     NotSymmetric,
     SingularMatrix,
 )
-from conftest import random_sl, random_so
+from conftest import det_compounds, random_sl, random_so
 
 
 def test_as_matrix_rejects_bad_shapes():
@@ -73,6 +75,51 @@ def test_graded_log_singular_values_closed_form_2x2():
             # Reversed scales and swapped rows describe the same matrix.
             got = kernel.graded_log_singular_values(a[:, ::-1], m[:, ::-1])[0]
             assert np.allclose(got, [top, -top], atol=1e-12, rtol=0.0)
+
+
+def _compound_test_stacks(rng, n, count=10):
+    """Gaussian, orthogonal and unit upper triangular stacks."""
+    orth = np.stack([random_so(rng, n) for _ in range(count)])
+    unit = np.eye(n) + np.triu(rng.uniform(-3.0, 3.0, (count, n, n)), 1)
+    return rng.standard_normal((count, n, n)), orth, unit
+
+
+def test_compounds_match_determinant_oracle():
+    rng = np.random.default_rng(5)
+    for n in range(2, 9):
+        for m in _compound_test_stacks(rng, n):
+            got = kernel.compounds(m, n)
+            want = det_compounds(m, n)
+            assert len(got) == n
+            for k, (g, w) in enumerate(zip(got, want), start=1):
+                assert g.shape == (len(m), comb(n, k), comb(n, k))
+                err = np.abs(g - w).max(axis=(1, 2))
+                assert np.all(err <= 1e-12 * np.abs(w).max(axis=(1, 2)))
+            # The 2-minors are LAPACK's own determinants, bit for bit.
+            assert np.array_equal(got[1], want[1])
+
+
+def test_compounds_are_multiplicative():
+    # Cauchy-Binet: C_k(AB) = C_k(A) C_k(B).
+    rng = np.random.default_rng(6)
+    for n in (3, 5, 8):
+        a = rng.standard_normal((10, n, n))
+        b = rng.standard_normal((10, n, n))
+        powers = zip(
+            kernel.compounds(a, n), kernel.compounds(b, n), kernel.compounds(a @ b, n)
+        )
+        for ca, cb, cab in powers:
+            bound = (np.abs(ca) @ np.abs(cb)).max(axis=(1, 2))
+            err = np.abs(cab - ca @ cb).max(axis=(1, 2))
+            assert np.all(err <= 1e-12 * bound)
+
+
+def test_compounds_shapes():
+    empty = kernel.compounds(np.zeros((0, 5, 5)), 4)
+    assert [c.shape for c in empty] == [(0, 5, 5), (0, 10, 10), (0, 10, 10), (0, 5, 5)]
+    m = np.random.default_rng(7).standard_normal((3, 4, 4))
+    first = kernel.compounds(m, 1)
+    assert len(first) == 1 and np.array_equal(first[0], m)
 
 
 def test_eig_real_jordan_block_is_one_cluster():

@@ -3,7 +3,7 @@ import pytest
 
 from rankr import boundary, decompositions, isometries, kernel, limitset
 from rankr.errors import EmptySample, InsufficientGenerators
-from conftest import random_sl, random_so
+from conftest import det_compounds, random_sl, random_so
 
 
 def _shear_pair():
@@ -387,6 +387,47 @@ def test_csv_includes_neighborhood_gap(sl3_group, tmp_path):
     assert all(float(line.split(",")[-1]) < 0.0 for line in long_rows)
 
 
+def _reference_csv(samples, names, gaps):
+    """Sample CSV written cell by cell from the per-row accessors."""
+    n = samples.n
+    fmt = lambda x: format(float(x), ".17g")
+    header = (
+        ["word", "length", "class"]
+        + [f"dir_{i + 1}" for i in range(n)]
+        + [f"jdir_{i + 1}" for i in range(n)]
+        + ["flag_dist_to_nearest_U"]
+    )
+    lines = [",".join(header)]
+    for i in range(len(samples)):
+        row = [
+            limitset.word_label(samples.word_tuple(i), names),
+            str(int(samples.lengths[i])),
+            samples.tags[i],
+        ]
+        row += [fmt(x) for x in samples.dirs[i]]
+        if np.isnan(samples.jdirs[i][0]):
+            row += [""] * n
+        else:
+            row += [fmt(x) for x in samples.jdirs[i]]
+        row.append("" if gaps is None else fmt(gaps[i]))
+        lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_csv_matches_cell_by_cell_writer(sl3_group, tmp_path, monkeypatch):
+    monkeypatch.setattr(limitset, "_CSV_BLOCK", 7)  # rows span many blocks
+    _, names, table = sl3_group
+    samples = limitset.enumerate_samples(table.effective_generators(), 4)
+    gaps = limitset.gap_to_neighborhoods(samples.frames, table)
+    data = limitset.write_csv(samples, tmp_path / "t.csv", names=names, table=table)
+    assert data == _reference_csv(samples, names, gaps)
+    # Parabolic rows (blank Jordan direction) and default names.
+    samples = limitset.enumerate_samples(_shear_pair(), 3)
+    assert np.isnan(samples.jdirs[:, 0]).any()
+    data = limitset.write_csv(samples, tmp_path / "s.csv")
+    assert data == _reference_csv(samples, ["a", "b"], None)
+
+
 def test_word_labels():
     names = limitset.default_names(2)
     assert names == ["a", "b"]
@@ -441,3 +482,53 @@ def test_stack_cartan_wide_spread_and_any_scale_order():
         a = rng.permuted(np.linspace(-150.0, 150.0, n)[None].repeat(50, 0), axis=1)
         nu = np.eye(n) + np.triu(rng.uniform(-3.0, 3.0, (50, n, n)), 1)
         _assert_matches_oracle(a, nu)
+
+
+def _determinant_moduli(monkeypatch, q, a, nu):
+    """_stack_log_moduli with the whole stack in one block and every
+    exterior power taken from per-minor LAPACK determinants."""
+    with monkeypatch.context() as patched:
+        patched.setattr(kernel, "compounds", det_compounds)
+        patched.setattr(limitset, "_MODULI_BLOCK", 1 << 40)
+        return limitset._stack_log_moduli(q, a, nu)
+
+
+def _one_block_moduli(monkeypatch, q, a, nu):
+    """_stack_log_moduli with the whole stack in one block."""
+    with monkeypatch.context() as patched:
+        patched.setattr(limitset, "_MODULI_BLOCK", 1 << 40)
+        return limitset._stack_log_moduli(q, a, nu)
+
+
+def test_stack_log_moduli_matches_determinant_path(sl3_group, monkeypatch):
+    _, _, table = sl3_group
+    _, q, a, nu = limitset._word_values(table.effective_generators(), 8)
+    # At n = 3 only 2-minors are needed, LAPACK determinants either way.
+    want = _determinant_moduli(monkeypatch, q, a, nu)
+    got = limitset._stack_log_moduli(q, a, nu)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, _one_block_moduli(monkeypatch, q, a, nu))
+    rng = np.random.default_rng(21)
+    for n, length in ((4, 4), (6, 4), (8, 3)):
+        gens = [random_sl(rng, n), random_sl(rng, n)]
+        words, q, a, nu = limitset._word_values(gens, length)
+        lengths = (words != limitset._PAD).sum(axis=1)
+        first = words[:, 0]
+        last = words[np.arange(len(words)), np.maximum(lengths - 1, 0)]
+        # Words that are not cyclically reduced have moduli at roundoff
+        # noise level, so only cyclically reduced rows are compared.
+        cyc = (lengths >= 1) & ((first != (last ^ 1)) | (lengths == 1))
+        got = limitset._stack_log_moduli(q, a, nu)
+        assert np.array_equal(got, _one_block_moduli(monkeypatch, q, a, nu))
+        want = _determinant_moduli(monkeypatch, q, a, nu)
+        assert np.abs(got - want)[cyc].max() <= 1e-11
+        # These words are short enough for a plain eig of the product.
+        plain = np.log(np.abs(np.linalg.eigvals(limitset._materialize(q, a, nu))))
+        plain = np.sort(plain, axis=1)[:, ::-1]
+        plain -= plain.mean(axis=1, keepdims=True)
+        assert np.abs(got - plain)[cyc].max() <= 1e-9
+        tags, _ = limitset._classify_stack(q, a, nu, lengths)
+        with monkeypatch.context() as patched:
+            patched.setattr(limitset, "_stack_log_moduli", lambda *_: want)
+            want_tags, _ = limitset._classify_stack(q, a, nu, lengths)
+        assert np.array_equal(tags, want_tags)
