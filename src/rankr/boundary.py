@@ -3,8 +3,10 @@
 A flag is stored as one canonical frame, computed once from the chain of
 orthogonal projectors P_1, ..., P_{n-1} (rank i, nested).  Projectors are
 blind to the column signs of a generating frame, so the quotient by
-M = {diagonal +-1, det 1} is exact; the projectors themselves are
-derived from the stored frame when a distance needs them.
+M = {diagonal +-1, det 1} is exact.  Flag distances never build
+projectors: for frames C and F and M = C^T F, ||P_k(F) - P_k(C)||_F^2 is
+2 ||M[k:, :k]||_F^2, a sum of squares with no cancellation, so the flag
+distance keeps its relative accuracy on nearly equal flags.
 
 A boundary point is a pair (flag, unit chamber direction H); the G-action
 moves the flag through the Iwasawa projection and never changes H.
@@ -114,7 +116,7 @@ def flag_distance(f1: Flag, f2: Flag) -> float:
     """max_i ||P_i(f1) - P_i(f2)||_F; a metric on flags."""
     if f1.n != f2.n:
         raise DimensionMismatch(f"{f1.n} vs {f2.n}")
-    return float(np.linalg.norm(f1.projectors - f2.projectors, axis=(1, 2)).max())
+    return float(flag_distances_to_center(f2.frame[None], f1)[0])
 
 
 def flags_equal(f1: Flag, f2: Flag, tol: float = 1e-8) -> bool:
@@ -235,10 +237,23 @@ def frames_to_projector_stack(frames: np.ndarray) -> np.ndarray:
     return np.cumsum(outer, axis=1)[:, : n - 1]
 
 
-def flag_distances_to_center(stack: np.ndarray, center: Flag) -> np.ndarray:
-    """Flag distance of each stacked flag to a fixed center flag."""
-    diff = stack - center.projectors[None]
-    return np.sqrt(np.einsum("nkij,nkij->nk", diff, diff)).max(axis=1)
+def standard_flag_distances(frames: np.ndarray) -> np.ndarray:
+    """Flag distance from the standard flag to the flag of each (N, n, n)
+    orthonormal frame: sqrt(2) max_k ||frame[k:, :k]||_F."""
+    n = frames.shape[-1]
+    # blocks[k - 1] selects the entries (i, j) with i >= k > j, so one
+    # product of the squared entries gives every ||frame[k:, :k]||_F^2.
+    i, j = np.indices((n, n))
+    k = np.arange(1, n)[:, None, None]
+    blocks = ((i >= k) & (j < k)).reshape(n - 1, n * n).astype(float)
+    lower = blocks @ np.square(frames).reshape(-1, n * n).T
+    return np.sqrt(2.0 * lower.max(axis=0))
+
+
+def flag_distances_to_center(frames: np.ndarray, center: Flag) -> np.ndarray:
+    """Flag distance of the flag of each (N, n, n) frame to a center flag,
+    taken from the frames relative to the center's, center^T @ frame."""
+    return standard_flag_distances(np.matmul(center.frame.T, frames))
 
 
 def act_frames(g, frames: np.ndarray) -> np.ndarray:

@@ -79,6 +79,10 @@ def load_spec(path: str) -> dict:
     n = spec["n"]
     if not isinstance(n, int) or not 2 <= n <= 8:
         raise SpecError("n must be an integer in [2, 8]")
+    if spec.get("tolerances", {}) != {}:
+        raise SpecError(
+            "'tolerances' is not read by any command; leave it out or use {}"
+        )
     has_gens = "generators" in spec
     has_schottky = "schottky" in spec
     if has_gens == has_schottky:
@@ -405,6 +409,9 @@ def main(argv=None) -> int:
         return EXIT_MALFORMED
     except (IllConditionedCell, IllConditionedSpectrum) as exc:
         print(f"numerical reliability error: {exc}", file=sys.stderr)
+        return EXIT_ILL_CONDITIONED
+    except np.linalg.LinAlgError as exc:
+        print(f"numerical reliability error: LAPACK failed: {exc}", file=sys.stderr)
         return EXIT_ILL_CONDITIONED
     except PowerExhausted as exc:
         print(f"power escalation exhausted: {exc}", file=sys.stderr)

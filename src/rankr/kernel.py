@@ -39,14 +39,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def normalize_det(g: np.ndarray) -> np.ndarray:
-    """Rescale an invertible matrix with positive determinant to det 1."""
-    d = np.linalg.det(g)
-    if d <= 0:
-        raise SingularMatrix("determinant must be positive to normalize")
-    return g / d ** (1.0 / g.shape[0])
-
-
 def qr_pos(m):
     """QR with a positive diagonal of one matrix or a stack: m = q r.
 

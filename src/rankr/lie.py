@@ -155,10 +155,6 @@ class WeylElem:
         return out
 
 
-def identity_weyl(n: int) -> WeylElem:
-    return WeylElem(range(n))
-
-
 def longest_weyl(n: int) -> WeylElem:
     """The order-reversing element w*; Ad(m_w*) maps -chamber to +chamber."""
     return WeylElem(range(n - 1, -1, -1))

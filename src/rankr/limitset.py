@@ -143,16 +143,34 @@ def _word_values(generators, max_length, workers=None):
             )
     else:
         results = [_grow_block(letters, s, max_length) for s in blocks]
-    words = np.concatenate(
-        [np.full((1, max_length), _PAD, dtype=np.int8)]
-        + [r[0] for r in results]
+    # Per field: the identity row, then the per-letter blocks.
+    heads = (
+        np.full((1, max_length), _PAD, dtype=np.int8),
+        np.eye(n)[None],
+        np.zeros((1, n)),
+        np.eye(n)[None],
     )
-    q = np.concatenate([np.eye(n)[None]] + [r[1] for r in results])
-    a = np.concatenate([np.zeros((1, n))] + [r[2] for r in results])
-    nu = np.concatenate([np.eye(n)[None]] + [r[3] for r in results])
+    fields = [[head, *parts] for head, parts in zip(heads, zip(*results))]
+    del results
     # Preorder = lexicographic with the pad sorting first.
+    words = np.concatenate(fields.pop(0))
     order = np.lexsort(tuple(words[:, j] for j in range(max_length - 1, -1, -1)))
-    return words[order], q[order], a[order], nu[order]
+    dest = np.empty_like(order)
+    dest[order] = np.arange(len(order))
+    out = [words[order]]
+    del words
+    # Each block is scattered straight to its preorder rows and dropped, so
+    # only the field being filled is ever held twice.
+    while fields:
+        parts = fields.pop(0)
+        field = np.empty((len(order), *parts[0].shape[1:]))
+        lo = 0
+        while parts:
+            part = parts.pop(0)
+            field[dest[lo : lo + len(part)]] = part
+            lo += len(part)
+        out.append(field)
+    return tuple(out)
 
 
 def _materialize(q, a, nu):
@@ -479,10 +497,9 @@ def gap_to_neighborhoods(frames: np.ndarray, table) -> np.ndarray:
     """min over table neighborhoods of (flag distance to center - radius).
 
     Negative means the flag sits inside some neighborhood."""
-    stack = boundary.frames_to_projector_stack(frames)
     gaps = np.full(len(frames), np.inf)
     for point, radius in zip(table.points, table.radii):
-        d = boundary.flag_distances_to_center(stack, point.flag)
+        d = boundary.flag_distances_to_center(frames, point.flag)
         gaps = np.minimum(gaps, d - radius)
     return gaps
 

@@ -173,14 +173,35 @@ class CertificationReport:
         }
 
 
-def _cayley_frames(center_frame: np.ndarray, skews: np.ndarray, t: np.ndarray):
-    """center @ (I + tS)(I - tS)^-1 for a batch of skew matrices."""
-    n = center_frame.shape[0]
-    eye = np.eye(n)
-    a = skews * t[:, None, None]
-    rot = np.linalg.solve((eye - a).transpose(0, 2, 1), (eye + a).transpose(0, 2, 1))
-    rot = rot.transpose(0, 2, 1)
-    return np.einsum("ij,njk->nik", center_frame, rot)
+def _cayley_map(skews: np.ndarray):
+    """t -> Cay(tS) = (I + tS)(I - tS)^-1 for a batch of skew matrices S.
+
+    One Hermitian eigensolve per batch, iS = V diag(w) V^H, gives
+    S = V diag(lam) V^H with lam = -i w, so for every parameter vector t
+
+        Cay(tS) = Re sum_k (1 + t lam_k) / (1 - t lam_k) v_k v_k^H
+                = I + sum_k (-2 x_k^2 Re P_k + 2 x_k Im P_k) / (1 + x_k^2),
+
+    where x_k = t w_k and P_k = v_k v_k^H.  The real and imaginary parts of
+    the P_k are formed once, so each t costs one batched matrix-vector
+    product and no linear solve.  The identity is split off, so the
+    off-diagonal entries, of size 2t|S|, keep their relative accuracy at
+    small t."""
+    count, n, _ = skews.shape
+    w, v = np.linalg.eigh(1j * skews)
+    outer = np.einsum("nik,njk->nkij", v, v.conj())
+    basis = np.concatenate([outer.real, outer.imag], axis=1).reshape(
+        count, 2 * n, n * n
+    )
+    eye = np.eye(n).reshape(n * n)
+
+    def cayley(t):
+        x = t[:, None] * w
+        scale = 2.0 / (1.0 + x * x)
+        coef = np.concatenate([-x * x * scale, x * scale], axis=1)
+        return (eye + np.matmul(coef[:, None, :], basis)[:, 0]).reshape(count, n, n)
+
+    return cayley
 
 
 def sample_flags_near(
@@ -188,21 +209,20 @@ def sample_flags_near(
 ) -> np.ndarray:
     """Frames of flags at prescribed flag distances from a center flag.
 
-    Random tangent directions, bisected along a Cayley path for 50 steps
-    toward the parameter at which the flag distance matches each target.
-    """
+    Random unit skew directions S give the frames center @ Cay(tS).  The
+    flag distance is invariant under the center frame, so each t is
+    bisected for 50 steps on the distance of Cay(tS) to the standard
+    flag, in the center's coordinates; only the final frames are rotated
+    by the center."""
     n = center.n
     count = len(targets)
-    frame = boundary.flag_frame(center)
     raw = rng.standard_normal((count, n, n))
     skews = raw - raw.transpose(0, 2, 1)
     skews /= np.linalg.norm(skews, axis=(1, 2), keepdims=True)
+    cayley = _cayley_map(skews)
 
     def dist(t):
-        frames = _cayley_frames(frame, skews, t)
-        return boundary.flag_distances_to_center(
-            boundary.frames_to_projector_stack(frames), center
-        )
+        return boundary.standard_flag_distances(cayley(t))
 
     lo = np.zeros(count)
     hi = np.full(count, 0.5)
@@ -216,7 +236,7 @@ def sample_flags_near(
         low = dist(mid) < targets
         lo[low] = mid[low]
         hi[~low] = mid[~low]
-    return _cayley_frames(frame, skews, 0.5 * (lo + hi))
+    return np.matmul(boundary.flag_frame(center), cayley(0.5 * (lo + hi)))
 
 
 def _neighborhood_samples(table: PingPongTable, resolution: int, rng):
@@ -241,9 +261,7 @@ def _complement_samples(table: PingPongTable, q: int, resolution: int, rng):
     need = resolution
     while need > 0:
         frames = boundary.random_frames(rng, 2 * need, n)
-        dist = boundary.flag_distances_to_center(
-            boundary.frames_to_projector_stack(frames), center
-        )
+        dist = boundary.flag_distances_to_center(frames, center)
         good = frames[dist > radius]
         kept.append(good[:need])
         need -= len(good[:need])
@@ -254,9 +272,7 @@ def _mapping_margin(table, gen, target_idx, source_frames):
     """Worst containment margin of gen(source flags) inside the target
     neighborhood, plus the worst offender's index and distance."""
     images = boundary.act_frames(gen, source_frames)
-    dist = boundary.flag_distances_to_center(
-        boundary.frames_to_projector_stack(images), table.points[target_idx].flag
-    )
+    dist = boundary.flag_distances_to_center(images, table.points[target_idx].flag)
     worst = int(np.argmax(dist))
     return float(table.radii[target_idx] - dist[worst]), worst, float(dist[worst])
 

@@ -49,6 +49,15 @@ def det_compounds(m: np.ndarray, top: int) -> list:
     return out[:top]
 
 
+def projector_flag_distance(c: np.ndarray, f: np.ndarray) -> float:
+    """Reference flag distance of two orthonormal frames from explicit
+    projector chains: max_k ||P_k(f) - P_k(c)||_F, P_k(f) = f[:, :k] f[:, :k]^T."""
+    return max(
+        np.linalg.norm(f[:, :k] @ f[:, :k].T - c[:, :k] @ c[:, :k].T)
+        for k in range(1, c.shape[0])
+    )
+
+
 def random_chamber_dir(rng: np.random.Generator, n: int, min_gap: float = 0.25):
     """Unit traceless descending vector with consecutive gaps >= min_gap."""
     while True:

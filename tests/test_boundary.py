@@ -5,7 +5,7 @@ import pytest
 
 from rankr import boundary, kernel, lie
 from rankr.errors import DimensionMismatch, NotOrthogonal
-from conftest import random_chamber_dir, random_sl, random_so
+from conftest import projector_flag_distance, random_chamber_dir, random_sl, random_so
 
 
 def _random_point(rng, n, scale=0.15):
@@ -91,6 +91,24 @@ def test_flag_distance_metric():
         assert dab <= boundary.flag_distance(a, c) + boundary.flag_distance(
             c, b
         ) + 1e-12
+
+
+def test_flag_distance_matches_projector_oracle():
+    rng = np.random.default_rng(17)
+    for n in range(2, 9):
+        center = boundary.random_flag(rng, n)
+        frames = boundary.random_frames(rng, 40, n)
+        dists = boundary.flag_distances_to_center(frames, center)
+        for frame, dist in zip(frames, dists):
+            ref = projector_flag_distance(center.frame, frame)
+            assert abs(dist - ref) < 1e-14
+            flag = boundary.flag_from_frame(frame)
+            assert abs(boundary.flag_distance(center, flag) - ref) < 1e-14
+        # The standard flag's relative frame is the frame itself.
+        assert np.array_equal(
+            boundary.standard_flag_distances(frames),
+            boundary.flag_distances_to_center(frames, boundary.standard_flag(n)),
+        )
 
 
 def test_act_basics():
@@ -259,9 +277,8 @@ def test_batched_helpers_match_scalar_paths():
     rng = np.random.default_rng(16)
     n = 4
     frames = boundary.random_frames(rng, 20, n)
-    stack = boundary.frames_to_projector_stack(frames)
     center = boundary.random_flag(rng, n)
-    dists = boundary.flag_distances_to_center(stack, center)
+    dists = boundary.flag_distances_to_center(frames, center)
     g = random_sl(rng, n)
     acted = boundary.act_frames(g, frames)
     for i in range(len(frames)):

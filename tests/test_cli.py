@@ -60,6 +60,33 @@ def test_load_spec_rejects_malformed_entries(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_load_spec_rejects_nonempty_tolerances(tmp_path, capsys):
+    # Nothing reads 'tolerances', so only the empty object is accepted.
+    spec = json.loads(open(spec_path("sl2_classical.json"), encoding="utf-8").read())
+    assert spec["tolerances"] == {}
+    path = tmp_path / "spec.json"
+    for value, code in (({}, 0), ({"eps": 1e-9}, 1), ([], 1), (None, 1)):
+        path.write_text(json.dumps({**spec, "tolerances": value}))
+        assert cli.main(["limitset", "enumerate", "--input", str(path),
+                         "--out", str(tmp_path / "out"),
+                         "--max-word-length", "2"]) == code
+        err = capsys.readouterr().err
+        assert ("'tolerances' is not read" in err) == (code == 1)
+
+
+def test_linalg_error_exits_cleanly(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli.schottky, "build_table", singular)
+    code = cli.main(["schottky", "build", "--input", spec_path("sl3_l2.json"),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "Singular matrix" in err
+
+
 def test_decompose_kak_identity(capsys):
     code, report = _run(
         capsys, ["decompose", "--which", "kak", "--matrix", "[[1,0],[0,1]]"]

@@ -19,13 +19,6 @@ def test_as_matrix_rejects_bad_shapes():
         kernel.as_matrix([[np.inf, 0.0], [0.0, 1.0]])
 
 
-def test_normalize_det():
-    g = kernel.normalize_det(np.diag([4.0, 1.0]))
-    assert abs(np.linalg.det(g) - 1.0) < 1e-12
-    with pytest.raises(SingularMatrix):
-        kernel.normalize_det(np.diag([-4.0, 1.0]))
-
-
 def test_qr_decompose_reconstructs_with_positive_diagonal():
     rng = np.random.default_rng(1)
     mats = {}

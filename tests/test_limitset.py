@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -352,6 +354,21 @@ def test_worker_counts_agree():
         assert np.array_equal(base.a, other.a)
         assert np.array_equal(base.q, other.q)
         assert np.array_equal(base.nu, other.nu)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_word_values_peak_memory(sl3_group, workers):
+    # The per-letter blocks are dropped as they are joined, so the peak
+    # stays below twice what is returned (about three times before).
+    gens, _, _ = sl3_group
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        out = limitset._word_values(gens, 9, workers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * sum(a.nbytes for a in out)
 
 
 def test_csv_deterministic_bytes(tmp_path):

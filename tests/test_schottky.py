@@ -203,10 +203,88 @@ def test_sample_flags_near_hits_targets():
     center = boundary.random_flag(rng, 4)
     targets = rng.uniform(0.05, 0.4, size=64)
     frames = schottky.sample_flags_near(center, targets, rng)
-    dists = boundary.flag_distances_to_center(
-        boundary.frames_to_projector_stack(frames), center
-    )
+    dists = boundary.flag_distances_to_center(frames, center)
     assert np.max(np.abs(dists - targets)) < 1e-6
+
+
+def _unit_skews(rng, count, n):
+    raw = rng.standard_normal((count, n, n))
+    skews = raw - raw.transpose(0, 2, 1)
+    return skews / np.linalg.norm(skews, axis=(1, 2), keepdims=True)
+
+
+def _solve_cayley(skews, t):
+    """(I + tS)(I - tS)^-1 by one linear solve per matrix."""
+    eye = np.eye(skews.shape[-1])
+    a = skews * t
+    rot = np.linalg.solve((eye - a).transpose(0, 2, 1), (eye + a).transpose(0, 2, 1))
+    return rot.transpose(0, 2, 1)
+
+
+def test_cayley_map_matches_solve_form():
+    rng = np.random.default_rng(7)
+    for n in range(2, 9):
+        skews = _unit_skews(rng, 50, n)
+        cayley = schottky._cayley_map(skews)
+        for t in (0.0, 1e-10, 1e-3, 0.1, 0.5, 1.0, 4.0):
+            got = cayley(np.full(len(skews), t))
+            assert np.abs(got - _solve_cayley(skews, t)).max() < 1e-14
+
+
+def test_cayley_map_matches_exact_cayley_up_to_large_t():
+    # I - tS has condition number up to about t, so the solve form itself
+    # drifts at large t; the reference here is exact to 34 digits.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 34
+    rng = np.random.default_rng(8)
+    eps = np.finfo(float).eps
+    for n in range(2, 9):
+        skews = _unit_skews(rng, 4, n)
+        cayley = schottky._cayley_map(skews)
+        for t in (1e-10, 0.5, 4.0, 64.0, 512.0, 2048.0):
+            got = cayley(np.full(len(skews), t))
+            for s, g in zip(skews, got):
+                a = mpmath.matrix(s.tolist()) * t
+                eye = mpmath.eye(n)
+                ref = (eye + a) * mpmath.inverse(eye - a)
+                ref = np.array(ref.tolist(), dtype=float)
+                # Cay(tS) moves by up to about t |dS| when S moves by dS,
+                # and S is known to eps: no evaluation does better than t eps.
+                assert np.abs(g - ref).max() < 1e-14 + t * eps
+
+
+def test_flag_distance_keeps_relative_accuracy_near_center():
+    # d(C, C Cay(tS)) = 2 sqrt(2) t max_k ||S[k:, :k]|| + O(t^2).  The
+    # centers are signed permutations, so C Cay(tS) is formed exactly and
+    # the check sees only the distance's own rounding.
+    rng = np.random.default_rng(9)
+    t = 1e-10
+    for n in range(2, 9):
+        skews = _unit_skews(rng, 20, n)
+        near = schottky._cayley_map(skews)(np.full(len(skews), t))
+        expect = np.array(
+            [2.0 * np.sqrt(2.0) * max(np.linalg.norm(s[k:, :k]) for k in range(1, n))
+             for s in skews]
+        )
+        perm = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n)
+        for frame in (np.eye(n), boundary.reversed_flag(n).frame, perm):
+            center = boundary.flag_from_frame(frame)
+            dist = boundary.flag_distances_to_center(
+                np.matmul(center.frame, near), center
+            )
+            assert np.abs(dist / t / expect - 1.0).max() < 1e-6
+
+
+def test_sample_flags_near_lands_on_targets_for_every_n():
+    rng = np.random.default_rng(10)
+    for n in range(2, 9):
+        center = boundary.random_flag(rng, n)
+        targets = rng.uniform(0.01, 0.5, size=200)
+        frames = schottky.sample_flags_near(center, targets, rng)
+        gram = np.matmul(frames.transpose(0, 2, 1), frames)
+        assert np.abs(gram - np.eye(n)).max() < 1e-13
+        dists = boundary.flag_distances_to_center(frames, center)
+        assert np.abs(dists - targets).max() < 1e-12
 
 
 def test_check_nonelementary(sl3_group):
