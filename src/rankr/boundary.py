@@ -3,13 +3,17 @@
 A flag is stored as one canonical frame, computed once from the chain of
 orthogonal projectors P_1, ..., P_{n-1} (rank i, nested).  Projectors are
 blind to the column signs of a generating frame, so the quotient by
-M = {diagonal +-1, det 1} is exact.  Flag distances never build
-projectors: for frames C and F and M = C^T F, ||P_k(F) - P_k(C)||_F^2 is
-2 ||M[k:, :k]||_F^2, a sum of squares with no cancellation, so the flag
-distance keeps its relative accuracy on nearly equal flags.
+M = {diagonal +-1, det 1} is exact.  Canonical frames are computed on
+(N, n, n) stacks (canonical_frames); flag_from_frame is its one-row call.
+Flag distances never build projectors: for frames C and F and
+M = C^T F, ||P_k(F) - P_k(C)||_F^2 is 2 ||M[k:, :k]||_F^2, a sum of
+squares with no cancellation, so the flag distance keeps its relative
+accuracy on nearly equal flags.
 
 A boundary point is a pair (flag, unit chamber direction H); the G-action
-moves the flag through the Iwasawa projection and never changes H.
+moves the flag through the Iwasawa K-part of g k and never changes H.
+busemann reads the Iwasawa a-parts of both points off one QR of a
+two-matrix stack; act and act_flag take one QR and one canonical_frames row.
 """
 
 from dataclasses import dataclass
@@ -17,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import decompositions, defaults, kernel, lie
-from .errors import DimensionMismatch, NotOrthogonal
+from .errors import DimensionMismatch, NotOrthogonal, SingularMatrix
 
 
 class Flag:
-    """A full flag in R^n, stored as its canonical frame (see flag_from_frame)."""
+    """A full flag in R^n, stored as its canonical frame (see canonical_frames)."""
 
     __slots__ = ("frame",)
 
@@ -65,38 +69,45 @@ def boundary_point(flag: Flag, direction) -> BoundaryPoint:
     return BoundaryPoint(flag, h)
 
 
-def flag_from_frame(k) -> Flag:
-    """The flag whose i-th space is spanned by the first i columns of k.
+def canonical_frames(frames) -> np.ndarray:
+    """Canonical frames of the flags of an (N, n, n) stack of frames.
 
-    Raises NotOrthogonal when ||k^T k - I||_F exceeds 1e-8.  The stored
-    frame is read off the projector chain P_1, ..., P_{n-1}, I, which is
-    blind to column signs: column i is the largest-norm column of
+    The flag of frame k has k's first i columns spanning its i-th space.
+    Raises NotOrthogonal when some ||k^T k - I||_F exceeds 1e-8.  The
+    canonical frame is read off the projector chain P_1, ..., P_{n-1}, I,
+    which is blind to column signs: column i is the largest-norm column of
     P_i - P_{i-1}, normalised with its largest entry positive, and the
     last column's sign makes det +1.  So every frame of a flag (k m for
-    any m in M) yields the same canonical frame.
+    any m in M) yields the same canonical frame.  The result is read-only:
+    flag_frame hands out these arrays themselves.
     """
-    k = kernel.as_matrix(k)
-    n = k.shape[0]
-    if np.linalg.norm(k.T @ k - np.eye(n)) > 1e-8:
+    count, n, _ = frames.shape
+    gram = np.matmul(frames.transpose(0, 2, 1), frames) - np.eye(n)
+    if not np.all(np.square(gram).sum(axis=(1, 2)) <= 1e-16):
         raise NotOrthogonal("frame is not orthogonal")
-    cols = []
-    prev = np.zeros((n, n))
-    for p in [*frames_to_projector_stack(k[None])[0], np.eye(n)]:
-        d = p - prev
-        j = int(np.argmax(np.linalg.norm(d, axis=0)))
-        v = d[:, j]
-        v = v / np.linalg.norm(v)
-        idx = int(np.argmax(np.abs(v)))
-        if v[idx] < 0:
-            v = -v
-        cols.append(v)
-        prev = p
-    frame = np.column_stack(cols)
-    if np.linalg.det(frame) < 0:
-        frame[:, -1] *= -1.0
-    # flag_frame hands out this array itself, so no caller may write to it.
-    frame.flags.writeable = False
-    return Flag(frame)
+    # diffs[:, i] = P_i - P_{i-1}, with P_0 = 0 and P_n = I exactly.
+    chain = np.zeros((count, n + 1, n, n))
+    chain[:, 1:n] = frames_to_projector_stack(frames)
+    chain[:, n] = np.eye(n)
+    diffs = chain[:, 1:] - chain[:, :-1]
+    which, piece = np.arange(count)[:, None], np.arange(n)
+    pick = np.sqrt(np.add.reduce(diffs * diffs, axis=2)).argmax(axis=2)
+    # Row i of cols is column pick[i] of P_i - P_{i-1}, a fresh C-ordered
+    # array.  vecdot on these contiguous rows is the same BLAS dot as a 1-D
+    # norm, so the result is bit for bit that of one column at a time.
+    cols = diffs[which, piece, :, pick]
+    cols /= np.sqrt(np.vecdot(cols, cols))[..., None]
+    cols[cols[which, piece, np.abs(cols).argmax(axis=2)] < 0] *= -1.0
+    out = cols.transpose(0, 2, 1).copy()
+    out[np.linalg.det(out) < 0, :, -1] *= -1.0
+    out.flags.writeable = False
+    return out
+
+
+def flag_from_frame(k) -> Flag:
+    """The flag whose i-th space is spanned by the first i columns of k,
+    stored as its canonical frame (see canonical_frames)."""
+    return Flag(canonical_frames(kernel.as_matrix(k)[None])[0])
 
 
 def flag_frame(flag: Flag) -> np.ndarray:
@@ -124,15 +135,12 @@ def flags_equal(f1: Flag, f2: Flag, tol: float = 1e-8) -> bool:
 
 
 def act(g, xi: BoundaryPoint) -> BoundaryPoint:
-    """Boundary action: the flag moves by the Iwasawa projection of g*k."""
-    g = kernel.as_matrix(g)
-    k = flag_frame(xi.flag)
-    new_k = decompositions.iwasawa_projection(g @ k)
-    return BoundaryPoint(flag_from_frame(new_k), xi.direction.copy())
+    """Boundary action: the flag moves by the Iwasawa K-part of g k."""
+    return BoundaryPoint(act_flag(g, xi.flag), xi.direction.copy())
 
 
 def act_flag(g, flag: Flag) -> Flag:
-    return flag_from_frame(decompositions.iwasawa_projection(g @ flag_frame(flag)))
+    return flag_from_frame(kernel.qr_decompose(g @ flag.frame)[0])
 
 
 def transverse(f1: Flag, f2: Flag, eps_transv: float = defaults.EPS_TRANSV):
@@ -145,12 +153,11 @@ def transverse(f1: Flag, f2: Flag, eps_transv: float = defaults.EPS_TRANSV):
     if f1.n != f2.n:
         raise DimensionMismatch(f"{f1.n} vs {f2.n}")
     n = f1.n
-    k1 = flag_frame(f1)
-    k2 = flag_frame(f2)
-    margin = 1.0
-    for i in range(1, n):
-        joined = np.concatenate([k1[:, :i], k2[:, : n - i]], axis=1)
-        margin = min(margin, abs(float(np.linalg.det(joined))))
+    # Row i - 1 of cols lists the columns of [f1 | f2] joined for piece i.
+    i, j = np.arange(1, n)[:, None], np.arange(n)
+    cols = np.where(j < i, j, n + j - i)
+    joined = np.concatenate([f1.frame, f2.frame], axis=1)[:, cols].transpose(1, 0, 2)
+    margin = min(1.0, float(np.abs(np.linalg.det(joined)).min()))
     return margin > eps_transv, margin
 
 
@@ -158,15 +165,18 @@ def busemann(xi: BoundaryPoint, gx, gy) -> float:
     """Busemann cocycle B_xi(x, y) in closed form.
 
     B_xi(g1.o, g2.o) = <H, a_iw(g1^-1 k)> - <H, a_iw(g2^-1 k)> where k is a
-    frame of xi's flag and a_iw the Iwasawa a-part; the sign convention is
-    pinned by the finite-ray oracle (busemann_oracle).
+    frame of xi's flag and a_iw the Iwasawa a-part, log|diag R| of one
+    stacked QR of [g1^-1 k, g2^-1 k]; the sign convention is pinned by the
+    finite-ray oracle (busemann_oracle).
     """
-    gx = kernel.as_matrix(gx)
-    gy = kernel.as_matrix(gy)
-    k = flag_frame(xi.flag)
-    ax = decompositions.iwasawa(np.linalg.solve(gx, k)).a
-    ay = decompositions.iwasawa(np.linalg.solve(gy, k)).a
-    return float(xi.direction @ (ax - ay))
+    pair = np.stack([kernel.as_matrix(gx), kernel.as_matrix(gy)])
+    r = np.linalg.qr(np.linalg.solve(pair, xi.flag.frame), mode="r")
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    pivot = diag.min()
+    if pivot < defaults.EPS_DET:
+        raise SingularMatrix(f"QR pivot {pivot:.3e} is below {defaults.EPS_DET:.1e}")
+    a = np.log(diag)
+    return float(xi.direction @ (a[0] - a[1]))
 
 
 def _scaled_cartan_vector(a: np.ndarray, v: np.ndarray) -> np.ndarray:

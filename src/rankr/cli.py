@@ -124,19 +124,16 @@ def build_group(spec: dict):
     recipe = spec["schottky"]
     ells = [np.asarray(v, dtype=float) for v in recipe["L"]]
     center = _chamber_center(n)
+    frames = recipe["flags"] + recipe.get("parabolic_flags", [])
+    frames = boundary.canonical_frames(np.asarray(frames, dtype=float))
+    flags = [boundary.Flag(f) for f in frames]
     points = []
     for m, ell in enumerate(ells):
         unit = ell / np.linalg.norm(ell)
-        f_minus = boundary.flag_from_frame(np.asarray(recipe["flags"][2 * m]))
-        f_plus = boundary.flag_from_frame(np.asarray(recipe["flags"][2 * m + 1]))
-        points.append(boundary.boundary_point(f_minus, -unit[::-1]))
-        points.append(boundary.boundary_point(f_plus, unit))
-    for frame in recipe.get("parabolic_flags", []):
-        points.append(
-            boundary.boundary_point(
-                boundary.flag_from_frame(np.asarray(frame)), center
-            )
-        )
+        points.append(boundary.boundary_point(flags[2 * m], -unit[::-1]))
+        points.append(boundary.boundary_point(flags[2 * m + 1], unit))
+    for flag in flags[2 * len(ells) :]:
+        points.append(boundary.boundary_point(flag, center))
     table = schottky.build_table(
         points,
         ells,
@@ -320,9 +317,8 @@ def cmd_limitset(args) -> int:
                 gens, args.target_length, workers
             )
             shell = probe.lengths == args.target_length
-            targets = [
-                boundary.flag_from_frame(f) for f in probe.frames[shell]
-            ]
+            frames = boundary.canonical_frames(probe.frames[shell])
+            targets = [boundary.Flag(f) for f in frames]
             report = limitset.minimality_check(
                 table,
                 table.points[1],

@@ -81,17 +81,11 @@ def point_distance(gx, gy) -> float:
 
 
 def iwasawa(g) -> KAN:
-    g = kernel.as_matrix(g)
     q, r = kernel.qr_decompose(g)
     diag = np.diag(r).copy()
     a = np.log(diag)
     nplus = r / diag[:, None]
     return KAN(q, a, nplus)
-
-
-def iwasawa_projection(g) -> np.ndarray:
-    """The K-frame of the Iwasawa decomposition (caller builds the flag)."""
-    return iwasawa(g).k
 
 
 def bruhat_cell(g, eps_rank: float = defaults.EPS_RANK) -> lie.WeylElem:
@@ -129,8 +123,8 @@ def bruhat_cell(g, eps_rank: float = defaults.EPS_RANK) -> lie.WeylElem:
 def kappa(nplus) -> np.ndarray:
     """Frame of the flag asymptotic to the chamber n e^{-a+} o.
 
-    kappa(n) is the Iwasawa projection of n * m_{w*}.
+    kappa(n) is the Iwasawa K-part of n * m_{w*}.
     """
     nplus = kernel.as_matrix(nplus)
     wstar = lie.longest_weyl(nplus.shape[0])
-    return iwasawa_projection(nplus @ wstar.matrix())
+    return kernel.qr_decompose(nplus @ wstar.matrix())[0]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import boundary, decompositions, defaults, kernel, lie
+from . import boundary, defaults, kernel, lie
 from .errors import (
     IdentityInput,
     IllConditionedSpectrum,
@@ -30,6 +30,7 @@ class JordanParts:
     e: np.ndarray  # elliptic
     h: np.ndarray  # hyperbolic
     u: np.ndarray  # unipotent
+    blocks: list  # the accepted clustered spectrum (kernel.EigenBlock)
 
     def reconstruct(self) -> np.ndarray:
         return self.e @ self.h @ self.u
@@ -41,7 +42,7 @@ class IsometryClass:
     #           strictly-parabolic | mixed-parabolic
     moduli: np.ndarray
     translation: np.ndarray
-    diagnostics: dict
+    parts: JordanParts  # the decomposition the tag was read from
 
 
 def _block_transform(blocks):
@@ -89,7 +90,7 @@ def jordan_decompose(
         if drift > 5e-2:
             last = f"unipotent factor drift {drift:.3e}"
             continue
-        return JordanParts(e, h, u)
+        return JordanParts(e, h, u, blocks)
     raise IllConditionedSpectrum(last or "no admissible eigenvalue clustering")
 
 
@@ -135,25 +136,16 @@ def classify(gamma, eps_wall: float = defaults.EPS_WALL) -> IsometryClass:
         tag = "regular-axial" if kind == "interior" else "nonregular-axial"
     else:
         tag = "mixed-parabolic"
-    moduli = np.exp(ell)
-    return IsometryClass(
-        tag,
-        moduli,
-        ell,
-        {
-            "unipotent_residual": float(np.linalg.norm(parts.u - np.eye(n))),
-            "elliptic_residual": float(np.linalg.norm(parts.e - np.eye(n))),
-        },
-    )
+    return IsometryClass(tag, np.exp(ell), ell, parts)
 
 
-def _real_eigenbasis(gamma) -> np.ndarray:
-    """Real basis matrix of generalized eigenspaces, modulus-descending.
+def _real_eigenbasis(blocks) -> np.ndarray:
+    """Real basis matrix of the generalized eigenspaces of a clustered
+    spectrum (eig_real's order, modulus-descending).
 
     Complex pairs contribute (Re, Im) column pairs.  The result is
     normalized to determinant +1 (column sign flips leave flags alone).
     """
-    blocks = kernel.eig_real(kernel.as_matrix(gamma))
     cols = []
     for b in blocks:
         if abs(b.value.imag) == 0.0:
@@ -178,21 +170,26 @@ def fixed_points(gamma, eps_wall: float = defaults.EPS_WALL):
 
     gamma+ = (flag of pi_I(g), L/||L||) with g the modulus-ordered
     generalized eigenbasis; gamma- = (flag of pi_I(g m_w*^-1), iota(L)/||L||).
+    L and g come from the one clustered spectrum jordan_decompose accepts.
     """
-    gamma = kernel.as_matrix(gamma)
-    ell = translation_vector(gamma)
+    parts = jordan_decompose(gamma)
+    return _fixed_points(parts, _log_moduli(parts.h), eps_wall)
+
+
+def _fixed_points(parts: JordanParts, ell, eps_wall: float = defaults.EPS_WALL):
+    """fixed_points from a Jordan decomposition and its translation vector."""
     nl = np.linalg.norm(ell)
     if nl <= eps_wall:
         raise NotTranslating("translation vector vanishes")
-    g = _real_eigenbasis(gamma)
-    wstar = lie.longest_weyl(gamma.shape[0])
-    flag_plus = boundary.flag_from_frame(decompositions.iwasawa_projection(g))
-    flag_minus = boundary.flag_from_frame(
-        decompositions.iwasawa_projection(g @ wstar.matrix().T)
+    g = _real_eigenbasis(parts.blocks)
+    wstar = lie.longest_weyl(len(ell))
+    plus, minus = boundary.canonical_frames(
+        kernel.qr_pos(np.stack([g, g @ wstar.matrix().T]))[0]
     )
-    plus = boundary.BoundaryPoint(flag_plus, ell / nl)
-    minus = boundary.BoundaryPoint(flag_minus, lie.opposition(ell) / nl)
-    return plus, minus
+    return (
+        boundary.BoundaryPoint(boundary.Flag(plus), ell / nl),
+        boundary.BoundaryPoint(boundary.Flag(minus), lie.opposition(ell) / nl),
+    )
 
 
 def contraction_factor(gamma):
@@ -218,13 +215,16 @@ def is_generic_parabolic(gamma) -> bool:
     Operationally on SL(n,R): the unipotent part must be regular, i.e. a
     single Jordan block (rank(u - I) = n - 1).
     """
-    gamma = kernel.as_matrix(gamma)
     cls = classify(gamma)
     if cls.tag != "strictly-parabolic":
         raise NotParabolic(f"classify says {cls.tag}")
-    parts = jordan_decompose(gamma)
-    n = gamma.shape[0]
-    return kernel.rank_tol(parts.u - np.eye(n)) == n - 1
+    return _regular_unipotent(cls.parts.u)
+
+
+def _regular_unipotent(u) -> bool:
+    """True iff the unipotent u is a single Jordan block."""
+    n = u.shape[0]
+    return kernel.rank_tol(u - np.eye(n)) == n - 1
 
 
 def unipotent_fixed_flag(gamma) -> boundary.Flag:
@@ -237,7 +237,8 @@ def unipotent_fixed_flag(gamma) -> boundary.Flag:
     n = gamma.shape[0]
     nilp = gamma - np.eye(n)
     prev = np.zeros((n, 0))
-    for i in range(1, n):
+    # i = n only completes the frame; the canonical frame ignores it.
+    for i in range(1, n + 1):
         power = np.linalg.matrix_power(nilp, i)
         basis = np.real(kernel._null_basis(power, i))
         # New direction: the part of ker^i orthogonal to the chain so far.
@@ -245,14 +246,7 @@ def unipotent_fixed_flag(gamma) -> boundary.Flag:
         j = int(np.argmax(np.linalg.norm(resid, axis=0)))
         v = resid[:, j] / np.linalg.norm(resid[:, j])
         prev = np.concatenate([prev, v[:, None]], axis=1)
-    # Complete to a det +1 frame.
-    resid = np.eye(n) - prev @ prev.T
-    j = int(np.argmax(np.linalg.norm(resid, axis=0)))
-    v = resid[:, j] / np.linalg.norm(resid[:, j])
-    frame = np.concatenate([prev, v[:, None]], axis=1)
-    if np.linalg.det(frame) < 0:
-        frame[:, -1] *= -1.0
-    return boundary.flag_from_frame(frame)
+    return boundary.flag_from_frame(prev)
 
 
 def parabolic_escape_test(

@@ -471,12 +471,10 @@ def generator_fixed_flags(table: PingPongTable):
     """Fixed flag pair per generator: (plus, minus) for axial, (f, f) for
     parabolic."""
     out = []
-    for m, kind in enumerate(table.kinds):
-        if kind == "axial":
-            out.append((table.points[2 * m + 1].flag, table.points[2 * m].flag))
-        else:
-            q = 2 * table.l_axial + (m - table.l_axial)
-            out.append((table.points[q].flag, table.points[q].flag))
+    for m in range(len(table.kinds)):
+        # The forward (skip, target) pair is (minus, plus); (q, q) for parabolic.
+        (minus, plus), _ = table.neighborhood_indices(m)
+        out.append((table.points[plus].flag, table.points[minus].flag))
     return out
 
 
@@ -493,11 +491,12 @@ def check_nonelementary(table_or_generators):
         fixed = []
         for g in gens:
             cls = isometries.classify(g)
+            u = cls.parts.u
             if cls.tag in ("regular-axial", "nonregular-axial", "mixed-parabolic"):
-                plus, minus = isometries.fixed_points(g)
+                plus, minus = isometries._fixed_points(cls.parts, cls.translation)
                 fixed.append((plus.flag, minus.flag))
-            elif cls.tag == "strictly-parabolic" and isometries.is_generic_parabolic(g):
-                f = isometries.unipotent_fixed_flag(isometries.jordan_decompose(g).u)
+            elif cls.tag == "strictly-parabolic" and isometries._regular_unipotent(u):
+                f = isometries.unipotent_fixed_flag(u)
                 fixed.append((f, f))
             else:
                 return False, f"generator of class {cls.tag} unsupported"

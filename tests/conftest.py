@@ -58,6 +58,51 @@ def projector_flag_distance(c: np.ndarray, f: np.ndarray) -> float:
     )
 
 
+def loop_canonical_frame(k: np.ndarray) -> np.ndarray:
+    """Reference canonical frame of one orthonormal frame, one column at a
+    time: column i is the largest-norm column of P_i - P_{i-1} (P_0 = 0,
+    P_n = I), normalised with its largest entry positive, and the last
+    column's sign makes det +1."""
+    n = k.shape[0]
+    chain = np.cumsum(np.einsum("ik,jk->kij", k, k), axis=0)[: n - 1]
+    cols = []
+    prev = np.zeros((n, n))
+    for p in [*chain, np.eye(n)]:
+        d = p - prev
+        v = d[:, int(np.argmax(np.linalg.norm(d, axis=0)))]
+        v = v / np.linalg.norm(v)
+        if v[int(np.argmax(np.abs(v)))] < 0:
+            v = -v
+        cols.append(v)
+        prev = p
+    frame = np.column_stack(cols)
+    if np.linalg.det(frame) < 0:
+        frame[:, -1] *= -1.0
+    return frame
+
+
+def loop_transverse_margin(k1: np.ndarray, k2: np.ndarray) -> float:
+    """Reference transversality margin, one determinant at a time:
+    min over i of |det [k1[:, :i] | k2[:, :n-i]]|, capped at 1."""
+    n = k1.shape[0]
+    margin = 1.0
+    for i in range(1, n):
+        joined = np.concatenate([k1[:, :i], k2[:, : n - i]], axis=1)
+        margin = min(margin, abs(float(np.linalg.det(joined))))
+    return margin
+
+
+def spec_frames() -> list:
+    """Every flag frame of the bundled group specs."""
+    out = []
+    for name in sorted(os.listdir(SPEC_DIR)):
+        with open(os.path.join(SPEC_DIR, name), encoding="utf-8") as fh:
+            recipe = json.load(fh).get("schottky", {})
+        for frame in recipe.get("flags", []) + recipe.get("parabolic_flags", []):
+            out.append(np.asarray(frame, dtype=float))
+    return out
+
+
 def random_chamber_dir(rng: np.random.Generator, n: int, min_gap: float = 0.25):
     """Unit traceless descending vector with consecutive gaps >= min_gap."""
     while True:

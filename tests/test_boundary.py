@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from rankr import boundary, kernel, lie
-from rankr.errors import DimensionMismatch, NotOrthogonal
-from conftest import projector_flag_distance, random_chamber_dir, random_sl, random_so
+from rankr import boundary, decompositions, kernel, lie
+from rankr.errors import DimensionMismatch, NotOrthogonal, SingularMatrix
+from conftest import (
+    loop_canonical_frame,
+    loop_transverse_margin,
+    projector_flag_distance,
+    random_chamber_dir,
+    random_sl,
+    random_so,
+    spec_frames,
+)
 
 
 def _random_point(rng, n, scale=0.15):
@@ -27,6 +35,26 @@ def test_flag_from_frame_standard_and_errors():
     assert np.allclose(f.projectors[1], np.diag([1.0, 1.0, 0.0]))
     with pytest.raises(NotOrthogonal):
         boundary.flag_from_frame(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_canonical_frames_match_loop_oracle():
+    rng = np.random.default_rng(18)
+    for n in range(2, 9):
+        frames = np.array([random_so(rng, n) for _ in range(60)])
+        frames[::2] *= rng.choice([-1.0, 1.0], (30, 1, n))
+        out = boundary.canonical_frames(frames)
+        for frame, canon in zip(frames, out):
+            assert np.array_equal(canon, loop_canonical_frame(frame))
+        with pytest.raises(ValueError):  # the stack is read-only
+            out[0, 0, 0] = 0.0
+    for frame in spec_frames():
+        expect = loop_canonical_frame(frame)
+        assert np.array_equal(boundary.canonical_frames(frame[None])[0], expect)
+        assert np.array_equal(boundary.flag_from_frame(frame).frame, expect)
+    frames = np.array([random_so(rng, 3) for _ in range(4)])
+    frames[2, 0, 0] += 1e-6
+    with pytest.raises(NotOrthogonal):
+        boundary.canonical_frames(frames)
 
 
 def test_flag_invariants_on_random_frames():
@@ -158,6 +186,15 @@ def test_transverse():
         assert ok and 0.0 < margin <= 1.0 + 1e-12
 
 
+def test_transverse_margin_matches_loop_oracle():
+    rng = np.random.default_rng(19)
+    for n in range(2, 9):
+        for _ in range(20):
+            f1, f2 = boundary.random_flag(rng, n), boundary.random_flag(rng, n)
+            _, margin = boundary.transverse(f1, f2)
+            assert margin == loop_transverse_margin(f1.frame, f2.frame)
+
+
 def test_transverse_margin_k_invariant():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -195,6 +232,30 @@ def test_busemann_cocycle_and_distance_bound():
         from rankr import decompositions
 
         assert abs(bxy) <= decompositions.point_distance(gx, gy) + 1e-9
+
+
+def _two_iwasawa_busemann(xi, gx, gy):
+    k = xi.flag.frame
+    ax = decompositions.iwasawa(np.linalg.solve(gx, k)).a
+    ay = decompositions.iwasawa(np.linalg.solve(gy, k)).a
+    return float(xi.direction @ (ax - ay))
+
+
+def test_busemann_matches_two_iwasawa_form():
+    rng = np.random.default_rng(20)
+    for n in range(2, 9):
+        for _ in range(30):
+            xi = _random_boundary_point(rng, n, min_gap=0.05)
+            gx, gy = random_sl(rng, n), _random_point(rng, n, scale=0.5)
+            assert boundary.busemann(xi, gx, gy) == _two_iwasawa_busemann(xi, gx, gy)
+    # A QR pivot below EPS_DET raises, in either point.
+    xi = boundary.BoundaryPoint(boundary.standard_flag(3), random_chamber_dir(rng, 3))
+    far = np.diag(np.exp([-25.0, 0.0, 25.0]))
+    for gx, gy in ((np.eye(3), far), (far, np.eye(3))):
+        with pytest.raises(SingularMatrix):
+            _two_iwasawa_busemann(xi, gx, gy)
+        with pytest.raises(SingularMatrix):
+            boundary.busemann(xi, gx, gy)
 
 
 def test_busemann_horospherical_invariance():

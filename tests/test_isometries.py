@@ -173,6 +173,24 @@ def test_fixed_points_are_fixed_and_attracting():
     assert boundary.flag_distance(flag, plus.flag) < 1e-6
 
 
+def test_fixed_points_of_mixed_parabolic_use_accepted_blocks():
+    # A 3x3 Jordan block scatters its computed eigenvalues by ~eps^(1/3),
+    # so only the clustering jordan_decompose accepts keeps its
+    # generalized eigenspace whole.
+    base = np.zeros((4, 4))
+    base[:3, :3] = math.exp(0.5) * (np.eye(3) + np.diag([1.0, 1.0], 1))
+    base[3, 3] = math.exp(-1.5)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        c = random_sl(rng, 4)
+        gamma = c @ base @ np.linalg.inv(c)
+        assert isometries.classify(gamma).tag == "mixed-parabolic"
+        plus, _ = isometries.fixed_points(gamma)
+        v = plus.flag.frame[:, :3]
+        leak = np.linalg.norm(gamma @ v - v @ (v.T @ gamma @ v))
+        assert leak <= 1e-8 * np.linalg.norm(gamma)
+
+
 def test_contraction_factor_values():
     gamma = np.diag(np.exp([2.0, 0.0, -2.0]))
     a_plus, a_minus = isometries.contraction_factor(gamma)
