@@ -170,7 +170,11 @@ def busemann(xi: BoundaryPoint, gx, gy) -> float:
     finite-ray oracle (busemann_oracle).
     """
     pair = np.stack([kernel.as_matrix(gx), kernel.as_matrix(gy)])
-    r = np.linalg.qr(np.linalg.solve(pair, xi.flag.frame), mode="r")
+    try:
+        moved = np.linalg.solve(pair, xi.flag.frame)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"cannot solve against the points: {exc}") from exc
+    r = np.linalg.qr(moved, mode="r")
     diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
     pivot = diag.min()
     if pivot < defaults.EPS_DET:

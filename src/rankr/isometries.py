@@ -139,21 +139,36 @@ def classify(gamma, eps_wall: float = defaults.EPS_WALL) -> IsometryClass:
     return IsometryClass(tag, np.exp(ell), ell, parts)
 
 
-def _real_eigenbasis(blocks) -> np.ndarray:
+def _real_eigenbasis(blocks, u):
     """Real basis matrix of the generalized eigenspaces of a clustered
-    spectrum (eig_real's order, modulus-descending).
+    spectrum (eig_real's order, modulus-descending), and the sizes of the
+    runs of its columns whose order is part of the flag.
 
-    Complex pairs contribute (Re, Im) column pairs.  The result is
+    Complex pairs contribute (Re, Im) column pairs.  The columns of a
+    defective real block follow the kernel chain of the unipotent part u
+    on it, so the flags they span inside the block are fixed; such a block
+    is one run, and every other column a run of its own.  The basis is
     normalized to determinant +1 (column sign flips leave flags alone).
     """
+    shift = u - np.eye(u.shape[0])
+    tol = _ID_TOL * max(1.0, float(np.linalg.norm(u)))
     cols = []
+    runs = []
     for b in blocks:
         if abs(b.value.imag) == 0.0:
-            cols.append(np.real(b.basis))
+            basis = np.real(b.basis)
+            nilp = basis.T @ shift @ basis
+            if b.multiplicity > 1 and np.linalg.norm(nilp) > tol:
+                cols.append(basis @ _kernel_chain(nilp))
+                runs.append(b.multiplicity)
+            else:
+                cols.append(basis)
+                runs += [1] * b.multiplicity
         elif b.value.imag > 0:
             for j in range(b.basis.shape[1]):
                 cols.append(np.real(b.basis[:, j : j + 1]))
                 cols.append(np.imag(b.basis[:, j : j + 1]))
+            runs += [1] * (2 * b.basis.shape[1])
         # Im < 0 partners are the conjugates of the Im > 0 blocks: skip.
     g = np.concatenate(cols, axis=1)
     d = np.linalg.det(g)
@@ -162,7 +177,7 @@ def _real_eigenbasis(blocks) -> np.ndarray:
     if d < 0:
         g[:, 0] *= -1.0
         d = -d
-    return g / d ** (1.0 / g.shape[0])
+    return g / d ** (1.0 / g.shape[0]), runs
 
 
 def fixed_points(gamma, eps_wall: float = defaults.EPS_WALL):
@@ -171,6 +186,8 @@ def fixed_points(gamma, eps_wall: float = defaults.EPS_WALL):
     gamma+ = (flag of pi_I(g), L/||L||) with g the modulus-ordered
     generalized eigenbasis; gamma- = (flag of pi_I(g m_w*^-1), iota(L)/||L||).
     L and g come from the one clustered spectrum jordan_decompose accepts.
+    A defective block keeps its kernel-chain column order in both frames,
+    so the flags of mixed-parabolic elements are fixed too.
     """
     parts = jordan_decompose(gamma)
     return _fixed_points(parts, _log_moduli(parts.h), eps_wall)
@@ -181,10 +198,16 @@ def _fixed_points(parts: JordanParts, ell, eps_wall: float = defaults.EPS_WALL):
     nl = np.linalg.norm(ell)
     if nl <= eps_wall:
         raise NotTranslating("translation vector vanishes")
-    g = _real_eigenbasis(parts.blocks)
-    wstar = lie.longest_weyl(len(ell))
+    g, runs = _real_eigenbasis(parts.blocks, parts.u)
+    # The repelling frame lists the runs in reverse order, each in its own
+    # order; with one column per run that is w*.
+    n = len(ell)
+    ends = np.cumsum(runs)
+    wrev = lie.WeylElem(
+        [n - end + i for end, size in zip(ends, runs) for i in range(size)]
+    )
     plus, minus = boundary.canonical_frames(
-        kernel.qr_pos(np.stack([g, g @ wstar.matrix().T]))[0]
+        kernel.qr_pos(np.stack([g, g @ wrev.matrix().T]))[0]
     )
     return (
         boundary.BoundaryPoint(boundary.Flag(plus), ell / nl),
@@ -227,17 +250,11 @@ def _regular_unipotent(u) -> bool:
     return kernel.rank_tol(u - np.eye(n)) == n - 1
 
 
-def unipotent_fixed_flag(gamma) -> boundary.Flag:
-    """The kernel-chain flag of a regular unipotent isometry.
-
-    P_i projects onto ker((gamma - I)^i); for a single Jordan block this is
-    the unique fixed full flag.
-    """
-    gamma = kernel.as_matrix(gamma)
-    n = gamma.shape[0]
-    nilp = gamma - np.eye(n)
+def _kernel_chain(nilp) -> np.ndarray:
+    """Orthonormal frame whose first i columns span ker(nilp^i), for a
+    nilpotent nilp that is one Jordan block."""
+    n = nilp.shape[0]
     prev = np.zeros((n, 0))
-    # i = n only completes the frame; the canonical frame ignores it.
     for i in range(1, n + 1):
         power = np.linalg.matrix_power(nilp, i)
         basis = np.real(kernel._null_basis(power, i))
@@ -246,7 +263,17 @@ def unipotent_fixed_flag(gamma) -> boundary.Flag:
         j = int(np.argmax(np.linalg.norm(resid, axis=0)))
         v = resid[:, j] / np.linalg.norm(resid[:, j])
         prev = np.concatenate([prev, v[:, None]], axis=1)
-    return boundary.flag_from_frame(prev)
+    return prev
+
+
+def unipotent_fixed_flag(gamma) -> boundary.Flag:
+    """The kernel-chain flag of a regular unipotent isometry.
+
+    P_i projects onto ker((gamma - I)^i); for a single Jordan block this is
+    the unique fixed full flag.
+    """
+    gamma = kernel.as_matrix(gamma)
+    return boundary.flag_from_frame(_kernel_chain(gamma - np.eye(gamma.shape[0])))
 
 
 def parabolic_escape_test(

@@ -20,6 +20,11 @@ symbolically.  The exterior powers of q and N come from kernel.compounds
 (LAPACK 2-minors, Laplace expansion above), a block of words at a time.
 Directions stay accurate at any word length.
 
+Limit cones need one cyclically reduced word per conjugacy class, since
+conjugate words share their translation vector: the necklaces, listed by a
+pruned FKM pass.  The cone grows only the necklaces and their suffixes,
+about a seventh of the reduced words at cone length 11.
+
 Emitted sample order is the depth-first preorder of the word tree with
 children in fixed alphabet order (a < a' < b < b' < ...), recovered by a
 single lexicographic sort, so the stream is byte-identical for any
@@ -95,12 +100,21 @@ def _prepend(letter, q, a, nu):
     return q2, a2, np.einsum("nij,njk->nik", mixer, nu)
 
 
-def _grow_block(letters, seed, max_length):
-    """All reduced words ending with a fixed letter, grown by prepending.
+def _row_keys(rows):
+    """One opaque byte-string key per row of a 2-D array, for exact row
+    lookups."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
 
+
+def _grow_block(letters, seed, max_length, targets=None):
+    """Reduced words ending with a fixed letter, grown by prepending.
+
+    Grows every such word, or with targets (padded reduced word rows) only
+    the targets that end with the letter and their suffixes; a word is
+    grown from its suffix one letter shorter, so it needs every suffix.
     Returns padded word rows and the factored values (q, a, nu)."""
     alpha = len(letters)
-    n = letters.shape[-1]
     words = np.full((1, max_length), _PAD, dtype=np.int8)
     words[0, 0] = seed
     q, r = kernel.qr_pos(letters[seed][None])
@@ -108,26 +122,54 @@ def _grow_block(letters, seed, max_length):
     a = np.log(rd)
     nu = r / rd[:, :, None]
     out = [(words, q, a, nu)]
+    if targets is not None:
+        lengths = (targets != _PAD).sum(axis=1)
+        last = targets[np.arange(len(targets)), np.maximum(lengths - 1, 0)]
+        mine = (lengths > 0) & (last == seed)
+        targets, lengths = targets[mine], lengths[mine]
+        node = np.zeros(len(targets), dtype=np.int64)  # row of each suffix
     for depth in range(1, max_length):
         prev_w, prev_q, prev_a, prev_nu = out[-1]
-        first = prev_w[:, 0]
-        chunks = []
-        for c in range(alpha):
-            mask = first != (c ^ 1)
-            if not mask.any():
-                continue
-            w = np.full((int(mask.sum()), max_length), _PAD, dtype=np.int8)
-            w[:, 0] = c
-            w[:, 1 : depth + 1] = prev_w[mask, :depth]
-            chunks.append(
-                (w, *_prepend(letters[c], prev_q[mask], prev_a[mask], prev_nu[mask]))
+        if targets is None:
+            first = prev_w[:, 0]
+            picks = [np.flatnonzero(first != (c ^ 1)) for c in range(alpha)]
+        else:
+            # A target at least depth + 1 long needs its suffix of that
+            # length: its next letter c prepended to the suffix row grown
+            # last.  Keys c * rows + row sort like the rows grow below.
+            long = lengths > depth
+            targets, lengths, node = targets[long], lengths[long], node[long]
+            if not len(targets):
+                break
+            letter = targets[np.arange(len(targets)), lengths - depth - 1]
+            keys, node = np.unique(
+                letter.astype(np.int64) * len(prev_w) + node, return_inverse=True
             )
+            picks = [
+                keys[keys // len(prev_w) == c] % len(prev_w) for c in range(alpha)
+            ]
+        chunks = []
+        for c, rows in enumerate(picks):
+            if not len(rows):
+                continue
+            # Growing every word never takes a lone row here (depth > 1 and
+            # alpha > 2), and numpy's einsum takes another loop for a batch
+            # of one: a lone row is grown twice so its bits stay the same.
+            lone = len(rows) == 1 and depth > 1 and alpha > 2
+            grow = np.repeat(rows, 2) if lone else rows
+            w = np.full((len(rows), max_length), _PAD, dtype=np.int8)
+            w[:, 0] = c
+            w[:, 1 : depth + 1] = prev_w[rows, :depth]
+            values = _prepend(letters[c], prev_q[grow], prev_a[grow], prev_nu[grow])
+            chunks.append((w, *(v[: len(rows)] for v in values)))
         out.append(tuple(np.concatenate(parts) for parts in zip(*chunks)))
     return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
-def _word_values(generators, max_length, workers=None):
-    """All reduced words of length <= max_length in factored form.
+def _word_values(generators, max_length, workers=None, targets=None):
+    """All reduced words of length <= max_length in factored form, or with
+    targets (see _grow_block) the identity, the letters, the targets and
+    their suffixes.
 
     Rows are in depth-first preorder; row 0 is the identity word."""
     if max_length < 1:
@@ -139,10 +181,12 @@ def _word_values(generators, max_length, workers=None):
     if count > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=min(count, len(blocks))) as pool:
             results = list(
-                pool.map(lambda s: _grow_block(letters, s, max_length), blocks)
+                pool.map(
+                    lambda s: _grow_block(letters, s, max_length, targets), blocks
+                )
             )
     else:
-        results = [_grow_block(letters, s, max_length) for s in blocks]
+        results = [_grow_block(letters, s, max_length, targets) for s in blocks]
     # Per field: the identity row, then the per-letter blocks.
     heads = (
         np.full((1, max_length), _PAD, dtype=np.int8),
@@ -347,44 +391,59 @@ def _snap_unique(dirs: np.ndarray) -> np.ndarray:
     return np.unique(snapped, axis=0)
 
 
-def _cyclic_canonical(words, lengths, max_length):
-    """Indices of one representative per cyclic-rotation class.
+def _necklaces(alpha, max_length):
+    """Padded rows, in preorder, of the reduced and cyclically reduced words
+    of length <= max_length over alpha letters that are least among their
+    rotations in the letter order 0 < 1 < ... (a < a' < b < ...): one word
+    per cyclic-rotation class.
 
-    Input rows must be cyclically reduced.  Each rotation is encoded in a
-    base-(alphabet+1) integer together with the length, and the minimum
-    over rotations keys the deduplication."""
-    base = int(words.max()) + 2
-    codes = np.full(len(words), np.iinfo(np.int64).max, dtype=np.int64)
-    for length in np.unique(lengths):
-        idx = np.flatnonzero(lengths == length)
-        w = words[idx, :length].astype(np.int64) + 1
-        powers = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
-        best = None
-        for r in range(int(length)):
-            rolled = np.concatenate([w[:, r:], w[:, :r]], axis=1)
-            code = rolled @ powers
-            best = code if best is None else np.minimum(best, code)
-        codes[idx] = best + np.int64(length) * base ** np.int64(max_length)
-    _, keep = np.unique(codes, return_index=True)
-    return np.sort(keep)
+    A pruned FKM pass (Fredricksen, Kessler & Maiorana) walks the tree of
+    prenecklaces in preorder and skips each letter that cancels the one
+    before it.  That cuts only subtrees of unreduced words, so every reduced
+    prenecklace is still reached; one is a necklace when its length is a
+    multiple of its period p, the length of its longest Lyndon prefix."""
+    if max_length < 1:
+        return np.empty((0, 0), dtype=np.int8)
+    # Rows go straight into one byte buffer: a list of per-row objects would
+    # take several times the memory of the array returned.
+    out = bytearray()
+    word = bytearray(max_length)
+    pad = np.int8(_PAD).tobytes() * max_length
+
+    def visit(t, p):
+        if t and t % p == 0 and word[0] != word[t - 1] ^ 1:
+            out.extend(word[:t])
+            out.extend(pad[t:])
+        if t == max_length:
+            return
+        lo, back = (word[t - p], word[t - 1] ^ 1) if t else (0, _PAD)
+        for j in range(lo, alpha):
+            if j != back:
+                word[t] = j
+                visit(t + 1, p if j == lo else t + 1)
+
+    visit(0, 1)
+    return np.frombuffer(out, dtype=np.int8).reshape(-1, max_length)
+
+
+def _necklace_values(generators, max_length, workers=None):
+    """The words of _necklaces(2l, max_length) in factored form, in
+    preorder.  Only the necklaces and their suffixes are grown."""
+    reps = _necklaces(2 * len(generators), max_length)
+    words, q, a, nu = _word_values(generators, max_length, workers, reps)
+    keep = np.isin(_row_keys(words), _row_keys(reps))
+    return words[keep], q[keep], a[keep], nu[keep]
 
 
 def limit_cone_sample(generators, max_length, workers=None) -> np.ndarray:
     """Unit translation directions of the regular axial words.
 
-    Conjugate words share the translation vector, so only cyclically
-    reduced words are kept, deduplicated up to cyclic rotation, and the
-    resulting directions are grid-snapped."""
-    words, q, a, nu = _word_values(generators, max_length, workers)
+    Conjugate words share the translation vector, so one cyclically reduced
+    word per rotation class is enough: the necklaces, of which only the
+    suffixes are ever grown.  The resulting directions are grid-snapped."""
+    words, q, a, nu = _necklace_values(generators, max_length, workers)
     lengths = (words != _PAD).sum(axis=1)
-    first = words[:, 0]
-    last = words[np.arange(len(words)), np.maximum(lengths - 1, 0)]
-    cyc = (lengths >= 1) & ((first != (last ^ 1)) | (lengths == 1))
-    words, q, a, nu, lengths = (
-        words[cyc], q[cyc], a[cyc], nu[cyc], lengths[cyc],
-    )
-    keep = _cyclic_canonical(words, lengths, max_length)
-    tags, jdirs = _classify_stack(q[keep], a[keep], nu[keep], lengths[keep])
+    tags, jdirs = _classify_stack(q, a, nu, lengths)
     axial = np.array(["axial" in t for t in tags])
     good = axial & ~np.isnan(jdirs[:, 0])
     if not good.any():
@@ -683,7 +742,11 @@ def write_csv(samples: SampleSet, path, names=None, table=None):
         gaps = gap_to_neighborhoods(samples.frames, table).tolist()
         gaps = [format(x, ".17g") for x in gaps]
     labels = [word_label((c,), names) for c in range(2 * len(names))]
-    blank = "," * (n - 1)
+    # One %-template per row; "%.17g" % x is format(x, ".17g").  Rows with
+    # no Jordan direction get blank cells.
+    cells = ",".join(["%.17g"] * n)
+    with_jdir = f"%s,%d,%s,{cells},{cells},%s"
+    no_jdir = f"%s,%d,%s,{cells},{',' * (n - 1)},%s"
     lines = [",".join(header)]
     # Columns go to Python lists _CSV_BLOCK rows at a time: converting all
     # rows at once makes tens of MB of small objects live together, which
@@ -700,10 +763,10 @@ def write_csv(samples: SampleSet, path, names=None, table=None):
             gaps[rows],
         ):
             label = ".".join([labels[c] for c in word[:length]]) or "e"
-            dcells = ",".join([format(x, ".17g") for x in d])
-            # NaN rows (no Jordan direction) get blank cells.
-            jcells = blank if j[0] != j[0] else ",".join([format(x, ".17g") for x in j])
-            lines.append(f"{label},{length},{tag},{dcells},{jcells},{gap}")
+            if j[0] != j[0]:
+                lines.append(no_jdir % (label, length, tag, *d, gap))
+            else:
+                lines.append(with_jdir % (label, length, tag, *d, *j, gap))
     data = ("\n".join(lines) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)

@@ -37,6 +37,15 @@ def _fmt(x: float) -> str:
     return format(round(float(x), 3), ".3f")
 
 
+# Markers take one %-format each.  "%.3f" % x equals _fmt(x): both round
+# the exact binary value correctly to three decimals.
+_CIRCLE = '<circle cx="%.3f" cy="%.3f" r="3" fill="#1f5fbf" fill-opacity="0.7"/>'
+_CROSS = (
+    '<path d="M %.3f %.3f L %.3f %.3f M %.3f %.3f L %.3f %.3f" '
+    'stroke="#bf3f1f" stroke-width="1.5"/>'
+)
+
+
 def direction_chart(p_sample, cone_sample=None, title="chamber directions") -> str:
     """SVG overlay: directional sample as dots, limit-cone sample as
     crosses, drawn on the chamber segment of the simplex chart."""
@@ -60,17 +69,12 @@ def direction_chart(p_sample, cone_sample=None, title="chamber directions") -> s
             f'font-family="monospace" font-size="12" fill="#666666">{label}</text>'
         )
     if p_sample is not None and len(p_sample):
-        for x, y in _to_canvas(simplex_coords(p_sample)):
-            parts.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" '
-                'fill="#1f5fbf" fill-opacity="0.7"/>'
-            )
+        for x, y in _to_canvas(simplex_coords(p_sample)).tolist():
+            parts.append(_CIRCLE % (x, y))
     if cone_sample is not None and len(cone_sample):
-        for x, y in _to_canvas(simplex_coords(cone_sample)):
+        for x, y in _to_canvas(simplex_coords(cone_sample)).tolist():
             parts.append(
-                f'<path d="M {_fmt(x - 4)} {_fmt(y - 4)} L {_fmt(x + 4)} '
-                f'{_fmt(y + 4)} M {_fmt(x - 4)} {_fmt(y + 4)} L {_fmt(x + 4)} '
-                f'{_fmt(y - 4)}" stroke="#bf3f1f" stroke-width="1.5"/>'
+                _CROSS % (x - 4, y - 4, x + 4, y + 4, x - 4, y + 4, x + 4, y - 4)
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -81,6 +81,28 @@ def loop_canonical_frame(k: np.ndarray) -> np.ndarray:
     return frame
 
 
+def cyclic_canonical(words, lengths, max_length):
+    """Reference rotation-class representatives: indices of one row per
+    cyclic-rotation class of cyclically reduced padded word rows.  Each
+    rotation is encoded in a base-(alphabet+1) integer together with the
+    length, and the minimum over rotations keys the deduplication, so the
+    kept row of a class is its first in row order."""
+    base = int(words.max()) + 2
+    codes = np.full(len(words), np.iinfo(np.int64).max, dtype=np.int64)
+    for length in np.unique(lengths):
+        idx = np.flatnonzero(lengths == length)
+        w = words[idx, :length].astype(np.int64) + 1
+        powers = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
+        best = None
+        for r in range(int(length)):
+            rolled = np.concatenate([w[:, r:], w[:, :r]], axis=1)
+            code = rolled @ powers
+            best = code if best is None else np.minimum(best, code)
+        codes[idx] = best + np.int64(length) * base ** np.int64(max_length)
+    _, keep = np.unique(codes, return_index=True)
+    return np.sort(keep)
+
+
 def loop_transverse_margin(k1: np.ndarray, k2: np.ndarray) -> float:
     """Reference transversality margin, one determinant at a time:
     min over i of |det [k1[:, :i] | k2[:, :n-i]]|, capped at 1."""

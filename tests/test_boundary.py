@@ -258,6 +258,24 @@ def test_busemann_matches_two_iwasawa_form():
             boundary.busemann(xi, gx, gy)
 
 
+def test_busemann_far_along_a_ray_raises_singular_matrix():
+    # Far out, the solve against gy = k e^{tH} k^T meets an exactly zero LU
+    # pivot for some frames; that is a clean SingularMatrix too.
+    h = np.array([1.0, 0.2, -1.2])
+    h = h / np.linalg.norm(h)
+    raised = 0
+    for k in boundary.random_frames(np.random.default_rng(0), 50, 3):
+        xi = boundary.BoundaryPoint(boundary.flag_from_frame(k), h)
+        gy = k @ np.diag(np.exp(35.0 * h)) @ k.T
+        try:
+            value = boundary.busemann(xi, np.eye(3), gy)
+        except SingularMatrix:
+            raised += 1
+        else:
+            assert np.isfinite(value)
+    assert raised > 0
+
+
 def test_busemann_horospherical_invariance():
     # N+ fixes the standard regular point and preserves its horospheres.
     rng = np.random.default_rng(10)

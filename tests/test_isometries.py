@@ -191,6 +191,24 @@ def test_fixed_points_of_mixed_parabolic_use_accepted_blocks():
         assert leak <= 1e-8 * np.linalg.norm(gamma)
 
 
+def test_fixed_points_of_mixed_parabolic_are_fixed():
+    # A defective block's columns follow its kernel chain, in the attracting
+    # frame and, block order reversed, in the repelling one.
+    base = np.zeros((4, 4))
+    base[:3, :3] = math.exp(0.5) * (np.eye(3) + np.diag([1.0, 1.0], 1))
+    base[3, 3] = math.exp(-1.5)
+    rng = np.random.default_rng(12)
+    cases = [np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.25]])]
+    for _ in range(20):
+        c = random_sl(rng, 4)
+        cases.append(c @ base @ np.linalg.inv(c))
+    for gamma in cases:
+        assert isometries.classify(gamma).tag == "mixed-parabolic"
+        for point in isometries.fixed_points(gamma):
+            moved = boundary.act(gamma, point).flag
+            assert boundary.flag_distance(moved, point.flag) < 1e-11
+
+
 def test_contraction_factor_values():
     gamma = np.diag(np.exp([2.0, 0.0, -2.0]))
     a_plus, a_minus = isometries.contraction_factor(gamma)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from rankr import boundary, decompositions, isometries, kernel, limitset
 from rankr.errors import EmptySample, InsufficientGenerators
-from conftest import det_compounds, random_sl, random_so
+from conftest import cyclic_canonical, det_compounds, random_sl, random_so
 
 
 def _shear_pair():
@@ -150,6 +151,65 @@ def test_limit_cone_requires_axial_words():
         limitset.limit_cone_sample([np.array([[1.0, 1.0], [0.0, 1.0]])], 3)
     with pytest.raises(InsufficientGenerators):
         limitset.limit_cone_sample([], 3)
+
+
+def _cone_rows_by_full_growth(gens, max_length):
+    """Every reduced word grown, then the cyclically reduced ones kept and
+    one per rotation class (the cone words before necklace growth)."""
+    words, q, a, nu = limitset._word_values(gens, max_length)
+    lengths = (words != -1).sum(axis=1)
+    last = words[np.arange(len(words)), np.maximum(lengths - 1, 0)]
+    cyc = np.flatnonzero((lengths == 1) | ((lengths > 1) & (words[:, 0] != (last ^ 1))))
+    keep = cyc[cyclic_canonical(words[cyc], lengths[cyc], max_length)]
+    return words[keep], q[keep], a[keep], nu[keep]
+
+
+def test_necklace_growth_matches_full_growth(sl3_group, sl2_group):
+    rng = np.random.default_rng(31)
+    cases = [(sl3_group[0], length, 1) for length in range(1, 10)]
+    cases += [
+        (sl3_group[0], 7, 2),
+        (sl2_group[0], 8, 1),
+        ([random_sl(rng, 3) for _ in range(3)], 6, 2),
+    ]
+    for gens, length, workers in cases:
+        got = limitset._necklace_values(gens, length, workers)
+        want = _cone_rows_by_full_growth(gens, length)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_necklaces_are_least_rotations():
+    for alpha, max_length in ((2, 6), (4, 7), (6, 5)):
+        want = [
+            w
+            for m in range(1, max_length + 1)
+            for w in itertools.product(range(alpha), repeat=m)
+            if all(w[i] != w[i - 1] ^ 1 for i in range(m))
+            and all(w <= w[r:] + w[:r] for r in range(m))
+        ]
+        rows = limitset._necklaces(alpha, max_length)
+        got = [tuple(int(c) for c in row if c >= 0) for row in rows]
+        assert got == sorted(want)
+    # One generator: the necklaces are exactly the powers a^m and a'^m.
+    got = {tuple(int(c) for c in row if c >= 0) for row in limitset._necklaces(2, 5)}
+    assert got == {(c,) * m for c in (0, 1) for m in range(1, 6)}
+    assert limitset._necklaces(4, 0).shape == (0, 0)
+
+
+def test_necklace_growth_grows_only_suffixes(sl3_group):
+    gens = sl3_group[0]
+    for length in (5, 9):
+        reps = limitset._necklaces(4, length)
+        words = limitset._word_values(gens, length, targets=reps)[0]
+        grown = {tuple(int(c) for c in row if c >= 0) for row in words}
+        suffixes = {()} | {(c,) for c in range(4)}
+        for row in reps:
+            word = tuple(int(c) for c in row if c >= 0)
+            suffixes |= {word[k:] for k in range(len(word))}
+        assert len(words) == len(grown) == len(suffixes)
+        assert grown == suffixes
+        assert len(words) < limitset.word_count(2, length)
 
 
 def test_directional_sample_shell():
