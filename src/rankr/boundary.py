@@ -130,8 +130,8 @@ def flag_distance(f1: Flag, f2: Flag) -> float:
     return float(flag_distances_to_center(f2.frame[None], f1)[0])
 
 
-def flags_equal(f1: Flag, f2: Flag, tol: float = 1e-8) -> bool:
-    return flag_distance(f1, f2) <= tol
+def flags_equal(f1: Flag, f2: Flag) -> bool:
+    return flag_distance(f1, f2) <= defaults.EPS_FLAG
 
 
 def act(g, xi: BoundaryPoint) -> BoundaryPoint:
@@ -143,7 +143,7 @@ def act_flag(g, flag: Flag) -> Flag:
     return flag_from_frame(kernel.qr_decompose(g @ flag.frame)[0])
 
 
-def transverse(f1: Flag, f2: Flag, eps_transv: float = defaults.EPS_TRANSV):
+def transverse(f1: Flag, f2: Flag):
     """Mutual opposition of two flags, with a scale-free margin in (0, 1].
 
     For each i the i-dimensional piece of f1 must complement the
@@ -158,7 +158,7 @@ def transverse(f1: Flag, f2: Flag, eps_transv: float = defaults.EPS_TRANSV):
     cols = np.where(j < i, j, n + j - i)
     joined = np.concatenate([f1.frame, f2.frame], axis=1)[:, cols].transpose(1, 0, 2)
     margin = min(1.0, float(np.abs(np.linalg.det(joined)).min()))
-    return margin > eps_transv, margin
+    return margin > defaults.EPS_TRANSV, margin
 
 
 def busemann(xi: BoundaryPoint, gx, gy) -> float:
@@ -193,11 +193,11 @@ def _scaled_cartan_vector(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return kernel.graded_log_singular_values(v[None], a.T[None])[0]
 
 
-def busemann_oracle(xi: BoundaryPoint, gx, gy, s_values=(64.0, 128.0, 256.0)) -> float:
+def busemann_oracle(xi: BoundaryPoint, gx, gy) -> float:
     """Finite-ray Busemann estimate, Richardson-extrapolated in 1/s.
 
     Evaluates d(x, sigma(s)) - d(y, sigma(s)) on the defining ray
-    sigma(s) = k e^{Hs} o at the given ray times and extrapolates the
+    sigma(s) = k e^{Hs} o at s = 64, 128, 256 and extrapolates the
     polynomial part of the 1/s expansion to s = infinity.
     """
     k = flag_frame(xi.flag)
@@ -205,7 +205,7 @@ def busemann_oracle(xi: BoundaryPoint, gx, gy, s_values=(64.0, 128.0, 256.0)) ->
     ay = np.linalg.solve(kernel.as_matrix(gy), k)
     xs = []
     fs = []
-    for s in s_values:
+    for s in (64.0, 128.0, 256.0):
         v = xi.direction * s
         f = float(
             np.linalg.norm(_scaled_cartan_vector(ax, v))

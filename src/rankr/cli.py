@@ -181,8 +181,8 @@ def cmd_decompose(args) -> int:
             residual=float(np.linalg.norm(dec.reconstruct() - g)),
         )
     elif args.which == "jordan":
-        parts = isometries.jordan_decompose(g)
         cls = isometries.classify(g)
+        parts = cls.parts
         report.update(
             e=parts.e.tolist(),
             h=parts.h.tolist(),

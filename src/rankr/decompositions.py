@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import defaults, kernel, lie
+from . import kernel, lie
 from .errors import IllConditionedCell
 
 
@@ -88,7 +88,7 @@ def iwasawa(g) -> KAN:
     return KAN(q, a, nplus)
 
 
-def bruhat_cell(g, eps_rank: float = defaults.EPS_RANK) -> lie.WeylElem:
+def bruhat_cell(g) -> lie.WeylElem:
     """The Weyl element w with g in N+ m_w P.
 
     Identified from the jumps of rank(g[i:, :j]) in j; left multiplication
@@ -100,7 +100,7 @@ def bruhat_cell(g, eps_rank: float = defaults.EPS_RANK) -> lie.WeylElem:
     ranks = np.zeros((n + 1, n + 1), dtype=int)
     for i in range(n):
         for j in range(1, n + 1):
-            r, borderline = kernel.rank_with_band(g[i:, :j], eps_rank)
+            r, borderline = kernel.rank_with_band(g[i:, :j])
             if borderline:
                 raise IllConditionedCell(
                     f"rank of lower-left block ({i},{j}) is numerically ambiguous"

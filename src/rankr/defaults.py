@@ -1,9 +1,10 @@
 """Default numerical tolerances.
 
 The underlying theory is exact; every gap between exact statements and
-floating point lives in one of these constants.  Functions take the
-relevant tolerance as a keyword argument defaulting to these values, so
-library callers can override them per call.
+floating point lives in one of these constants.  Functions read them
+directly; only the rank cutoff of kernel.rank_tol and rank_with_band
+and the clustering level jordan_decompose hands kernel.eig_real are
+arguments.
 """
 
 # |det - 1| allowed for matrices treated as elements of SL(n,R).
@@ -21,6 +22,9 @@ EPS_RANK = 1e-8
 
 # Minimal sine-product margin for declaring two flags transverse.
 EPS_TRANSV = 1e-6
+
+# Flag distance up to which two flags count as equal.
+EPS_FLAG = 1e-8
 
 # Relative tolerance for clustering eigenvalues into Jordan blocks.
 EPS_CLUSTER = 1e-6

@@ -24,6 +24,9 @@ from .errors import (
 # Residual below which a factor counts as the identity.
 _ID_TOL = 1e-8
 
+# Clustering tolerances jordan_decompose tries in turn.
+_CLUSTER_TOLS = (defaults.EPS_CLUSTER, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2)
+
 
 @dataclass
 class JordanParts:
@@ -54,9 +57,7 @@ def _block_transform(blocks):
     return np.concatenate(cols, axis=1), values
 
 
-def jordan_decompose(
-    gamma, cond_cap: float = defaults.COND_CAP, eps_cluster: float = defaults.EPS_CLUSTER
-) -> JordanParts:
+def jordan_decompose(gamma) -> JordanParts:
     """Multiplicative Jordan decomposition gamma = e h u (pairwise commuting).
 
     A Jordan block of size k scatters its computed eigenvalues over a disc
@@ -67,11 +68,11 @@ def jordan_decompose(
     """
     gamma = kernel.as_matrix(gamma)
     last = None
-    for tol in (eps_cluster, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2):
+    for tol in _CLUSTER_TOLS:
         blocks = kernel.eig_real(gamma, tol)
         s, values = _block_transform(blocks)
         cond = np.linalg.cond(s)
-        if cond > cond_cap:
+        if cond > defaults.COND_CAP:
             last = f"eigenbasis condition number {cond:.3e}"
             continue
         s_inv = np.linalg.inv(s)
@@ -102,22 +103,19 @@ def _log_moduli(mat) -> np.ndarray:
 def translation_vector(gamma) -> np.ndarray:
     """Descending log-moduli of the eigenvalues; L(gamma) = L(h).
 
-    Computed from the clustered hyperbolic part when available: the raw
-    eigenvalues of a defective matrix scatter at eps**(1/k) in modulus,
-    which would leak into L; the diagonalizable h part has none of that.
+    Read from the hyperbolic part of jordan_decompose: the raw eigenvalues
+    of a defective matrix scatter at eps**(1/k) in modulus, which would
+    leak into L; the diagonalizable h has none of that.  Raises
+    IllConditionedSpectrum wherever jordan_decompose does.
     """
-    gamma = kernel.as_matrix(gamma)
-    try:
-        return _log_moduli(jordan_decompose(gamma).h)
-    except IllConditionedSpectrum:
-        return _log_moduli(gamma)
+    return _log_moduli(jordan_decompose(gamma).h)
 
 
 def translation_length(gamma) -> float:
     return float(np.linalg.norm(translation_vector(gamma)))
 
 
-def classify(gamma, eps_wall: float = defaults.EPS_WALL) -> IsometryClass:
+def classify(gamma) -> IsometryClass:
     gamma = kernel.as_matrix(gamma)
     n = gamma.shape[0]
     if np.linalg.norm(gamma - np.eye(n)) <= _ID_TOL:
@@ -132,7 +130,7 @@ def classify(gamma, eps_wall: float = defaults.EPS_WALL) -> IsometryClass:
     elif not translating:
         tag = "strictly-parabolic"
     elif not unipotent_part:
-        kind, _ = lie.chamber_classify(ell, eps_wall)
+        kind, _ = lie.chamber_classify(ell)
         tag = "regular-axial" if kind == "interior" else "nonregular-axial"
     else:
         tag = "mixed-parabolic"
@@ -180,7 +178,7 @@ def _real_eigenbasis(blocks, u):
     return g / d ** (1.0 / g.shape[0]), runs
 
 
-def fixed_points(gamma, eps_wall: float = defaults.EPS_WALL):
+def fixed_points(gamma):
     """Attractive and repulsive fixed points of a translating isometry.
 
     gamma+ = (flag of pi_I(g), L/||L||) with g the modulus-ordered
@@ -190,13 +188,13 @@ def fixed_points(gamma, eps_wall: float = defaults.EPS_WALL):
     so the flags of mixed-parabolic elements are fixed too.
     """
     parts = jordan_decompose(gamma)
-    return _fixed_points(parts, _log_moduli(parts.h), eps_wall)
+    return _fixed_points(parts, _log_moduli(parts.h))
 
 
-def _fixed_points(parts: JordanParts, ell, eps_wall: float = defaults.EPS_WALL):
+def _fixed_points(parts: JordanParts, ell):
     """fixed_points from a Jordan decomposition and its translation vector."""
     nl = np.linalg.norm(ell)
-    if nl <= eps_wall:
+    if nl <= defaults.EPS_WALL:
         raise NotTranslating("translation vector vanishes")
     g, runs = _real_eigenbasis(parts.blocks, parts.u)
     # The repelling frame lists the runs in reverse order, each in its own

@@ -51,13 +51,13 @@ def qr_pos(m):
     return q * signs[..., None, :], r * signs[..., :, None]
 
 
-def qr_decompose(g, eps_det: float = defaults.EPS_DET):
+def qr_decompose(g):
     """qr_pos of one matrix; raises SingularMatrix when a pivot of r is
-    below eps_det."""
+    below defaults.EPS_DET."""
     q, r = qr_pos(as_matrix(g))
     pivot = np.diag(r).min()
-    if pivot < eps_det:
-        raise SingularMatrix(f"QR pivot {pivot:.3e} is below {eps_det:.1e}")
+    if pivot < defaults.EPS_DET:
+        raise SingularMatrix(f"QR pivot {pivot:.3e} is below {defaults.EPS_DET:.1e}")
     return q, r
 
 
@@ -94,6 +94,15 @@ def eig_real(g, eps_cluster: float = defaults.EPS_CLUSTER):
     eigenvalues (within eps_cluster relative) are merged into one block so
     defective matrices report their Jordan structure instead of spurious
     simple eigenvalues.
+
+    LAPACK returns the spectrum of a real matrix in exact conjugate pairs,
+    so only the closed upper half plane is clustered, each cluster grown
+    greedily against the running mean of its members.  A cluster that
+    holds a real eigenvalue, or whose mean lies within the tolerance of the
+    real axis, is its own mirror image: one real block whose multiplicity
+    counts every member above the axis twice and whose value is the real
+    part of the mean over the members and their conjugates.  Every other
+    cluster gives a complex block and its conjugate.
     """
     g = as_matrix(g)
     try:
@@ -102,12 +111,12 @@ def eig_real(g, eps_cluster: float = defaults.EPS_CLUSTER):
         raise NoConvergence(str(exc)) from exc
     scale = max(1.0, float(np.max(np.abs(vals))))
     tol = eps_cluster * scale
+    eye = np.eye(g.shape[0])
 
-    remaining = sorted(vals, key=_spectral_key)
-    clusters = []
+    remaining = sorted(vals[vals.imag >= 0], key=_spectral_key)
+    blocks = []
     while remaining:
-        seed = remaining.pop(0)
-        members = [seed]
+        members = [remaining.pop(0)]
         rest = []
         for lam in remaining:
             if abs(lam - np.mean(members)) <= tol:
@@ -115,61 +124,32 @@ def eig_real(g, eps_cluster: float = defaults.EPS_CLUSTER):
             else:
                 rest.append(lam)
         remaining = rest
-        clusters.append(members)
-
-    # Canonicalize: a cluster straddling the real axis is real; otherwise
-    # pair it with its conjugate cluster.
-    blocks = []
-    done = [False] * len(clusters)
-    for i, members in enumerate(clusters):
-        if done[i]:
-            continue
         mean = complex(np.mean(members))
-        mult = len(members)
-        if abs(mean.imag) <= tol:
-            lam = complex(mean.real, 0.0)
-            basis = _null_basis(
-                np.linalg.matrix_power(g - lam.real * np.eye(g.shape[0]), mult), mult
-            )
-            basis = np.real(basis)
-            # Re-orthonormalize after taking real parts.
-            basis, _ = np.linalg.qr(basis)
-            blocks.append(EigenBlock(lam, mult, basis))
-            done[i] = True
+        mirror = [lam.conjugate() for lam in members if lam.imag > 0]
+        if abs(mean.imag) > tol and len(mirror) == len(members):
+            mult = len(members)
+            basis = _null_basis(np.linalg.matrix_power(g - mean * eye, mult), mult)
+            blocks.append(EigenBlock(mean, mult, basis))
+            blocks.append(EigenBlock(mean.conjugate(), mult, basis.conj()))
             continue
-        # Find the conjugate cluster.
-        partner = None
-        for j in range(len(clusters)):
-            if j != i and not done[j]:
-                pm = complex(np.mean(clusters[j]))
-                if abs(pm - mean.conjugate()) <= 2 * tol:
-                    partner = j
-                    break
-        if partner is None:
-            raise NoConvergence("complex eigenvalue cluster without conjugate partner")
-        lam = mean if mean.imag > 0 else mean.conjugate()
-        basis = _null_basis(
-            np.linalg.matrix_power(g - lam * np.eye(g.shape[0], dtype=complex), mult),
-            mult,
-        )
-        blocks.append(EigenBlock(lam, mult, basis))
-        blocks.append(EigenBlock(lam.conjugate(), mult, basis.conj()))
-        done[i] = True
-        done[partner] = True
+        if mirror:
+            members += mirror
+            mean = complex(np.mean(members))
+        mult = len(members)
+        basis = _null_basis(np.linalg.matrix_power(g - mean.real * eye, mult), mult)
+        # Re-orthonormalize after taking real parts.
+        basis, _ = np.linalg.qr(np.real(basis))
+        blocks.append(EigenBlock(complex(mean.real, 0.0), mult, basis))
 
     blocks.sort(key=lambda b: _spectral_key(b.value))
     return blocks
 
 
-def _check_symmetric(s: np.ndarray, eps_lin: float):
-    if np.linalg.norm(s - s.T) > eps_lin * max(1.0, np.linalg.norm(s)):
-        raise NotSymmetric("input is not symmetric within tolerance")
-
-
-def sym_exp_log(direction: str, s, eps_lin: float = defaults.EPS_LIN) -> np.ndarray:
+def sym_exp_log(direction: str, s) -> np.ndarray:
     """Matrix exp/log of a symmetric matrix via its eigendecomposition."""
     s = as_matrix(s)
-    _check_symmetric(s, eps_lin)
+    if np.linalg.norm(s - s.T) > defaults.EPS_LIN * max(1.0, np.linalg.norm(s)):
+        raise NotSymmetric("input is not symmetric within tolerance")
     w, v = np.linalg.eigh(s)
     if direction == "exp":
         return (v * np.exp(w)) @ v.T
@@ -180,26 +160,11 @@ def sym_exp_log(direction: str, s, eps_lin: float = defaults.EPS_LIN) -> np.ndar
     raise ValueError(f"direction must be 'exp' or 'log', got {direction!r}")
 
 
-def _rank_singular_values(m: np.ndarray) -> np.ndarray:
-    # Rank decisions need singular values accurate down to eps * sigma_1;
-    # squaring into the Gram matrix would floor exact deficiencies at
-    # sqrt(eps), inside the borderline band, so go through the direct SVD.
-    return np.linalg.svd(m, compute_uv=False)
-
-
 def rank_tol(m, tol: float = defaults.EPS_RANK) -> int:
     """Number of singular values above tol * sigma_1 (0 for the zero matrix)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    m = np.asarray(m, dtype=float)
-    if m.size == 0:
-        return 0
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    sig = _rank_singular_values(m)
-    if sig[0] == 0.0:
-        return 0
-    return int(np.sum(sig > tol * sig[0]))
+    return rank_with_band(m, tol)[0]
 
 
 def rank_with_band(m, tol: float = defaults.EPS_RANK):
@@ -214,7 +179,10 @@ def rank_with_band(m, tol: float = defaults.EPS_RANK):
         return 0, False
     if m.ndim == 1:
         m = m.reshape(1, -1)
-    sig = _rank_singular_values(m)
+    # Rank decisions need singular values accurate down to eps * sigma_1;
+    # squaring into the Gram matrix would floor exact deficiencies at
+    # sqrt(eps), inside the borderline band, so go through the direct SVD.
+    sig = np.linalg.svd(m, compute_uv=False)
     if sig[0] == 0.0:
         return 0, False
     rel = sig / sig[0]

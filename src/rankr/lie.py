@@ -55,14 +55,14 @@ def opposition(h) -> np.ndarray:
     return -h[::-1]
 
 
-def chamber_classify(h, eps_wall: float = defaults.EPS_WALL):
+def chamber_classify(h):
     """Classify h against the closed descending chamber.
 
     Returns ("interior", []), ("wall", [vanishing simple roots]) or
     ("outside", []).  The wall threshold scales with ||h||.
     """
     h = as_cartan_vec(h)
-    thresh = eps_wall * max(norm(h), 1e-300)
+    thresh = defaults.EPS_WALL * max(norm(h), 1e-300)
     gaps = h[:-1] - h[1:]
     if np.any(gaps < -thresh):
         return "outside", []
@@ -84,13 +84,13 @@ def min_root_gap(h) -> float:
     return float(np.min(h[:-1] - h[1:])) / nh
 
 
-def horospherical_subalgebra(h, eps_wall: float = defaults.EPS_WALL):
+def horospherical_subalgebra(h):
     """Roots alpha with alpha(h) > 0, for h in the closed chamber."""
     h = as_cartan_vec(h)
     nh = norm(h)
     if nh == 0:
         raise ZeroVector("zero direction has no horospherical subalgebra")
-    thresh = eps_wall * nh
+    thresh = defaults.EPS_WALL * nh
     return [r for r in positive_roots(len(h)) if root_value(h, r) > thresh]
 
 

@@ -601,17 +601,16 @@ def minimality_check(
 
 
 def product_structure_check(
-    table, max_length, eps=0.1, pair_count=200, min_length=2, seed=0, workers=None
+    table, max_length, eps=0.1, pair_count=200, seed=0, workers=None
 ) -> dict:
     """Cross-pairing test of the product structure of the limit set.
 
-    Flags and directions are drawn from different words; a pair succeeds
-    when a single word realizes both within eps."""
+    Flags and directions are drawn from different words of length at
+    least 2; a pair succeeds when a single word realizes both within eps."""
     generators = table.effective_generators()
     samples = enumerate_samples(generators, max_length, workers)
     n = samples.n
-    mask = samples.lengths >= min_length
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero(samples.lengths >= 2)
     embed = _flag_embed(samples.frames[idx])
     dirs = samples.dirs[idx]
     flag_tree = cKDTree(embed)

@@ -21,6 +21,11 @@ from .errors import (
     PowerExhausted,
 )
 
+# Largest generator power build_table tries, and the boundary samples per
+# neighbourhood it tries each power on.
+_K_MAX = 60
+_WORKING_RESOLUTION = 256
+
 
 def adapt_frame(f_plus: boundary.Flag, f_minus: boundary.Flag) -> np.ndarray:
     """det-1 basis g sending the standard flag to f_plus and the reversed
@@ -314,15 +319,16 @@ def build_table(
     points,
     ell_choices,
     radius_policy: float = 0.3,
-    k_max: int = 60,
-    working_resolution: int = 256,
     seed: int = 0,
 ) -> PingPongTable:
     """Assemble generators and neighbourhoods and escalate powers.
 
     points: 2l+p boundary points, (minus, plus) pairs for the axial
     generators followed by p parabolic fixed points; ell_choices: one
-    interior translation vector per axial generator.
+    interior translation vector per axial generator.  Each power k up to
+    _K_MAX is tried as matrix_power(base, k), the matrix
+    effective_generators returns, on _WORKING_RESOLUTION samples per
+    neighbourhood.
     """
     points = list(points)
     l_count = len(ell_choices)
@@ -360,27 +366,25 @@ def build_table(
     )
 
     rng = np.random.default_rng(seed)
-    samples = _neighborhood_samples(table, working_resolution, rng)
+    samples = _neighborhood_samples(table, _WORKING_RESOLUTION, rng)
     complements = {
         m: _complement_samples(table, table.neighborhood_indices(m)[0][0],
-                               working_resolution, rng)
+                               _WORKING_RESOLUTION, rng)
         for m in range(len(gens))
         if kinds[m] == "parabolic"
     }
     for m, base in enumerate(gens):
         power = None
-        gen_eff = np.eye(table.n)
-        for k in range(1, k_max + 1):
-            gen_eff = gen_eff @ base
+        for k in range(1, _K_MAX + 1):
             margin, _ = _generator_margin(
-                table, m, gen_eff, samples, complements.get(m)
+                table, m, np.linalg.matrix_power(base, k), samples, complements.get(m)
             )
             if margin > 0:
                 power = k
                 break
         if power is None:
             raise PowerExhausted(
-                f"generator {m} failed containment up to power {k_max}"
+                f"generator {m} failed containment up to power {_K_MAX}"
             )
         table.powers[m] = power
     return table

@@ -5,7 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from rankr import cli
+from rankr import cli, kernel
+from rankr.errors import NoConvergence
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "groupspecs")
 
@@ -29,6 +30,75 @@ def random_so(rng: np.random.Generator, n: int) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, -1] *= -1.0
     return q
+
+
+def conjugated_unipotent(rng: np.random.Generator, n: int) -> np.ndarray:
+    """c (I + s N) c^-1 / |det|^(1/n): a regular unipotent, s ~ U(0.5, 3),
+    conjugated by a Gaussian c whose columns are scaled by e^U(-2, 2)."""
+    s = rng.uniform(0.5, 3)
+    c = rng.standard_normal((n, n)) * np.exp(rng.uniform(-2, 2, n))
+    g = c @ (np.eye(n) + s * np.diag(np.ones(n - 1), 1)) @ np.linalg.inv(c)
+    return g / abs(np.linalg.det(g)) ** (1.0 / n)
+
+
+def unipotent_draws() -> dict:
+    """{(n, i): i-th conjugated_unipotent of SL(n)}, 40 draws for each
+    n = 4..8 from one default_rng(0)."""
+    rng = np.random.default_rng(0)
+    return {(n, i): conjugated_unipotent(rng, n) for n in range(4, 9) for i in range(40)}
+
+
+def pairing_eig_real(g, eps_cluster: float = 1e-6) -> list:
+    """Reference clustered spectrum that clusters the whole plane: every
+    eigenvalue is merged greedily, a cluster whose mean is within the
+    tolerance of the real axis is real, and every other cluster is paired
+    with a conjugate cluster found by search (NoConvergence if none)."""
+    g = kernel.as_matrix(g)
+    vals = np.linalg.eigvals(g)
+    tol = eps_cluster * max(1.0, float(np.max(np.abs(vals))))
+    remaining = sorted(vals, key=kernel._spectral_key)
+    clusters = []
+    while remaining:
+        members = [remaining.pop(0)]
+        rest = []
+        for lam in remaining:
+            if abs(lam - np.mean(members)) <= tol:
+                members.append(lam)
+            else:
+                rest.append(lam)
+        remaining = rest
+        clusters.append(members)
+    blocks = []
+    done = [False] * len(clusters)
+    for i, members in enumerate(clusters):
+        if done[i]:
+            continue
+        mean = complex(np.mean(members))
+        mult = len(members)
+        if abs(mean.imag) <= tol:
+            shifted = g - mean.real * np.eye(g.shape[0])
+            basis = np.real(kernel._null_basis(np.linalg.matrix_power(shifted, mult), mult))
+            basis, _ = np.linalg.qr(basis)
+            blocks.append(kernel.EigenBlock(complex(mean.real, 0.0), mult, basis))
+            done[i] = True
+            continue
+        partner = None
+        for j in range(len(clusters)):
+            if j != i and not done[j]:
+                if abs(complex(np.mean(clusters[j])) - mean.conjugate()) <= 2 * tol:
+                    partner = j
+                    break
+        if partner is None:
+            raise NoConvergence("complex eigenvalue cluster without conjugate partner")
+        lam = mean if mean.imag > 0 else mean.conjugate()
+        shifted = g - lam * np.eye(g.shape[0], dtype=complex)
+        basis = kernel._null_basis(np.linalg.matrix_power(shifted, mult), mult)
+        blocks.append(kernel.EigenBlock(lam, mult, basis))
+        blocks.append(kernel.EigenBlock(lam.conjugate(), mult, basis.conj()))
+        done[i] = True
+        done[partner] = True
+    blocks.sort(key=lambda b: kernel._spectral_key(b.value))
+    return blocks
 
 
 def det_compounds(m: np.ndarray, top: int) -> list:

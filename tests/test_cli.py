@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rankr import cli, limitset, plotting
-from conftest import spec_path, write_generator_spec
+from conftest import spec_path, unipotent_draws, write_generator_spec
 
 
 def _run(capsys, argv):
@@ -106,6 +106,13 @@ def test_decompose_jordan(capsys):
     assert np.allclose(report["translation"], [np.log(2.0), -np.log(2.0)])
     assert np.allclose(report["u"], np.eye(2))
     assert report["residual"] < 1e-12
+
+
+def test_decompose_jordan_unreliable_spectrum_exits_2(capsys):
+    g = unipotent_draws()[(8, 29)]
+    code = cli.main(["decompose", "--which", "jordan", "--matrix", json.dumps(g.tolist())])
+    assert code == 2
+    assert "eigenbasis condition number" in capsys.readouterr().err
 
 
 def test_decompose_bruhat_reversal(capsys):

@@ -6,11 +6,18 @@ import pytest
 from rankr import boundary, isometries, lie, schottky
 from rankr.errors import (
     IdentityInput,
+    IllConditionedSpectrum,
     NotParabolic,
     NotRegularAxial,
     NotTranslating,
 )
-from conftest import random_chamber_dir, random_sl, random_so
+from conftest import (
+    conjugated_unipotent,
+    random_chamber_dir,
+    random_sl,
+    random_so,
+    unipotent_draws,
+)
 
 
 def _commutator_norm(a, b):
@@ -352,3 +359,36 @@ def test_parabolic_escape_inconclusive_when_jmax_small():
             break
     report = isometries.parabolic_escape_test(gamma, eta, [f], jmax=1)
     assert report["samples"][0]["outcome"] in ("inconclusive", "escaped")
+
+
+def test_sl8_unipotent_draw_raises_ill_conditioned_spectrum():
+    # The 30th SL(8) draw scatters its eigenvalues so far that no clustering
+    # level gives a well-conditioned eigenbasis; every per-matrix call says so.
+    g = unipotent_draws()[(8, 29)]
+    calls = (
+        isometries.classify,
+        isometries.jordan_decompose,
+        isometries.fixed_points,
+        isometries.translation_vector,
+    )
+    for call in calls:
+        with pytest.raises(IllConditionedSpectrum):
+            call(g)
+
+
+def test_translation_vector_raises_where_jordan_decompose_raises():
+    raised = 0
+    for n in (7, 8):
+        for seed in range(300):
+            g = conjugated_unipotent(np.random.default_rng([n, seed]), n)
+            try:
+                parts = isometries.jordan_decompose(g)
+            except IllConditionedSpectrum:
+                raised += 1
+                with pytest.raises(IllConditionedSpectrum):
+                    isometries.translation_vector(g)
+                continue
+            assert np.array_equal(
+                isometries.translation_vector(g), isometries._log_moduli(parts.h)
+            )
+    assert raised > 0

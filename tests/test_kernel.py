@@ -2,14 +2,21 @@ from math import comb
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
-from rankr import kernel
+from rankr import isometries, kernel
 from rankr.errors import (
     NotPositiveDefinite,
     NotSymmetric,
     SingularMatrix,
 )
-from conftest import det_compounds, random_sl, random_so
+from conftest import (
+    det_compounds,
+    pairing_eig_real,
+    random_sl,
+    random_so,
+    unipotent_draws,
+)
 
 
 def test_as_matrix_rejects_bad_shapes():
@@ -148,6 +155,84 @@ def test_eig_real_generalized_basis_spans_kernel_chain():
     blocks = kernel.eig_real(g)
     total = sum(b.multiplicity for b in blocks)
     assert total == 3
+
+
+def _rotation_spectrum_matrix(rng, n):
+    """c D c^-1 with D holding 2x2 rotation-scaling blocks (and one
+    diagonal entry for odd n): simple eigenvalues, mostly complex pairs."""
+    d = np.zeros((n, n))
+    for i in range(0, n - 1, 2):
+        r, t = np.exp(rng.uniform(-1, 1)), rng.uniform(0.1, 3.0)
+        d[i : i + 2, i : i + 2] = r * np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    if n % 2:
+        d[-1, -1] = rng.uniform(-2, 2)
+    c = rng.standard_normal((n, n))
+    return c @ d @ np.linalg.inv(c)
+
+
+def test_eig_real_matches_pairing_reference_on_simple_spectra():
+    rng = np.random.default_rng(21)
+    complex_blocks = 0
+    for n in range(2, 9):
+        for _ in range(10):
+            for g in (rng.standard_normal((n, n)), _rotation_spectrum_matrix(rng, n)):
+                want = pairing_eig_real(g)
+                got = kernel.eig_real(g)
+                assert all(b.multiplicity == 1 for b in want)
+                assert len(got) == len(want) == n
+                for x, y in zip(got, want):
+                    assert x.value == y.value
+                    assert x.multiplicity == y.multiplicity
+                    assert np.array_equal(x.basis, y.basis)
+                complex_blocks += sum(b.value.imag != 0 for b in got)
+    assert complex_blocks > 200
+
+
+def _clustering_inputs():
+    rng = np.random.default_rng(22)
+    mats = list(unipotent_draws().values())
+    for n in range(2, 9):
+        for _ in range(5):
+            mats.append(random_sl(rng, n))
+            mats.append(_rotation_spectrum_matrix(rng, n))
+    # A complex Jordan block: [[R, I], [0, R]] with R a rotation-scaling.
+    rot = 1.5 * np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+    block = np.block([[rot, np.eye(2)], [np.zeros((2, 2)), rot]])
+    c = rng.standard_normal((4, 4))
+    mats.append(c @ block @ np.linalg.inv(c))
+    return mats
+
+
+@pytest.mark.parametrize("tol", isometries._CLUSTER_TOLS)
+def test_eig_real_blocks_come_in_conjugate_pairs(tol):
+    for g in _clustering_inputs():
+        blocks = kernel.eig_real(g, tol)
+        assert sum(b.multiplicity for b in blocks) == g.shape[0]
+        for b in blocks:
+            if b.value.imag == 0:
+                assert np.isrealobj(b.basis)
+                continue
+            partners = [
+                p for p in blocks
+                if p.value == b.value.conjugate() and p.multiplicity == b.multiplicity
+            ]
+            assert len(partners) == 1
+            assert np.array_equal(partners[0].basis, b.basis.conj())
+
+
+def test_eig_real_cluster_holding_a_real_eigenvalue_is_real():
+    # The eigenvalue 1 seeds a greedy cluster that takes the upper member
+    # of every pair x_k +- i y_k but ends with a mean above the tolerance.
+    # Mirrored, that cluster holds 1 twice, so it is one real block.
+    pairs = []
+    for k, y in enumerate((0.0095, 0.0145, 0.0179), start=1):
+        x = 1.0 - y * y / 2 - k * 1e-6
+        pairs.append(np.array([[x, -y], [y, x]]))
+    g = block_diag(1.0, *pairs)
+    blocks = kernel.eig_real(g, 1e-2)
+    assert [b.multiplicity for b in blocks] == [7]
+    assert blocks[0].value.imag == 0.0
+    assert abs(blocks[0].value.real - np.trace(g) / 7) < 1e-15
 
 
 def test_sym_exp_log_round_trip():
