@@ -45,7 +45,6 @@ from .isometries import (
     contraction_factor,
     fixed_points,
     jordan_decompose,
-    translation_length,
     translation_vector,
 )
 from .limitset import (
@@ -101,7 +100,6 @@ __all__ = [
     "contraction_factor",
     "fixed_points",
     "jordan_decompose",
-    "translation_length",
     "translation_vector",
     "SampleSet",
     "cone_theorem_check",

@@ -36,11 +36,6 @@ class Flag:
     def n(self) -> int:
         return self.frame.shape[0]
 
-    @property
-    def projectors(self) -> np.ndarray:
-        """The nested chain P_1, ..., P_{n-1} as an (n-1, n, n) array."""
-        return frames_to_projector_stack(self.frame[None])[0]
-
     def __repr__(self):
         return f"Flag(n={self.n})"
 

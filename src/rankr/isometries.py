@@ -111,10 +111,6 @@ def translation_vector(gamma) -> np.ndarray:
     return _log_moduli(jordan_decompose(gamma).h)
 
 
-def translation_length(gamma) -> float:
-    return float(np.linalg.norm(translation_vector(gamma)))
-
-
 def classify(gamma) -> IsometryClass:
     gamma = kernel.as_matrix(gamma)
     n = gamma.shape[0]

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import defaults
 from .errors import (
-    NoConvergence,
     NotPositiveDefinite,
     NotSymmetric,
     SingularMatrix,
@@ -105,10 +104,7 @@ def eig_real(g, eps_cluster: float = defaults.EPS_CLUSTER):
     cluster gives a complex block and its conjugate.
     """
     g = as_matrix(g)
-    try:
-        vals = np.linalg.eigvals(g)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(str(exc)) from exc
+    vals = np.linalg.eigvals(g)
     scale = max(1.0, float(np.max(np.abs(vals))))
     tol = eps_cluster * scale
     eye = np.eye(g.shape[0])

@@ -34,6 +34,7 @@ worker count.
 import os
 import string
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -536,6 +537,16 @@ def _exact_flag_dists(embed_rows, target_row, n):
     return np.linalg.norm(diff, axis=2).max(axis=1)
 
 
+def _joint_dists(rows, row, n):
+    """max(flag distance, direction distance) from rows [projector chain,
+    direction] to one such row; on rows with no direction columns this is
+    the flag distance."""
+    flag_dim = (n - 1) * n * n
+    flag = _exact_flag_dists(rows[:, :flag_dim], row[:flag_dim], n)
+    direction = np.linalg.norm(rows[:, flag_dim:] - row[flag_dim:], axis=1)
+    return np.maximum(flag, direction)
+
+
 def _nearest_exact(points, queries, exact, stretch):
     """(bound, best): the Euclidean and the exact nearest distance from
     each query row to the point rows.
@@ -581,8 +592,7 @@ def minimality_check(
         np.array([boundary.flag_frame(t) for t in targets]).reshape(-1, n, n)
     )
     bound, best = _nearest_exact(
-        embed, queries, lambda rows, q: _exact_flag_dists(rows, q, n),
-        np.sqrt(n - 1),
+        embed, queries, partial(_joint_dists, n=n), np.sqrt(n - 1)
     )
     approached = best < eps
     worst = float(np.where(approached, best, bound).max(initial=0.0))
@@ -611,21 +621,21 @@ def product_structure_check(
     samples = enumerate_samples(generators, max_length, workers)
     n = samples.n
     idx = np.flatnonzero(samples.lengths >= 2)
-    embed = _flag_embed(samples.frames[idx])
-    dirs = samples.dirs[idx]
-    flag_tree = cKDTree(embed)
+    rows = np.concatenate(
+        [_flag_embed(samples.frames[idx]), samples.dirs[idx]], axis=1
+    )
     rng = np.random.default_rng(seed)
-    successes = 0
-    for _ in range(pair_count):
-        i, j = rng.choice(len(idx), size=2, replace=False)
-        ball = np.asarray(
-            flag_tree.query_ball_point(embed[i], eps * np.sqrt(n - 1)), dtype=np.intp
-        )
-        # Every word within eps of flag i lies in its flag ball; keep the
-        # part of that ball inside the direction ball of j.
-        both = ball[np.linalg.norm(dirs[ball] - dirs[j], axis=1) <= eps]
-        if (_exact_flag_dists(embed[both], embed[i], n) < eps).any():
-            successes += 1
+    pairs = np.array(
+        [rng.choice(len(idx), size=2, replace=False) for _ in range(pair_count)]
+    )
+    # A pair (i, j) asks for one word near flag i and direction j.
+    queries = np.concatenate(
+        [rows[pairs[:, 0], :-n], rows[pairs[:, 1], -n:]], axis=1
+    )
+    _, best = _nearest_exact(
+        rows, queries, partial(_joint_dists, n=n), np.sqrt(n - 1) + 1.0
+    )
+    successes = int((best < eps).sum())
     return {
         "eps": eps,
         "pairs": pair_count,
@@ -669,15 +679,8 @@ def axial_density_check(
         [_flag_embed(samples.frames[target_mask]), samples.dirs[target_mask]],
         axis=1,
     )
-    flag_dim = plus_embed.shape[1] - n
-
-    def joint(rows, row):
-        flag = _exact_flag_dists(rows[:, :flag_dim], row[:flag_dim], n)
-        direction = np.linalg.norm(rows[:, flag_dim:] - row[flag_dim:], axis=1)
-        return np.maximum(flag, direction)
-
     _, best = _nearest_exact(
-        plus_embed, target_embed, joint, np.sqrt(n - 1) + 1.0
+        plus_embed, target_embed, partial(_joint_dists, n=n), np.sqrt(n - 1) + 1.0
     )
     worst = float(best.max(initial=0.0))
     return {

@@ -244,74 +244,71 @@ def sample_flags_near(
     return np.matmul(boundary.flag_frame(center), cayley(0.5 * (lo + hi)))
 
 
-def _neighborhood_samples(table: PingPongTable, resolution: int, rng):
-    """Per-neighborhood sample frames, boundary-biased plus the center."""
-    out = []
+def _sources(table: PingPongTable, resolution: int, rng):
+    """(samples, complements) for the containment checks.
+
+    samples[i]: boundary-biased flags of neighbourhood i plus its center;
+    then, for each parabolic generator m in order, complements[m]: uniform
+    flags rejected from its neighbourhood (the two-sided check)."""
+    samples = []
     for point, radius in zip(table.points, table.radii):
         targets = rng.uniform(0.8 * radius, radius, size=resolution)
         frames = sample_flags_near(point.flag, targets, rng)
-        frames = np.concatenate(
-            [frames, boundary.flag_frame(point.flag)[None]], axis=0
+        samples.append(
+            np.concatenate([frames, boundary.flag_frame(point.flag)[None]], axis=0)
         )
-        out.append(frames)
-    return out
-
-
-def _complement_samples(table: PingPongTable, q: int, resolution: int, rng):
-    """Uniform flags rejected from U_q (for the parabolic two-sided check)."""
-    n = table.n
-    center = table.points[q].flag
-    radius = table.radii[q]
-    kept = []
-    need = resolution
-    while need > 0:
-        frames = boundary.random_frames(rng, 2 * need, n)
-        dist = boundary.flag_distances_to_center(frames, center)
-        good = frames[dist > radius]
-        kept.append(good[:need])
-        need -= len(good[:need])
-    return np.concatenate(kept, axis=0)
-
-
-def _mapping_margin(table, gen, target_idx, source_frames):
-    """Worst containment margin of gen(source flags) inside the target
-    neighborhood, plus the worst offender's index and distance."""
-    images = boundary.act_frames(gen, source_frames)
-    dist = boundary.flag_distances_to_center(images, table.points[target_idx].flag)
-    worst = int(np.argmax(dist))
-    return float(table.radii[target_idx] - dist[worst]), worst, float(dist[worst])
+    complements = {}
+    for m, kind in enumerate(table.kinds):
+        if kind != "parabolic":
+            continue
+        q = table.neighborhood_indices(m)[0][0]
+        kept = []
+        need = resolution
+        while need > 0:
+            frames = boundary.random_frames(rng, 2 * need, table.n)
+            dist = boundary.flag_distances_to_center(frames, table.points[q].flag)
+            good = frames[dist > table.radii[q]][:need]
+            kept.append(good)
+            need -= len(good)
+        complements[m] = np.concatenate(kept, axis=0)
+    return samples, complements
 
 
 def _generator_margin(table, m, gen_eff, samples, complement=None):
     """Min containment margin for generator m over all required sources.
 
+    Each direction maps all of its sources (every neighbourhood but the
+    excluded one, then the complement, as source -1) as one stack.
     Returns (margin, witness-or-None)."""
-    inv = np.linalg.inv(gen_eff)
-    (skip_f, tgt_f), (skip_b, tgt_b) = table.neighborhood_indices(m)
     worst = np.inf
     witness = None
-    for direction, mat, skip, tgt in (
-        ("forward", gen_eff, skip_f, tgt_f),
-        ("backward", inv, skip_b, tgt_b),
+    for direction, mat, (skip, tgt) in zip(
+        ("forward", "backward"),
+        (gen_eff, np.linalg.inv(gen_eff)),
+        table.neighborhood_indices(m),
     ):
-        sources = [
-            (i, samples[i]) for i in range(len(table.points)) if i != skip
-        ]
-        if table.kinds[m] == "parabolic" and complement is not None:
-            sources.append((-1, complement))
-        for i, frames in sources:
-            margin, idx, dist = _mapping_margin(table, mat, tgt, frames)
-            if margin < worst:
-                worst = margin
-                witness = {
-                    "generator": m,
-                    "direction": direction,
-                    "source_neighborhood": i,
-                    "target_neighborhood": tgt,
-                    "image_distance": dist,
-                    "target_radius": float(table.radii[tgt]),
-                    "sample_frame": frames[idx].tolist(),
-                }
+        ids = [i for i in range(len(table.points)) if i != skip]
+        stacks = [samples[i] for i in ids]
+        if complement is not None:
+            ids.append(-1)
+            stacks.append(complement)
+        frames = np.concatenate(stacks, axis=0)
+        images = boundary.act_frames(mat, frames)
+        dist = boundary.flag_distances_to_center(images, table.points[tgt].flag)
+        idx = int(np.argmax(dist))
+        margin = float(table.radii[tgt] - dist[idx])
+        if margin < worst:
+            ends = np.cumsum([len(f) for f in stacks])
+            worst = margin
+            witness = {
+                "generator": m,
+                "direction": direction,
+                "source_neighborhood": ids[int(np.searchsorted(ends, idx, "right"))],
+                "target_neighborhood": tgt,
+                "image_distance": float(dist[idx]),
+                "target_radius": float(table.radii[tgt]),
+                "sample_frame": frames[idx].tolist(),
+            }
     return worst, (witness if worst <= 0 else None)
 
 
@@ -366,13 +363,7 @@ def build_table(
     )
 
     rng = np.random.default_rng(seed)
-    samples = _neighborhood_samples(table, _WORKING_RESOLUTION, rng)
-    complements = {
-        m: _complement_samples(table, table.neighborhood_indices(m)[0][0],
-                               _WORKING_RESOLUTION, rng)
-        for m in range(len(gens))
-        if kinds[m] == "parabolic"
-    }
+    samples, complements = _sources(table, _WORKING_RESOLUTION, rng)
     for m, base in enumerate(gens):
         power = None
         for k in range(1, _K_MAX + 1):
@@ -400,14 +391,22 @@ def certify_klein(
     with positive margin.  Statistical evidence at the stated resolution,
     not a proof.
     """
-    if len(table.base_generators) < 2:
+
+    def failed(reason, min_margin, margins=(), witness=None):
         return CertificationReport(
             status="failed",
             resolution=resolution,
-            min_margin=float("-inf"),
-            per_generator_margins=[],
-            reason="precondition: Klein's criterion needs at least two "
+            min_margin=min_margin,
+            per_generator_margins=list(margins),
+            reason=reason,
+            witness=witness,
+        )
+
+    if len(table.base_generators) < 2:
+        return failed(
+            "precondition: Klein's criterion needs at least two "
             "generator subgroups (one with three or more elements)",
+            float("-inf"),
         )
     # Disjointness with separation slack.
     for i in range(len(table.points)):
@@ -416,53 +415,35 @@ def certify_klein(
                 table.points[i].flag, table.points[j].flag
             )
             if dist <= table.radii[i] + table.radii[j] + defaults.DELTA_SEP:
-                return CertificationReport(
-                    status="failed",
-                    resolution=resolution,
-                    min_margin=float(
-                        dist - table.radii[i] - table.radii[j]
-                    ),
-                    per_generator_margins=[],
-                    reason="neighbourhoods overlap",
+                return failed(
+                    "neighbourhoods overlap",
+                    float(dist - table.radii[i] - table.radii[j]),
                     witness={"type": "overlap", "i": i, "j": j, "distance": dist},
                 )
             ok, margin = boundary.transverse(
                 table.points[i].flag, table.points[j].flag
             )
             if not ok:
-                return CertificationReport(
-                    status="failed",
-                    resolution=resolution,
-                    min_margin=margin,
-                    per_generator_margins=[],
-                    reason="fixed flags not transverse",
+                return failed(
+                    "fixed flags not transverse",
+                    margin,
                     witness={"type": "not-transverse", "i": i, "j": j},
                 )
 
     rng = np.random.default_rng(seed)
-    samples = _neighborhood_samples(table, resolution, rng)
+    samples, complements = _sources(table, resolution, rng)
     margins = []
     witness = None
     for m, gen_eff in enumerate(table.effective_generators()):
-        complement = None
-        if table.kinds[m] == "parabolic":
-            complement = _complement_samples(
-                table, table.neighborhood_indices(m)[0][0], resolution, rng
-            )
-        margin, wit = _generator_margin(table, m, gen_eff, samples, complement)
+        margin, wit = _generator_margin(
+            table, m, gen_eff, samples, complements.get(m)
+        )
         margins.append(margin)
         if wit is not None and witness is None:
             witness = wit
     min_margin = float(min(margins))
     if min_margin <= 0:
-        return CertificationReport(
-            status="failed",
-            resolution=resolution,
-            min_margin=min_margin,
-            per_generator_margins=margins,
-            reason="containment violated",
-            witness=witness,
-        )
+        return failed("containment violated", min_margin, margins, witness)
     return CertificationReport(
         status="certified-at-resolution",
         resolution=resolution,

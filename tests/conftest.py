@@ -4,8 +4,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from rankr import cli, kernel
+from rankr import boundary, cli, kernel, lie, limitset, schottky
 from rankr.errors import NoConvergence
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "groupspecs")
@@ -205,6 +206,65 @@ def random_chamber_dir(rng: np.random.Generator, n: int, min_gap: float = 0.25):
             return h
 
 
+def loop_generator_margin(table, m, gen_eff, samples, complement=None):
+    """Reference generator margin, one source at a time: each source's
+    worst image sets (margin, witness) when its margin is strictly below
+    every earlier one, sources in neighbourhood order, then the
+    complement as source -1."""
+    inv = np.linalg.inv(gen_eff)
+    (skip_f, tgt_f), (skip_b, tgt_b) = table.neighborhood_indices(m)
+    worst = np.inf
+    witness = None
+    for direction, mat, skip, tgt in (
+        ("forward", gen_eff, skip_f, tgt_f),
+        ("backward", inv, skip_b, tgt_b),
+    ):
+        sources = [(i, samples[i]) for i in range(len(table.points)) if i != skip]
+        if table.kinds[m] == "parabolic" and complement is not None:
+            sources.append((-1, complement))
+        for i, frames in sources:
+            images = boundary.act_frames(mat, frames)
+            dist = boundary.flag_distances_to_center(images, table.points[tgt].flag)
+            idx = int(np.argmax(dist))
+            margin = float(table.radii[tgt] - dist[idx])
+            if margin < worst:
+                worst = margin
+                witness = {
+                    "generator": m,
+                    "direction": direction,
+                    "source_neighborhood": i,
+                    "target_neighborhood": tgt,
+                    "image_distance": float(dist[idx]),
+                    "target_radius": float(table.radii[tgt]),
+                    "sample_frame": frames[idx].tolist(),
+                }
+    return worst, (witness if worst <= 0 else None)
+
+
+def ball_product_successes(table, max_length, eps, pair_count, seed):
+    """Reference product-structure successes, one pair at a time: the
+    words in the flag-embedding ball of radius eps sqrt(n-1) around flag
+    i, kept when their direction is within eps of direction j, succeed
+    when one of them is within eps of flag i in the exact flag metric."""
+    samples = limitset.enumerate_samples(table.effective_generators(), max_length)
+    n = samples.n
+    idx = np.flatnonzero(samples.lengths >= 2)
+    embed = limitset._flag_embed(samples.frames[idx])
+    dirs = samples.dirs[idx]
+    tree = cKDTree(embed)
+    rng = np.random.default_rng(seed)
+    successes = 0
+    for _ in range(pair_count):
+        i, j = rng.choice(len(idx), size=2, replace=False)
+        ball = np.asarray(
+            tree.query_ball_point(embed[i], eps * np.sqrt(n - 1)), dtype=np.intp
+        )
+        both = ball[np.linalg.norm(dirs[ball] - dirs[j], axis=1) <= eps]
+        if (limitset._exact_flag_dists(embed[both], embed[i], n) < eps).any():
+            successes += 1
+    return successes
+
+
 def spec_path(name: str) -> str:
     return os.path.join(SPEC_DIR, name)
 
@@ -244,3 +304,31 @@ def write_generator_spec(path, n, matrices, names=None, seed=0):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(spec, fh)
     return path
+
+
+@pytest.fixture(scope="session")
+def parabolic_table():
+    """The seeded one-axial, one-parabolic table of
+    test_schottky::test_parabolic_table_builds_and_certifies: of 800 Haar
+    flag triples (rng 20), the one with the largest min(transversality
+    margin, distance / 4), built with ell = (1.5, 0, -1.5) and seed 0."""
+    rng = np.random.default_rng(20)
+    best = None
+    for _ in range(800):
+        flags = [boundary.flag_from_frame(f) for f in boundary.random_frames(rng, 3, 3)]
+        score = min(
+            min(boundary.transverse(flags[i], flags[j])[1],
+                boundary.flag_distance(flags[i], flags[j]) / 4.0)
+            for i, j in combinations(range(3), 2)
+        )
+        if best is None or score > best[0]:
+            best = (score, flags)
+    flags = best[1]
+    ell = np.array([1.5, 0.0, -1.5])
+    unit = ell / np.linalg.norm(ell)
+    points = [
+        boundary.BoundaryPoint(flags[0], lie.opposition(unit)),
+        boundary.BoundaryPoint(flags[1], unit),
+        boundary.boundary_point(flags[2], [2.0, 0.0, -2.0]),
+    ]
+    return schottky.build_table(points, [ell], seed=0)

@@ -31,8 +31,14 @@ def _random_boundary_point(rng, n, min_gap=0.25):
 
 def test_flag_from_frame_standard_and_errors():
     f = boundary.standard_flag(3)
-    assert np.allclose(f.projectors[0], np.diag([1.0, 0.0, 0.0]))
-    assert np.allclose(f.projectors[1], np.diag([1.0, 1.0, 0.0]))
+    assert np.allclose(
+        boundary.frames_to_projector_stack(f.frame[None])[0][0],
+        np.diag([1.0, 0.0, 0.0]),
+    )
+    assert np.allclose(
+        boundary.frames_to_projector_stack(f.frame[None])[0][1],
+        np.diag([1.0, 1.0, 0.0]),
+    )
     with pytest.raises(NotOrthogonal):
         boundary.flag_from_frame(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
@@ -62,11 +68,14 @@ def test_flag_invariants_on_random_frames():
     for _ in range(50):
         n = int(rng.integers(2, 7))
         f = boundary.flag_from_frame(random_so(rng, n))
-        for i, p in enumerate(f.projectors):
+        for i, p in enumerate(boundary.frames_to_projector_stack(f.frame[None])[0]):
             assert np.linalg.norm(p @ p - p) < 1e-10
             assert np.linalg.norm(p - p.T) < 1e-12
             assert abs(np.trace(p) - (i + 1)) < 1e-9
-        for p, q in zip(f.projectors, f.projectors[1:]):
+        for p, q in zip(
+            boundary.frames_to_projector_stack(f.frame[None])[0],
+            boundary.frames_to_projector_stack(f.frame[None])[0][1:],
+        ):
             assert np.linalg.norm(p @ q - p) < 1e-10
 
 

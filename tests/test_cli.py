@@ -87,6 +87,19 @@ def test_linalg_error_exits_cleanly(tmp_path, capsys, monkeypatch):
     assert "Singular matrix" in err
 
 
+def test_decompose_eigvals_failure_exits_2(capsys, monkeypatch):
+    # A LAPACK failure in the eigensolver is a numerical failure (exit 2),
+    # not malformed input (exit 1).
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    code = cli.main(["decompose", "--which", "jordan", "--matrix", "[[2,1],[0,0.5]]"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "did not converge" in err
+
+
 def test_decompose_kak_identity(capsys):
     code, report = _run(
         capsys, ["decompose", "--which", "kak", "--matrix", "[[1,0],[0,1]]"]

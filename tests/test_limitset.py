@@ -6,7 +6,13 @@ import pytest
 
 from rankr import boundary, decompositions, isometries, kernel, limitset
 from rankr.errors import EmptySample, InsufficientGenerators
-from conftest import cyclic_canonical, det_compounds, random_sl, random_so
+from conftest import (
+    ball_product_successes,
+    cyclic_canonical,
+    det_compounds,
+    random_sl,
+    random_so,
+)
 
 
 def _shear_pair():
@@ -278,6 +284,22 @@ def test_product_structure(sl3_group):
         table, 6, eps=0.15, pair_count=50, seed=0
     )
     assert report == again
+
+
+@pytest.mark.parametrize("max_length", [5, 6, 7])
+def test_product_structure_matches_flag_ball_loop(sl3_group, max_length):
+    _, _, table = sl3_group
+    counts = []
+    for eps in (0.003, 0.01, 0.04, 0.1):
+        for seed in (0, 1):
+            report = limitset.product_structure_check(
+                table, max_length, eps=eps, pair_count=200, seed=seed
+            )
+            expect = ball_product_successes(table, max_length, eps, 200, seed)
+            assert report["successes"] == expect
+            counts.append(expect)
+    # The grid holds pairs that fail as well as pairs that succeed.
+    assert min(counts) < 200 and max(counts) > 0
 
 
 def test_axial_density(sl3_group):

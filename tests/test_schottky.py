@@ -5,7 +5,7 @@ import pytest
 
 from rankr import boundary, isometries, lie, limitset, schottky
 from rankr.errors import InsufficientGenerators, NotInterior, NotTransverse
-from conftest import random_chamber_dir, random_so
+from conftest import loop_generator_margin, random_chamber_dir, random_so
 
 
 def _random_transverse_pair(rng, n, min_margin=0.2):
@@ -332,3 +332,83 @@ def test_parabolic_table_builds_and_certifies():
     assert report.certified
     words = limitset.word_separation(table.effective_generators(), 4)
     assert words > 1e-6
+
+
+def _with_radii(table, radii):
+    return schottky.PingPongTable(
+        points=table.points,
+        radii=np.asarray(radii, dtype=float),
+        base_generators=table.base_generators,
+        powers=list(table.powers),
+        kinds=list(table.kinds),
+    )
+
+
+def test_generator_margin_matches_per_source_loop(sl3_group, parabolic_table):
+    _, _, table = sl3_group
+    doubled = _with_radii(table, table.radii * 2.0)
+    assert parabolic_table.kinds == ["axial", "parabolic"]
+    assert parabolic_table.powers == [2, 59]
+    witnesses = set()
+    for tab in (table, doubled, parabolic_table):
+        samples, complements = schottky._sources(
+            tab, 200, np.random.default_rng(1)
+        )
+        assert sorted(complements) == [
+            m for m, kind in enumerate(tab.kinds) if kind == "parabolic"
+        ]
+        for m, base in enumerate(tab.base_generators):
+            for k in (1, tab.powers[m]):
+                gen = np.linalg.matrix_power(base, k)
+                got = schottky._generator_margin(
+                    tab, m, gen, samples, complements.get(m)
+                )
+                assert got == loop_generator_margin(
+                    tab, m, gen, samples, complements.get(m)
+                )
+                if got[1] is not None:
+                    witnesses.add(got[1]["source_neighborhood"])
+    # Containment witnesses from neighbourhood sources and the complement.
+    assert -1 in witnesses and len(witnesses) > 1
+
+
+def test_certify_reports_overlapping_neighbourhoods(sl3_group):
+    _, _, table = sl3_group
+    wide = _with_radii(table, table.radii * 10.0)
+    report = schottky.certify_klein(wide, resolution=10, seed=1)
+    dist = boundary.flag_distance(table.points[0].flag, table.points[1].flag)
+    assert report.status == "failed"
+    assert report.reason == "neighbourhoods overlap"
+    assert report.witness == {"type": "overlap", "i": 0, "j": 1, "distance": dist}
+    assert report.min_margin == float(dist - wide.radii[0] - wide.radii[1])
+    assert report.per_generator_margins == []
+
+
+def test_certify_reports_non_transverse_fixed_flags(sl3_group):
+    # (e1, e2, e3) and (e2, e1, e3) share their 2-plane: a flag distance
+    # of sqrt 2, far beyond the radii, yet not transverse.
+    _, _, table = sl3_group
+    e = np.eye(3)
+    f = boundary.flag_from_frame(e)
+    g = boundary.flag_from_frame(e[:, [1, 0, 2]])
+    assert boundary.flag_distance(f, g) == pytest.approx(np.sqrt(2.0))
+    points = [
+        boundary.BoundaryPoint(f, table.points[0].direction),
+        boundary.BoundaryPoint(g, table.points[1].direction),
+        *table.points[2:],
+    ]
+    bad = schottky.PingPongTable(
+        points=points,
+        radii=np.full(len(points), 0.05),
+        base_generators=table.base_generators,
+        powers=list(table.powers),
+        kinds=list(table.kinds),
+    )
+    report = schottky.certify_klein(bad, resolution=10, seed=1)
+    ok, margin = boundary.transverse(f, g)
+    assert not ok
+    assert report.status == "failed"
+    assert report.reason == "fixed flags not transverse"
+    assert report.witness == {"type": "not-transverse", "i": 0, "j": 1}
+    assert report.min_margin == margin
+    assert report.per_generator_margins == []
