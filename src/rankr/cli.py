@@ -290,24 +290,18 @@ def cmd_limitset(args) -> int:
             if lp >= args.min_word_length
         )
         cone = limitset.limit_cone_sample(gens, args.cone_word_length, workers)
-        draw = "svg" in want and spec["n"] in (2, 3)
-        samples = None
-        if "csv" in want:
-            samples = limitset.enumerate_samples(gens, length, workers)
-            lengths, dirs = samples.lengths, samples.dirs
-        else:
-            lengths, dirs = limitset.orbit_directions(gens, length, workers)
+        samples = limitset.enumerate_samples(gens, length, workers)
         report = limitset.cone_report(
-            cone, lengths, dirs, lp_values, args.cone_word_length
+            cone, samples, lp_values, args.cone_word_length
         )
         checks["trend_non_increasing"] = report["trend_non_increasing"]
         metrics["cone"] = report
-        if draw:
-            shell = limitset.directions_in_range(lengths, dirs, length, length)
+        if "svg" in want and spec["n"] in (2, 3):
+            shell = limitset.directions_in_range(samples, length, length)
             path = os.path.join(args.out, "cone.svg")
             plotting.write_chart(path, shell, cone, title="directions vs limit cone")
             outputs.append(path)
-        if samples is not None:
+        if "csv" in want:
             emit_csv(samples, "samples.csv")
     elif args.subcommand in ("minimality", "product", "axdens"):
         if table is None:

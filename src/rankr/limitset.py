@@ -34,7 +34,8 @@ worker count.
 import os
 import string
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
+from functools import cached_property, partial
+from itertools import chain
 from math import comb
 
 import numpy as np
@@ -52,6 +53,7 @@ _PAD = -1
 _LOG_OVERFLOW = 345.0  # log 1e150
 _MODULI_BLOCK = 1 << 16
 _CSV_BLOCK = 1024
+_REFINE_BLOCK = 1 << 12  # (point, query) pairs per batched refine
 
 
 def resolve_workers(workers=None) -> int:
@@ -276,19 +278,17 @@ class SampleSet:
     """Columnar store of orbit samples, one row per reduced word.
 
     Word values live in the factored form q e^a nu (see module notes);
-    value(i) assembles the actual matrix."""
+    value(i) assembles the actual matrix.  The columns dirs, frames, tags,
+    jdirs and overflow are computed on first access, each over the whole
+    stack in one call (numpy's einsum takes another loop for a batch of
+    one, so never row by row): a check pays only for the columns it reads."""
 
-    def __init__(self, words, lengths, q, a, nu, dirs, frames, tags, jdirs):
+    def __init__(self, words, q, a, nu):
         self.words = words
-        self.lengths = lengths
+        self.lengths = (words != _PAD).sum(axis=1)
         self.q = q
         self.a = a
         self.nu = nu
-        self.dirs = dirs
-        self.frames = frames
-        self.tags = tags
-        self.jdirs = jdirs  # NaN rows when not axial
-        self.overflow = a.max(axis=1) > _LOG_OVERFLOW
 
     def __len__(self):
         return len(self.lengths)
@@ -296,6 +296,32 @@ class SampleSet:
     @property
     def n(self) -> int:
         return self.q.shape[-1]
+
+    @cached_property
+    def dirs(self) -> np.ndarray:
+        # Unit Cartan directions; rows whose Cartan vector vanishes stay 0.
+        h = _stack_cartan(self.a, self.nu)
+        norms = np.linalg.norm(h, axis=1, keepdims=True)
+        return np.divide(h, norms, out=np.zeros_like(h), where=norms > 1e-12)
+
+    @cached_property
+    def frames(self) -> np.ndarray:
+        # Left singular frames of e^a nu, rotated by q.
+        shift = self.a.max(axis=1)
+        graded = np.exp(self.a - shift[:, None])[:, :, None] * self.nu
+        u, _, _ = np.linalg.svd(graded)
+        return np.einsum("nij,njk->nik", self.q, u)
+
+    @cached_property
+    def _classes(self):
+        return _classify_stack(self.q, self.a, self.nu, self.lengths)
+
+    tags = property(lambda self: self._classes[0])
+    jdirs = property(lambda self: self._classes[1])  # NaN rows when not axial
+
+    @cached_property
+    def overflow(self) -> np.ndarray:
+        return self.a.max(axis=1) > _LOG_OVERFLOW
 
     def word_tuple(self, i) -> tuple:
         row = self.words[i]
@@ -345,42 +371,10 @@ def _classify_stack(q, a, nu, lengths):
     return tags, jdirs
 
 
-def _unit_directions(h):
-    """Rows of h scaled to unit norm; rows with a vanishing Cartan vector
-    stay zero."""
-    norms = np.linalg.norm(h, axis=1)
-    dirs = np.zeros_like(h)
-    nz = norms > 1e-12
-    dirs[nz] = h[nz] / norms[nz, None]
-    return dirs
-
-
 def enumerate_samples(generators, max_length, workers=None) -> SampleSet:
-    """Every reduced word of length <= max_length, fully annotated.
-
-    Angular flags come from one batched SVD of the graded factor (the
-    singular frames stay accurate however squeezed the word is); Cartan
-    vectors from the graded SVD kernel; class tags and Jordan directions
-    from one batched dominant-eigenvalue pass."""
-    words, q, a, nu = _word_values(generators, max_length, workers)
-    lengths = (words != _PAD).sum(axis=1)
-    # Left singular frames of e^a nu, rotated by q.
-    shift = a.max(axis=1)
-    graded = np.exp(a - shift[:, None])[:, :, None] * nu
-    u, _, _ = np.linalg.svd(graded)
-    frames = np.einsum("nij,njk->nik", q, u)
-    dirs = _unit_directions(_stack_cartan(a, nu))
-    tags, jdirs = _classify_stack(q, a, nu, lengths)
-    return SampleSet(words, lengths, q, a, nu, dirs, frames, tags, jdirs)
-
-
-def orbit_directions(generators, max_length, workers=None):
-    """(lengths, unit Cartan directions) of every reduced word of length
-    <= max_length: the part of enumerate_samples that shells need, with
-    no frames and no classification.  Zero rows mark words whose Cartan
-    vector vanishes."""
-    words, _, a, nu = _word_values(generators, max_length, workers)
-    return (words != _PAD).sum(axis=1), _unit_directions(_stack_cartan(a, nu))
+    """Every reduced word of length <= max_length, as a SampleSet whose
+    columns are computed when first read."""
+    return SampleSet(*_word_values(generators, max_length, workers))
 
 
 def _snap_unique(dirs: np.ndarray) -> np.ndarray:
@@ -442,14 +436,12 @@ def limit_cone_sample(generators, max_length, workers=None) -> np.ndarray:
     Conjugate words share the translation vector, so one cyclically reduced
     word per rotation class is enough: the necklaces, of which only the
     suffixes are ever grown.  The resulting directions are grid-snapped."""
-    words, q, a, nu = _necklace_values(generators, max_length, workers)
-    lengths = (words != _PAD).sum(axis=1)
-    tags, jdirs = _classify_stack(q, a, nu, lengths)
-    axial = np.array(["axial" in t for t in tags])
-    good = axial & ~np.isnan(jdirs[:, 0])
+    samples = SampleSet(*_necklace_values(generators, max_length, workers))
+    axial = np.array(["axial" in t for t in samples.tags])
+    good = axial & ~np.isnan(samples.jdirs[:, 0])
     if not good.any():
         raise EmptySample("no axial words found")
-    return _snap_unique(jdirs[good])
+    return _snap_unique(samples.jdirs[good])
 
 
 def directional_sample(
@@ -458,22 +450,21 @@ def directional_sample(
     """Cartan directions of words with length in [min_length, max_length]."""
     if min_length < 1:
         raise ValueError("min_length must be at least 1")
-    lengths, dirs = orbit_directions(generators, max_length, workers)
-    return directions_in_range(lengths, dirs, min_length, max_length)
+    samples = enumerate_samples(generators, max_length, workers)
+    return directions_in_range(samples, min_length, max_length)
 
 
-def directions_in_range(lengths, dirs, min_length, max_length) -> np.ndarray:
-    """Grid-snapped unit Cartan directions of the words with length in
-    [min_length, max_length], picked from per-word directions that
-    orbit_directions or enumerate_samples already computed.  A word's
-    direction is the same arithmetic whatever length its orbit was grown
-    to, so one orbit serves every shell up to its length."""
+def directions_in_range(samples, min_length, max_length) -> np.ndarray:
+    """Grid-snapped unit Cartan directions of the words of a SampleSet with
+    length in [min_length, max_length].  A word's direction is the same
+    arithmetic whatever length its orbit was grown to, so one orbit serves
+    every shell up to its length."""
     if min_length < 1:
         raise ValueError("min_length must be at least 1")
-    mask = (lengths >= min_length) & (lengths <= max_length)
+    mask = (samples.lengths >= min_length) & (samples.lengths <= max_length)
     if not mask.any():
         raise EmptySample("no words in the requested length range")
-    picked = dirs[mask]
+    picked = samples.dirs[mask]
     return _snap_unique(picked[picked.any(axis=1)])
 
 
@@ -495,18 +486,18 @@ def cone_theorem_check(
     to l_cone; the forward distance should shrink as the shell deepens.
     The cone and the deepest orbit are each grown once."""
     cone = limit_cone_sample(generators, l_cone, workers)
-    lengths = dirs = None
+    samples = None
     if lp_values:
-        lengths, dirs = orbit_directions(generators, max(lp_values), workers)
-    return cone_report(cone, lengths, dirs, lp_values, l_cone)
+        samples = enumerate_samples(generators, max(lp_values), workers)
+    return cone_report(cone, samples, lp_values, l_cone)
 
 
-def cone_report(cone, lengths, dirs, lp_values, l_cone) -> dict:
-    """The cone_theorem_check report from a computed cone and per-word
-    directions (as returned by orbit_directions) reaching max(lp_values)."""
+def cone_report(cone, samples, lp_values, l_cone) -> dict:
+    """The cone_theorem_check report from a computed cone and a SampleSet
+    reaching max(lp_values)."""
     rows = []
     for lp in lp_values:
-        shell = directions_in_range(lengths, dirs, lp, lp)
+        shell = directions_in_range(samples, lp, lp)
         rows.append(
             {
                 "shell_length": int(lp),
@@ -532,18 +523,18 @@ def _flag_embed(frames: np.ndarray) -> np.ndarray:
     return stack.reshape(len(frames), (n - 1) * n * n)
 
 
-def _exact_flag_dists(embed_rows, target_row, n):
-    diff = (embed_rows - target_row).reshape(len(embed_rows), n - 1, n * n)
+def _exact_flag_dists(embed_rows, target_rows, n):
+    diff = (embed_rows - target_rows).reshape(len(embed_rows), n - 1, n * n)
     return np.linalg.norm(diff, axis=2).max(axis=1)
 
 
-def _joint_dists(rows, row, n):
+def _joint_dists(rows, query, n):
     """max(flag distance, direction distance) from rows [projector chain,
-    direction] to one such row; on rows with no direction columns this is
-    the flag distance."""
+    direction] to the query rows paired with them, or to one query row; on
+    rows with no direction columns this is the flag distance."""
     flag_dim = (n - 1) * n * n
-    flag = _exact_flag_dists(rows[:, :flag_dim], row[:flag_dim], n)
-    direction = np.linalg.norm(rows[:, flag_dim:] - row[flag_dim:], axis=1)
+    flag = _exact_flag_dists(rows[:, :flag_dim], query[..., :flag_dim], n)
+    direction = np.linalg.norm(rows[:, flag_dim:] - query[..., flag_dim:], axis=1)
     return np.maximum(flag, direction)
 
 
@@ -551,15 +542,28 @@ def _nearest_exact(points, queries, exact, stretch):
     """(bound, best): the Euclidean and the exact nearest distance from
     each query row to the point rows.
 
-    exact(rows, query) is a metric d with d <= D <= stretch * d against
-    the Euclidean distance D, so the exact nearest point lies within
-    stretch * bound of the query, and only that ball is refined."""
+    exact(rows, query_rows) is a metric d, taken row by row, with
+    d <= D <= stretch * d against the Euclidean distance D, so the exact
+    nearest point lies within stretch * bound of the query, and only that
+    ball is refined.  The balls are flattened into (point, query) pairs
+    and refined a block of whole balls at a time, at most _REFINE_BLOCK
+    pairs unless one ball alone is larger."""
     tree = cKDTree(points)
     bound, _ = tree.query(queries)
     balls = tree.query_ball_point(queries, bound * stretch + 1e-12)
-    best = np.array(
-        [exact(points[ball], q).min() for ball, q in zip(balls, queries)]
-    )
+    sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    cand = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=sizes.sum())
+    owner = np.repeat(np.arange(len(queries)), sizes)
+    best = np.empty(len(queries))
+    lo = 0
+    while lo < len(queries):
+        hi = max(lo + 1, np.searchsorted(ends, starts[lo] + _REFINE_BLOCK, "right"))
+        pairs = slice(starts[lo], ends[hi - 1])
+        dists = exact(points[cand[pairs]], queries[owner[pairs]])
+        best[lo:hi] = np.minimum.reduceat(dists, starts[lo:hi] - starts[lo])
+        lo = hi
     return bound, best
 
 

@@ -348,6 +348,35 @@ def test_limitset_seed_flag_reaches_product(tmp_path, capsys):
     assert successes(["--seed", "1"]) != default
 
 
+def test_limitset_commands_skip_unread_columns(tmp_path, capsys, monkeypatch):
+    spec = cli.load_spec(spec_path("sl3_l2.json"))
+    gens, _, _ = cli.build_group(spec)
+    # The cone reads the classes of its necklaces; the orbits never do.
+    cone = limitset.limit_cone_sample(gens, 6)
+    monkeypatch.setattr(limitset, "limit_cone_sample", lambda *args: cone)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unread column was computed")
+
+    for name in ("_classify_stack", "_stack_log_moduli"):
+        monkeypatch.setattr(limitset, name, refuse)
+    for sub in ("minimality", "product", "cone"):
+        code, run = _run(
+            capsys,
+            [
+                "limitset", sub,
+                "--input", spec_path("sl3_l2.json"),
+                "--out", str(tmp_path / sub),
+                "--max-word-length", "5",
+                "--cone-word-length", "6",
+                "--target-length", "3",
+                "--format", "json",
+            ],
+        )
+        assert code == 0, sub
+        assert sub in run["metrics"]
+
+
 def test_limitset_empty_sample_exit_code(tmp_path, capsys):
     # A rotation generator produces no axial words: the cone is empty.
     theta = 0.7

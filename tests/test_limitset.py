@@ -121,6 +121,46 @@ def test_classification_tags():
     assert np.allclose(samples.jdirs[ab], expect, atol=1e-10)
 
 
+def _direct_columns(samples):
+    """Every derived column of a SampleSet, computed outside it."""
+    tags, jdirs = limitset._classify_stack(
+        samples.q, samples.a, samples.nu, samples.lengths
+    )
+    h = limitset._stack_cartan(samples.a, samples.nu)
+    norms = np.linalg.norm(h, axis=1)
+    nz = norms > 1e-12
+    dirs = np.zeros_like(h)
+    dirs[nz] = h[nz] / norms[nz, None]
+    shift = samples.a.max(axis=1)
+    graded = np.exp(samples.a - shift[:, None])[:, :, None] * samples.nu
+    return {
+        "dirs": dirs,
+        "frames": np.einsum("nij,njk->nik", samples.q, np.linalg.svd(graded)[0]),
+        "tags": tags,
+        "jdirs": jdirs,
+        "overflow": samples.a.max(axis=1) > limitset._LOG_OVERFLOW,
+    }
+
+
+def test_lazy_columns_are_bit_identical_in_any_order(sl3_group):
+    rng = np.random.default_rng(11)
+    for gens, length in (
+        (sl3_group[0], 5),
+        ([random_sl(rng, 4), random_sl(rng, 4)], 3),
+    ):
+        first = limitset.enumerate_samples(gens, length)
+        second = limitset.enumerate_samples(gens, length)
+        for name in ("tags", "frames", "dirs"):
+            getattr(first, name)
+        for name in ("dirs", "frames", "tags"):
+            getattr(second, name)
+        for name, expect in _direct_columns(first).items():
+            for samples in (first, second):
+                assert np.array_equal(
+                    getattr(samples, name), expect, equal_nan=name == "jdirs"
+                ), name
+
+
 def test_limit_cone_single_axial():
     gamma = np.diag([np.exp(2.0), np.e, np.exp(-3.0)])
     dirs = limitset.limit_cone_sample([gamma], 4)
@@ -317,8 +357,8 @@ def _joint_metric(n):
     flag_dim = (n - 1) * n * n
 
     def joint(rows, q):
-        flag = limitset._exact_flag_dists(rows[:, :flag_dim], q[:flag_dim], n)
-        direction = np.linalg.norm(rows[:, flag_dim:] - q[flag_dim:], axis=1)
+        flag = limitset._exact_flag_dists(rows[:, :flag_dim], q[..., :flag_dim], n)
+        direction = np.linalg.norm(rows[:, flag_dim:] - q[..., flag_dim:], axis=1)
         return np.maximum(flag, direction)
 
     return joint
@@ -356,6 +396,51 @@ def test_nearest_exact_is_brute_force_minimum(sl3_group):
             joint, queries, _joint_metric(n), np.sqrt(n - 1) + 1.0
         )
         assert np.array_equal(best, _brute_nearest(joint, queries, _joint_metric(n))[1])
+
+
+def test_nearest_exact_blocks_change_no_bit(sl3_group, monkeypatch):
+    _, _, table = sl3_group
+    rng = np.random.default_rng(7)
+    samples = limitset.enumerate_samples(table.effective_generators(), 5)
+    n = samples.n
+    points = np.concatenate(
+        [limitset._flag_embed(samples.frames), samples.dirs], axis=1
+    )
+    # Product pairs: one word's flag with another's direction.  Their balls
+    # range from one row to dozens.
+    pairs = rng.choice(len(samples), size=(40, 2))
+    queries = np.concatenate(
+        [points[pairs[:, 0], :-n], points[pairs[:, 1], -n:]], axis=1
+    )
+    stretch = np.sqrt(n - 1) + 1.0
+    calls = []
+
+    def exact(rows, q):
+        calls.append(len(rows))
+        return limitset._joint_dists(rows, q, n)
+
+    bound, best = limitset._nearest_exact(points, queries, exact, stretch)
+    assert calls == [sum(calls)] and sum(calls) <= limitset._REFINE_BLOCK
+    sizes = [
+        len(ball)
+        for ball in limitset.cKDTree(points).query_ball_point(
+            queries, bound * stretch + 1e-12
+        )
+    ]
+    monkeypatch.setattr(limitset, "_REFINE_BLOCK", 7)
+    calls.clear()
+    blocked = limitset._nearest_exact(points, queries, exact, stretch)
+    assert np.array_equal(blocked[0], bound)
+    assert np.array_equal(blocked[1], best)
+    # Blocks of several balls split the stack, and a ball above the block
+    # size is refined on its own.
+    assert any(1 < c <= 7 and c not in sizes for c in calls)
+    assert any(c > 7 for c in calls)
+    assert all(c <= 7 or c in sizes for c in calls)
+    assert sum(calls) == sum(sizes)
+    calls.clear()
+    bound, best = limitset._nearest_exact(points, queries[:0], exact, stretch)
+    assert bound.shape == best.shape == (0,) and not calls
 
 
 def test_minimality_and_axdens_distances_are_brute_force(sl3_group):
@@ -406,6 +491,33 @@ def test_minimality_without_targets(sl3_group):
     assert report["all_approached"] is True
     assert report["approached_fraction"] == 1.0
     assert report["worst_target_distance"] == 0.0
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return refuse
+
+
+def test_checks_compute_only_the_columns_they_read(sl3_group, monkeypatch):
+    gens, _, table = sl3_group
+    # The cone reads the classes of its necklaces; the orbits never do.
+    cone = limitset.limit_cone_sample(gens, 6)
+    monkeypatch.setattr(limitset, "limit_cone_sample", lambda *args: cone)
+    for name in ("_classify_stack", "_stack_log_moduli"):
+        monkeypatch.setattr(limitset, name, _refuse(name))
+    targets = [point.flag for point in table.points]
+    with monkeypatch.context() as patch:
+        # Minimality reads no Cartan direction either.
+        patch.setattr(limitset, "_stack_cartan", _refuse("_stack_cartan"))
+        report = limitset.minimality_check(table, table.points[1], targets, 4)
+    assert report["targets"] == len(targets)
+    report = limitset.product_structure_check(table, 4, pair_count=20)
+    assert report["pairs"] == 20
+    assert len(limitset.directional_sample(gens, 5, min_length=4))
+    report = limitset.cone_theorem_check(gens, lp_values=(3, 5), l_cone=6)
+    assert [row["shell_length"] for row in report["rows"]] == [3, 5]
 
 
 @pytest.mark.parametrize(
