@@ -31,6 +31,7 @@ from .errors import (
     IllConditionedSpectrum,
     PowerExhausted,
     RankrError,
+    SpecError,
 )
 
 EXIT_OK = 0
@@ -39,10 +40,6 @@ EXIT_ILL_CONDITIONED = 2
 EXIT_POWER_EXHAUSTED = 3
 EXIT_CERT_FAILED = 4
 EXIT_EMPTY_SAMPLE = 5
-
-
-class SpecError(Exception):
-    pass
 
 
 def config_hash(spec: dict) -> str:
@@ -260,9 +257,11 @@ def cmd_limitset(args) -> int:
     for flag in ("max_word_length", "cone_word_length", "target_length"):
         if getattr(args, flag) < 1:
             raise SpecError(f"--{flag.replace('_', '-')} must be at least 1")
+    if args.workers is not None and args.workers < 1:
+        raise SpecError("--workers must be at least 1")
+    workers = limitset.resolve_workers(args.workers)
     os.makedirs(args.out, exist_ok=True)
     gens, names, table = build_group(spec)
-    workers = args.workers
     outputs = []
     checks = {}
     metrics = {}
@@ -394,9 +393,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
     except (IllConditionedCell, IllConditionedSpectrum) as exc:
         print(f"numerical reliability error: {exc}", file=sys.stderr)
         return EXIT_ILL_CONDITIONED

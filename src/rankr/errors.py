@@ -5,6 +5,10 @@ class RankrError(Exception):
     """Base class for all errors raised by rankr."""
 
 
+class SpecError(RankrError):
+    """Malformed input: a group spec, a command-line flag or a setting."""
+
+
 class DimensionMismatch(RankrError):
     pass
 

@@ -16,6 +16,7 @@ Exterior powers of a stack (compounds) are built in one pass: the
 Laplace expansion along its first row over the minors one size smaller.
 """
 
+import threading
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -190,6 +191,14 @@ def rank_with_band(m, tol: float = defaults.EPS_RANK):
 # Graded stacks e^{diag a} m
 
 
+# Two threads taking batched 2x2 determinants at the same time ran three
+# times slower than the same calls one after another (numpy's bundled
+# OpenBLAS, probably contention in the shared work-buffer allocator that
+# every getrf call goes through).  So compounds called from several
+# threads take turns at the determinant and overlap in the rest.
+_DET_LOCK = threading.Lock()
+
+
 def compounds(m: np.ndarray, top: int) -> list:
     """Exterior powers [C_1(m), ..., C_top(m)] of each matrix in a stack.
 
@@ -204,9 +213,9 @@ def compounds(m: np.ndarray, top: int) -> list:
         return out[:top]
     combos = list(combinations(range(n), 2))
     pairs = np.array(combos)
-    out.append(
-        np.linalg.det(m[:, pairs[:, None, :, None], pairs[None, :, None, :]])
-    )
+    blocks = m[:, pairs[:, None, :, None], pairs[None, :, None, :]]
+    with _DET_LOCK:
+        out.append(np.linalg.det(blocks))
     for k in range(3, top + 1):
         pos = {c: i for i, c in enumerate(combos)}
         combos = list(combinations(range(n), k))

@@ -27,8 +27,10 @@ about a seventh of the reduced words at cone length 11.
 
 Emitted sample order is the depth-first preorder of the word tree with
 children in fixed alphabet order (a < a' < b < b' < ...), recovered by a
-single lexicographic sort, so the stream is byte-identical for any
-worker count.
+single lexicographic sort.  Word growth runs one letter's subtree per
+thread, and the moduli, Cartan and frame kernels run in equal row blocks
+on the same worker pool; every row is computed on its own, so the stream
+is byte-identical for any worker count.
 """
 
 import os
@@ -47,23 +49,55 @@ from .errors import (
     IdentityInput,
     IllConditionedSpectrum,
     InsufficientGenerators,
+    SpecError,
 )
 
 _PAD = -1
 _LOG_OVERFLOW = 345.0  # log 1e150
-_MODULI_BLOCK = 1 << 16
+_MODULI_BLOCK = 1 << 16  # matrix entries per row block of the stack kernels
 _CSV_BLOCK = 1024
 _REFINE_BLOCK = 1 << 12  # (point, query) pairs per batched refine
 
 
 def resolve_workers(workers=None) -> int:
-    """An explicit worker count wins; else RANKR_THREADS; else the CPU count."""
+    """An explicit worker count wins (below 1 means 1); else RANKR_THREADS,
+    which must be a positive integer; else the CPU count."""
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get("RANKR_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            count = int(env)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise SpecError(f"RANKR_THREADS must be a positive integer, got {env!r}")
+        return count
     return os.cpu_count() or 1
+
+
+def _fan_out(fn, items, workers=None) -> list:
+    """[fn(x) for x in items], on min(workers, len(items)) threads when
+    that is more than one.  Every stage fanned out here is LAPACK calls and
+    large elementwise operations, which release the GIL."""
+    count = min(resolve_workers(workers), len(items))
+    if count < 2:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=count) as pool:
+        return list(pool.map(fn, items))
+
+
+def _row_blocks(count, step) -> list:
+    """Slices of equal blocks of at most step rows that cover count rows.
+
+    The stack kernels compute each row on its own, so neither the blocks
+    nor the thread that runs each one change a bit, as long as no block is
+    a lone row that the stack is not (numpy's einsum takes another loop
+    for a batch of one): with step >= 4, every block of a stack of two or
+    more rows holds at least two."""
+    parts = max(1, -(-count // max(1, step)))
+    edges = [count * i // parts for i in range(parts + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 def word_count(l: int, max_length: int) -> int:
@@ -179,17 +213,11 @@ def _word_values(generators, max_length, workers=None, targets=None):
         raise ValueError("max_length must be at least 1")
     letters = _letter_stack(generators)
     n = letters.shape[-1]
-    count = resolve_workers(workers)
-    blocks = list(range(len(letters)))
-    if count > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=min(count, len(blocks))) as pool:
-            results = list(
-                pool.map(
-                    lambda s: _grow_block(letters, s, max_length, targets), blocks
-                )
-            )
-    else:
-        results = [_grow_block(letters, s, max_length, targets) for s in blocks]
+    results = _fan_out(
+        lambda s: _grow_block(letters, s, max_length, targets),
+        range(len(letters)),
+        workers,
+    )
     # Per field: the identity row, then the per-letter blocks.
     heads = (
         np.full((1, max_length), _PAD, dtype=np.int8),
@@ -225,16 +253,38 @@ def _materialize(q, a, nu):
     return np.einsum("nij,njk->nik", q, np.exp(a)[:, :, None] * nu)
 
 
-def _stack_cartan(a, nu):
+def _stack_cartan(a, nu, workers=None):
     """Centered log singular values of a stack of factored words.
 
     The graded factor e^a nu goes through the graded SVD kernel, which
-    keeps the small singular values however squeezed the word is."""
-    ls = kernel.graded_log_singular_values(a, nu)
+    keeps the small singular values however squeezed the word is; blocks
+    of at most _MODULI_BLOCK entries run on the worker pool."""
+    ls = np.empty(a.shape)
+
+    def block(rows):
+        ls[rows] = kernel.graded_log_singular_values(a[rows], nu[rows])
+
+    _fan_out(block, _row_blocks(len(a), _MODULI_BLOCK // a.shape[1] ** 2), workers)
     return ls - ls.mean(axis=1, keepdims=True)
 
 
-def _stack_log_moduli(q, a, nu):
+def _stack_frames(q, a, nu, workers=None):
+    """Left singular frames of each e^a nu, rotated by q: the angular flags
+    of a stack of factored words, in blocks of at most _MODULI_BLOCK
+    entries on the worker pool."""
+    frames = np.empty(q.shape)
+
+    def block(rows):
+        shift = a[rows].max(axis=1)
+        graded = np.exp(a[rows] - shift[:, None])[:, :, None] * nu[rows]
+        u, _, _ = np.linalg.svd(graded)
+        frames[rows] = np.einsum("nij,njk->nik", q[rows], u)
+
+    _fan_out(block, _row_blocks(len(q), _MODULI_BLOCK // q.shape[-1] ** 2), workers)
+    return frames
+
+
+def _stack_log_moduli(q, a, nu, workers=None):
     """Centered log eigenvalue moduli of a stack of factored words.
 
     |l_1 ... l_k| is the dominant eigenvalue modulus of the k-th exterior
@@ -245,16 +295,8 @@ def _stack_log_moduli(q, a, nu):
     the 2-minors and a Laplace expansion over those for every larger minor."""
     count, n = a.shape
     cum = np.zeros((n + 1, count))
-    # Blocks of at most _MODULI_BLOCK entries per exterior power keep the
-    # Laplace passes in cache and the memory bounded at any word count.
-    # Every row is computed on its own, and equal blocks never hold a lone
-    # row (numpy's einsum takes another loop for a batch of one), so the
-    # blocks change no bit.
-    step = max(1, _MODULI_BLOCK // comb(n, n // 2) ** 2)
-    parts = max(1, -(-count // step))
-    edges = [count * i // parts for i in range(parts + 1)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        rows = slice(lo, hi)
+
+    def block(rows):
         powers = zip(
             kernel.compounds(q[rows], n - 1), kernel.compounds(nu[rows], n - 1)
         )
@@ -268,6 +310,11 @@ def _stack_log_moduli(q, a, nu):
             scale = np.maximum(np.abs(m).max(axis=(1, 2)), 1e-300)
             top = np.abs(np.linalg.eigvals(m / scale[:, None, None])).max(axis=1)
             cum[k, rows] = np.log(np.maximum(top, 1e-300)) + np.log(scale) + shift
+
+    # Blocks of at most _MODULI_BLOCK entries per exterior power keep the
+    # Laplace passes in cache and the memory bounded at any word count.
+    step = _MODULI_BLOCK // comb(n, n // 2) ** 2
+    _fan_out(block, _row_blocks(count, step), workers)
     cum[n] = a.sum(axis=1)
     lm = np.diff(cum, axis=0).T
     lm = np.sort(lm, axis=1)[:, ::-1]
@@ -279,16 +326,19 @@ class SampleSet:
 
     Word values live in the factored form q e^a nu (see module notes);
     value(i) assembles the actual matrix.  The columns dirs, frames, tags,
-    jdirs and overflow are computed on first access, each over the whole
-    stack in one call (numpy's einsum takes another loop for a batch of
-    one, so never row by row): a check pays only for the columns it reads."""
+    jdirs and overflow are computed on first access, in equal row blocks on
+    the worker pool (numpy's einsum takes another loop for a batch of one,
+    so never row by row): a check pays only for the columns it reads.
+    workers is the pool size the columns are computed with (see
+    resolve_workers); it changes no bit of them."""
 
-    def __init__(self, words, q, a, nu):
+    def __init__(self, words, q, a, nu, workers=None):
         self.words = words
         self.lengths = (words != _PAD).sum(axis=1)
         self.q = q
         self.a = a
         self.nu = nu
+        self.workers = resolve_workers(workers)
 
     def __len__(self):
         return len(self.lengths)
@@ -300,21 +350,17 @@ class SampleSet:
     @cached_property
     def dirs(self) -> np.ndarray:
         # Unit Cartan directions; rows whose Cartan vector vanishes stay 0.
-        h = _stack_cartan(self.a, self.nu)
+        h = _stack_cartan(self.a, self.nu, self.workers)
         norms = np.linalg.norm(h, axis=1, keepdims=True)
         return np.divide(h, norms, out=np.zeros_like(h), where=norms > 1e-12)
 
     @cached_property
     def frames(self) -> np.ndarray:
-        # Left singular frames of e^a nu, rotated by q.
-        shift = self.a.max(axis=1)
-        graded = np.exp(self.a - shift[:, None])[:, :, None] * self.nu
-        u, _, _ = np.linalg.svd(graded)
-        return np.einsum("nij,njk->nik", self.q, u)
+        return _stack_frames(self.q, self.a, self.nu, self.workers)
 
     @cached_property
     def _classes(self):
-        return _classify_stack(self.q, self.a, self.nu, self.lengths)
+        return _classify_stack(self.q, self.a, self.nu, self.lengths, self.workers)
 
     tags = property(lambda self: self._classes[0])
     jdirs = property(lambda self: self._classes[1])  # NaN rows when not axial
@@ -334,7 +380,7 @@ class SampleSet:
         return _materialize(self.q, self.a, self.nu)
 
 
-def _classify_stack(q, a, nu, lengths):
+def _classify_stack(q, a, nu, lengths, workers=None):
     """Per-row class tags and Jordan directions for a factored word stack.
 
     Distinct eigenvalue moduli force a regular axial isometry (each
@@ -342,7 +388,7 @@ def _classify_stack(q, a, nu, lengths):
     of a free discrete group; the rare remainder goes through the exact
     per-matrix classifier."""
     count, n = a.shape
-    ell = _stack_log_moduli(q, a, nu)
+    ell = _stack_log_moduli(q, a, nu, workers)
     norms = np.linalg.norm(ell, axis=1)
     gaps = np.min(ell[:, :-1] - ell[:, 1:], axis=1)
     tags = np.empty(count, dtype=object)
@@ -374,7 +420,7 @@ def _classify_stack(q, a, nu, lengths):
 def enumerate_samples(generators, max_length, workers=None) -> SampleSet:
     """Every reduced word of length <= max_length, as a SampleSet whose
     columns are computed when first read."""
-    return SampleSet(*_word_values(generators, max_length, workers))
+    return SampleSet(*_word_values(generators, max_length, workers), workers)
 
 
 def _snap_unique(dirs: np.ndarray) -> np.ndarray:
@@ -436,7 +482,7 @@ def limit_cone_sample(generators, max_length, workers=None) -> np.ndarray:
     Conjugate words share the translation vector, so one cyclically reduced
     word per rotation class is enough: the necklaces, of which only the
     suffixes are ever grown.  The resulting directions are grid-snapped."""
-    samples = SampleSet(*_necklace_values(generators, max_length, workers))
+    samples = SampleSet(*_necklace_values(generators, max_length, workers), workers)
     axial = np.array(["axial" in t for t in samples.tags])
     good = axial & ~np.isnan(samples.jdirs[:, 0])
     if not good.any():

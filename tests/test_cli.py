@@ -456,6 +456,55 @@ def test_limitset_rejects_word_lengths_below_one(tmp_path, capsys):
         assert f"{flag} must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_limitset_rejects_workers_below_one(tmp_path, capsys, count):
+    out = tmp_path / "out"
+    code = cli.main(
+        [
+            "limitset", "enumerate",
+            "--input", spec_path("sl2_classical.json"),
+            "--out", str(out),
+            "--max-word-length", "2",
+            "--workers", count,
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "--workers must be at least 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_limitset_rejects_malformed_rankr_threads(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("RANKR_THREADS", value)
+    out = tmp_path / "out"
+    code = cli.main(
+        [
+            "limitset", "enumerate",
+            "--input", spec_path("sl2_classical.json"),
+            "--out", str(out),
+            "--max-word-length", "2",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "RANKR_THREADS must be a positive integer" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    # An explicit --workers wins over the variable.
+    code, _ = _run(
+        capsys,
+        [
+            "limitset", "enumerate",
+            "--input", spec_path("sl2_classical.json"),
+            "--out", str(out),
+            "--max-word-length", "2",
+            "--workers", "1",
+        ],
+    )
+    assert code == 0
+
+
 def test_run_report_contains_config_hash(tmp_path, capsys):
     out = str(tmp_path / "out")
     code, run = _run(

@@ -1,11 +1,13 @@
 import itertools
+import sys
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
 
 from rankr import boundary, decompositions, isometries, kernel, limitset
-from rankr.errors import EmptySample, InsufficientGenerators
+from rankr.errors import EmptySample, InsufficientGenerators, SpecError
 from conftest import (
     ball_product_successes,
     cyclic_canonical,
@@ -35,6 +37,10 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.setenv("RANKR_THREADS", "2")
     assert limitset.resolve_workers() == 2
     assert limitset.resolve_workers(7) == 7
+    monkeypatch.setenv("RANKR_THREADS", "2.5")
+    with pytest.raises(SpecError, match="RANKR_THREADS"):
+        limitset.resolve_workers()
+    assert limitset.resolve_workers(3) == 3
 
 
 def test_enumerate_counts_and_order():
@@ -548,6 +554,106 @@ def test_worker_counts_agree():
         assert np.array_equal(base.a, other.a)
         assert np.array_equal(base.q, other.q)
         assert np.array_equal(base.nu, other.nu)
+
+
+def _block_stack(sl3_group, case):
+    """(words, q, a, nu, rows): a word stack and a block size in rows that
+    splits it into at least 3 blocks of two sizes."""
+    if case == "sl3":
+        gens, length, rows = sl3_group[0], 6, 400
+    else:
+        rng = np.random.default_rng(23)
+        gens, length, rows = [random_sl(rng, 8), random_sl(rng, 8)], 3, 12
+    words, q, a, nu = limitset._word_values(gens, length, workers=1)
+    blocks = limitset._row_blocks(len(words), rows)
+    assert len(blocks) >= 3
+    assert len({b.stop - b.start for b in blocks}) == 2
+    return words, q, a, nu, rows
+
+
+def _blocked(monkeypatch, entries, fn):
+    """fn() with _MODULI_BLOCK set to entries."""
+    with monkeypatch.context() as patched:
+        patched.setattr(limitset, "_MODULI_BLOCK", entries)
+        return fn()
+
+
+@pytest.mark.parametrize("case", ["sl3", "sl8"])
+def test_blocks_and_workers_change_no_bit(sl3_group, monkeypatch, case):
+    # Blocks write disjoint rows of one output; frequent thread switches
+    # and more workers than cores would expose a lost or misplaced write.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _check_blocks_and_workers(sl3_group, monkeypatch, case)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _check_blocks_and_workers(sl3_group, monkeypatch, case):
+    words, q, a, nu, rows = _block_stack(sl3_group, case)
+    n = q.shape[-1]
+    # Entries per block that give `rows` rows per block in each kernel.
+    moduli_entries = rows * comb(n, n // 2) ** 2
+    row_entries = rows * n * n
+    whole = 1 << 40
+    kernels = [
+        ("moduli", moduli_entries, lambda w: limitset._stack_log_moduli(q, a, nu, w)),
+        ("cartan", row_entries, lambda w: limitset._stack_cartan(a, nu, w)),
+        ("frames", row_entries, lambda w: limitset._stack_frames(q, a, nu, w)),
+    ]
+    for name, entries, fn in kernels:
+        want = _blocked(monkeypatch, whole, lambda: fn(1))
+        for workers in (1, 2, 3):
+            got = _blocked(monkeypatch, entries, lambda: fn(workers))
+            assert np.array_equal(got, want), (name, workers)
+
+    def columns(workers, moduli, row):
+        samples = limitset.SampleSet(words, q, a, nu, workers)
+        _blocked(monkeypatch, moduli, lambda: samples.tags)
+        _blocked(monkeypatch, row, lambda: (samples.dirs, samples.frames))
+        return samples
+
+    want = columns(1, whole, whole)
+    for workers in (1, 2, 3):
+        got = columns(workers, moduli_entries, row_entries)
+        assert got.workers == workers
+        assert np.array_equal(got.tags, want.tags)
+        assert np.array_equal(got.jdirs, want.jdirs, equal_nan=True)
+        assert np.array_equal(got.dirs, want.dirs)
+        assert np.array_equal(got.frames, want.frames)
+
+
+def test_pools_start_one_thread_per_block_at_most(sl3_group, monkeypatch):
+    started = []
+    pool = limitset.ThreadPoolExecutor
+
+    def recording(max_workers):
+        started.append(max_workers)
+        # A real pool, never larger than the blocks of this test.
+        return pool(max_workers=min(max_workers, 4))
+
+    monkeypatch.setattr(limitset, "ThreadPoolExecutor", recording)
+    _, q, a, nu, _ = _block_stack(sl3_group, "sl3")
+    three = 500 * 9  # 3 blocks of 485 or 486 rows at n = 3
+    assert len(limitset._row_blocks(len(a), three // 9)) == 3
+    for fn in (
+        lambda w: limitset._stack_log_moduli(q, a, nu, w),
+        lambda w: limitset._stack_cartan(a, nu, w),
+        lambda w: limitset._stack_frames(q, a, nu, w),
+    ):
+        _blocked(monkeypatch, three, lambda: fn(64))
+        assert started == [3]
+        # One worker, or one block, starts no pool.
+        _blocked(monkeypatch, three, lambda: fn(1))
+        _blocked(monkeypatch, 1 << 40, lambda: fn(64))
+        assert started == [3]
+        started.clear()
+    # Word growth: one block per letter.
+    limitset._word_values(_shear_pair(), 3, workers=64)
+    assert started == [4]
+    limitset._word_values(_shear_pair(), 3, workers=1)
+    assert started == [4]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
