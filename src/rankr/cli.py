@@ -57,7 +57,7 @@ def _spec_matrix(value, shape, what) -> np.ndarray:
     """A finite float array of the given shape, or a SpecError naming it."""
     try:
         m = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise SpecError(f"{what} is not numeric: {exc}")
     if m.shape != shape or not np.all(np.isfinite(m)):
         size = "x".join(str(d) for d in shape)
@@ -76,6 +76,9 @@ def load_spec(path: str) -> dict:
     n = spec["n"]
     if not isinstance(n, int) or not 2 <= n <= 8:
         raise SpecError("n must be an integer in [2, 8]")
+    seed = spec.get("seed", 0)
+    if type(seed) is not int or seed < 0:
+        raise SpecError("seed must be a non-negative integer")
     if spec.get("tolerances", {}) != {}:
         raise SpecError(
             "'tolerances' is not read by any command; leave it out or use {}"
@@ -108,6 +111,10 @@ def load_spec(path: str) -> dict:
             _spec_matrix(frame, (n, n), f"flag frame {i}")
         for i, ell in enumerate(recipe["L"]):
             _spec_matrix(ell, (n,), f"L vector {i}")
+        for key in ("radius_policy", "radius_scale"):
+            value = recipe.get(key, 1.0)
+            if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
+                raise SpecError(f"{key} must be a finite number above 0")
     return spec
 
 
@@ -147,11 +154,11 @@ def _parse_matrix(args, spec):
     if args.matrix:
         try:
             m = np.asarray(json.loads(args.matrix), dtype=float)
-        except (json.JSONDecodeError, ValueError) as exc:
+        except (json.JSONDecodeError, TypeError, ValueError) as exc:
             raise SpecError(f"bad inline matrix: {exc}")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise SpecError("inline matrix must be square")
-        return m
+        return _spec_matrix(m, m.shape, "inline matrix")
     if spec and "generators" in spec:
         return np.asarray(spec["generators"][0]["matrix"], dtype=float)
     raise SpecError("decompose needs --matrix or a spec with generators")
@@ -213,6 +220,8 @@ def _run_report(args, spec, checks, metrics, outputs):
 
 def cmd_schottky(args) -> int:
     spec = load_spec(args.input)
+    if args.resolution < 1:
+        raise SpecError("--resolution must be at least 1")
     os.makedirs(args.out, exist_ok=True)
     if args.action == "check":
         with open(args.table, "r", encoding="utf-8") as fh:
@@ -259,6 +268,10 @@ def cmd_limitset(args) -> int:
             raise SpecError(f"--{flag.replace('_', '-')} must be at least 1")
     if args.workers is not None and args.workers < 1:
         raise SpecError("--workers must be at least 1")
+    if not 0.0 < args.tol <= sys.float_info.max:
+        raise SpecError("--tol must be finite and above 0")
+    if args.seed is not None and args.seed < 0:
+        raise SpecError("--seed must be a non-negative integer")
     workers = limitset.resolve_workers(args.workers)
     os.makedirs(args.out, exist_ok=True)
     gens, names, table = build_group(spec)
@@ -310,12 +323,10 @@ def cmd_limitset(args) -> int:
                 gens, args.target_length, workers
             )
             shell = probe.lengths == args.target_length
-            frames = boundary.canonical_frames(probe.frames[shell])
-            targets = [boundary.Flag(f) for f in frames]
             report = limitset.minimality_check(
                 table,
                 table.points[1],
-                targets,
+                probe.frames[shell],
                 args.max_word_length,
                 eps=args.tol,
                 workers=workers,

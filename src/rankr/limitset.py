@@ -36,7 +36,7 @@ is byte-identical for any worker count.
 import os
 import string
 from concurrent.futures import ThreadPoolExecutor
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 from math import comb
 
@@ -569,45 +569,50 @@ def _flag_embed(frames: np.ndarray) -> np.ndarray:
     return stack.reshape(len(frames), (n - 1) * n * n)
 
 
-def _exact_flag_dists(embed_rows, target_rows, n):
-    diff = (embed_rows - target_rows).reshape(len(embed_rows), n - 1, n * n)
-    return np.linalg.norm(diff, axis=2).max(axis=1)
+def _exact_flag_dists(frames, centers):
+    """Flag distance from each frame's flag to its paired center frame's."""
+    return boundary.standard_flag_distances(centers.mT @ frames)
 
 
-def _joint_dists(rows, query, n):
-    """max(flag distance, direction distance) from rows [projector chain,
-    direction] to the query rows paired with them, or to one query row; on
-    rows with no direction columns this is the flag distance."""
-    flag_dim = (n - 1) * n * n
-    flag = _exact_flag_dists(rows[:, :flag_dim], query[..., :flag_dim], n)
-    direction = np.linalg.norm(rows[:, flag_dim:] - query[..., flag_dim:], axis=1)
-    return np.maximum(flag, direction)
-
-
-def _nearest_exact(points, queries, exact, stretch):
+def _nearest_exact(points, queries):
     """(bound, best): the Euclidean and the exact nearest distance from
-    each query row to the point rows.
+    each query to the points.
 
-    exact(rows, query_rows) is a metric d, taken row by row, with
-    d <= D <= stretch * d against the Euclidean distance D, so the exact
-    nearest point lies within stretch * bound of the query, and only that
-    ball is refined.  The balls are flattened into (point, query) pairs
-    and refined a block of whole balls at a time, at most _REFINE_BLOCK
-    pairs unless one ball alone is larger."""
-    tree = cKDTree(points)
-    bound, _ = tree.query(queries)
-    balls = tree.query_ball_point(queries, bound * stretch + 1e-12)
+    points and queries are (frames, dirs) pairs, dirs None or unit Cartan
+    directions.  The exact distance d is the flag distance, or its max with
+    the direction distance.  The KD rows [_flag_embed(frames), dirs] have
+    d <= D <= stretch * d against their Euclidean distance D, stretch
+    sqrt(n-1) (plus 1 with dirs), so the exact nearest point lies within
+    stretch * bound of the query, and only that ball is refined.  The
+    balls are flattened into (point, query) pairs and refined a block of
+    whole balls at a time, at most _REFINE_BLOCK pairs unless one ball
+    alone is larger."""
+    (frames, dirs), (query_frames, query_dirs) = points, queries
+    stretch = np.sqrt(frames.shape[-1] - 1) + (dirs is not None)
+
+    def embed(frames, dirs):
+        rows = _flag_embed(frames)
+        return rows if dirs is None else np.concatenate([rows, dirs], axis=1)
+
+    tree = cKDTree(embed(frames, dirs))
+    rows = embed(query_frames, query_dirs)
+    bound, _ = tree.query(rows)
+    balls = tree.query_ball_point(rows, bound * stretch + 1e-12)
     sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
     ends = np.cumsum(sizes)
     starts = ends - sizes
     cand = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=sizes.sum())
-    owner = np.repeat(np.arange(len(queries)), sizes)
-    best = np.empty(len(queries))
+    owner = np.repeat(np.arange(len(rows)), sizes)
+    best = np.empty(len(rows))
     lo = 0
-    while lo < len(queries):
+    while lo < len(rows):
         hi = max(lo + 1, np.searchsorted(ends, starts[lo] + _REFINE_BLOCK, "right"))
         pairs = slice(starts[lo], ends[hi - 1])
-        dists = exact(points[cand[pairs]], queries[owner[pairs]])
+        point, query = cand[pairs], owner[pairs]
+        dists = _exact_flag_dists(frames[point], query_frames[query])
+        if dirs is not None:
+            direction = np.linalg.norm(dirs[point] - query_dirs[query], axis=1)
+            dists = np.maximum(dists, direction)
         best[lo:hi] = np.minimum.reduceat(dists, starts[lo:hi] - starts[lo])
         lo = hi
     return bound, best
@@ -629,21 +634,16 @@ def minimality_check(
 ) -> dict:
     """Orbit density and neighborhood containment for a certified table.
 
-    (a) every target flag must be eps-approached by the orbit of xi0 under
-    words of length <= max_length; (b) every angular flag of a word of
-    length >= 2 must land inside the union of the table neighborhoods."""
+    (a) the flag of every target frame, an (N, n, n) stack of orthonormal
+    frames, must be eps-approached by the orbit of xi0 under words of
+    length <= max_length; (b) every angular flag of a word of length >= 2
+    must land inside the union of the table neighborhoods."""
     generators = table.effective_generators()
     samples = enumerate_samples(generators, max_length, workers)
     n = samples.n
-    frame0 = boundary.flag_frame(xi0.flag)
-    prod = np.einsum("nij,jk->nik", samples.values(), frame0)
-    embed = _flag_embed(kernel.qr_pos(prod)[0])
-    queries = _flag_embed(
-        np.array([boundary.flag_frame(t) for t in targets]).reshape(-1, n, n)
-    )
-    bound, best = _nearest_exact(
-        embed, queries, partial(_joint_dists, n=n), np.sqrt(n - 1)
-    )
+    prod = np.einsum("nij,jk->nik", samples.values(), boundary.flag_frame(xi0.flag))
+    targets = np.asarray(targets, dtype=float).reshape(-1, n, n)
+    bound, best = _nearest_exact((kernel.qr_pos(prod)[0], None), (targets, None))
     approached = best < eps
     worst = float(np.where(approached, best, bound).max(initial=0.0))
     long_mask = samples.lengths >= 2
@@ -669,21 +669,15 @@ def product_structure_check(
     least 2; a pair succeeds when a single word realizes both within eps."""
     generators = table.effective_generators()
     samples = enumerate_samples(generators, max_length, workers)
-    n = samples.n
     idx = np.flatnonzero(samples.lengths >= 2)
-    rows = np.concatenate(
-        [_flag_embed(samples.frames[idx]), samples.dirs[idx]], axis=1
-    )
+    frames, dirs = samples.frames[idx], samples.dirs[idx]
     rng = np.random.default_rng(seed)
     pairs = np.array(
         [rng.choice(len(idx), size=2, replace=False) for _ in range(pair_count)]
     )
     # A pair (i, j) asks for one word near flag i and direction j.
-    queries = np.concatenate(
-        [rows[pairs[:, 0], :-n], rows[pairs[:, 1], -n:]], axis=1
-    )
     _, best = _nearest_exact(
-        rows, queries, partial(_joint_dists, n=n), np.sqrt(n - 1) + 1.0
+        (frames, dirs), (frames[pairs[:, 0]], dirs[pairs[:, 1]])
     )
     successes = int((best < eps).sum())
     return {
@@ -714,23 +708,16 @@ def axial_density_check(
     axial word; reports the worst joint distance."""
     generators = table.effective_generators()
     samples = enumerate_samples(generators, max_length, workers)
-    n = samples.n
     regular = np.array([t == "regular-axial" for t in samples.tags])
     if not regular.any():
         raise EmptySample("no regular axial words found")
     plus_frames = _axial_plus_frames(
         _materialize(samples.q[regular], samples.a[regular], samples.nu[regular])
     )
-    plus_embed = np.concatenate(
-        [_flag_embed(plus_frames), samples.jdirs[regular]], axis=1
-    )
     target_mask = samples.lengths >= min_length
-    target_embed = np.concatenate(
-        [_flag_embed(samples.frames[target_mask]), samples.dirs[target_mask]],
-        axis=1,
-    )
     _, best = _nearest_exact(
-        plus_embed, target_embed, partial(_joint_dists, n=n), np.sqrt(n - 1) + 1.0
+        (plus_frames, samples.jdirs[regular]),
+        (samples.frames[target_mask], samples.dirs[target_mask]),
     )
     worst = float(best.max(initial=0.0))
     return {

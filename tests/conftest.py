@@ -4,7 +4,6 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from rankr import boundary, cli, kernel, lie, limitset, schottky
 from rankr.errors import NoConvergence
@@ -242,26 +241,19 @@ def loop_generator_margin(table, m, gen_eff, samples, complement=None):
 
 
 def ball_product_successes(table, max_length, eps, pair_count, seed):
-    """Reference product-structure successes, one pair at a time: the
-    words in the flag-embedding ball of radius eps sqrt(n-1) around flag
-    i, kept when their direction is within eps of direction j, succeed
-    when one of them is within eps of flag i in the exact flag metric."""
+    """Reference product-structure successes, one pair at a time: pair
+    (i, j) succeeds when some word, out of every word, is within eps of
+    direction j and within eps of flag i in the flag distance."""
     samples = limitset.enumerate_samples(table.effective_generators(), max_length)
-    n = samples.n
     idx = np.flatnonzero(samples.lengths >= 2)
-    embed = limitset._flag_embed(samples.frames[idx])
-    dirs = samples.dirs[idx]
-    tree = cKDTree(embed)
+    frames, dirs = samples.frames[idx], samples.dirs[idx]
     rng = np.random.default_rng(seed)
     successes = 0
     for _ in range(pair_count):
         i, j = rng.choice(len(idx), size=2, replace=False)
-        ball = np.asarray(
-            tree.query_ball_point(embed[i], eps * np.sqrt(n - 1)), dtype=np.intp
-        )
-        both = ball[np.linalg.norm(dirs[ball] - dirs[j], axis=1) <= eps]
-        if (limitset._exact_flag_dists(embed[both], embed[i], n) < eps).any():
-            successes += 1
+        ball = frames[np.linalg.norm(dirs - dirs[j], axis=1) < eps]
+        dist = boundary.flag_distances_to_center(ball, boundary.Flag(frames[i]))
+        successes += bool((dist < eps).any())
     return successes
 
 

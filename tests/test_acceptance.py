@@ -325,8 +325,9 @@ def test_criterion_10_minimality_and_product(sl3_group):
     start = time.perf_counter()
     probe = limitset.enumerate_samples(table.effective_generators(), 8)
     shell = probe.lengths == 8
-    targets = [boundary.flag_from_frame(f) for f in probe.frames[shell]]
-    minimality = limitset.minimality_check(table, table.points[1], targets, 10, eps=0.05)
+    minimality = limitset.minimality_check(
+        table, table.points[1], probe.frames[shell], 10, eps=0.05
+    )
     product = limitset.product_structure_check(table, 10, eps=0.1, seed=0)
     elapsed = time.perf_counter() - start
     ok = (

@@ -42,7 +42,23 @@ def test_load_spec_rejects_malformed(tmp_path, capsys):
 
 def test_load_spec_rejects_malformed_entries(tmp_path, capsys):
     frame = np.eye(3).tolist()
-    for payload, message in (
+    gens = [{"name": "a", "matrix": [[2, 0], [0, 0.5]]}]
+    sl3 = json.loads(open(spec_path("sl3_l2.json"), encoding="utf-8").read())
+    seeds = [
+        ({"n": 2, "seed": seed, "generators": gens},
+         "seed must be a non-negative integer")
+        for seed in ("abc", 1.5, -2, True)
+    ]
+    radii = [
+        ({**sl3, "schottky": {**sl3["schottky"], key: value}},
+         f"{key} must be a finite number above 0")
+        for key in ("radius_policy", "radius_scale")
+        for value in ("x", -1, 0, float("nan"), float("inf"), 10**400, None)
+    ]
+    ells = [[10**400, 0, -1]] + sl3["schottky"]["L"][1:]
+    huge = {**sl3, "schottky": {**sl3["schottky"], "L": ells}}
+    for payload, message in seeds + radii + [
+        (huge, "L vector 0 is not numeric"),
         ({"n": 2, "generators": [{"name": "a"}]}, "generator 0 has no 'matrix'"),
         (
             {"n": 2, "generators": [{"name": "a", "matrix": [["x", 0], [0, 1]]}]},
@@ -53,11 +69,12 @@ def test_load_spec_rejects_malformed_entries(tmp_path, capsys):
                                   "L": [[1, 0, -1]]}},
             "flag frame 1 is not a finite 3x3 array",
         ),
-    ):
+    ]:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         assert cli.main(["limitset", "enumerate", "--input", str(bad)]) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
 
 def test_load_spec_rejects_nonempty_tolerances(tmp_path, capsys):
@@ -98,6 +115,19 @@ def test_decompose_eigvals_failure_exits_2(capsys, monkeypatch):
     assert code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "did not converge" in err
+
+
+def test_decompose_rejects_malformed_inline_matrix(capsys):
+    for matrix, message in (
+        ("[[NaN, 0], [0, 1]]", "inline matrix is not a finite 2x2 array"),
+        ("[[1, 0], [0, Infinity]]", "inline matrix is not a finite 2x2 array"),
+        ('{"a": 1}', "bad inline matrix"),
+        ("[[1, 2, 3]]", "inline matrix must be square"),
+    ):
+        assert cli.main(["decompose", "--which", "kak", "--matrix", matrix]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 def test_decompose_kak_identity(capsys):
@@ -203,6 +233,25 @@ def test_schottky_check_reuses_table(tmp_path, capsys):
     )
     assert code == 0
     assert run["checks"]["certification"] == "certified-at-resolution"
+
+
+def test_schottky_rejects_resolution_below_one(tmp_path, capsys):
+    # Resolution 0 would check only the neighbourhood centres.
+    out = tmp_path / "out"
+    for action, value in (("build", "0"), ("build", "-1"), ("check", "0")):
+        code = cli.main(
+            [
+                "schottky", action,
+                "--input", spec_path("sl3_l2.json"),
+                "--out", str(out),
+                "--table", str(tmp_path / "table.json"),
+                "--resolution", value,
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "--resolution must be at least 1" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_schottky_doubled_radii_fails(tmp_path, capsys):
@@ -442,18 +491,30 @@ def test_limitset_requires_table_for_checks(tmp_path, capsys):
     assert code == 1
 
 
-def test_limitset_rejects_word_lengths_below_one(tmp_path, capsys):
-    for flag in ("--max-word-length", "--cone-word-length", "--target-length"):
+def test_limitset_rejects_out_of_range_flags(tmp_path, capsys):
+    cases = [
+        (flag, "0", f"{flag} must be at least 1")
+        for flag in ("--max-word-length", "--cone-word-length", "--target-length")
+    ]
+    cases += [
+        ("--tol", value, "--tol must be finite and above 0")
+        for value in ("nan", "-1", "0", "inf")
+    ]
+    cases.append(("--seed", "-1", "--seed must be a non-negative integer"))
+    out = tmp_path / "out"
+    for flag, value, message in cases:
         code = cli.main(
             [
-                "limitset", "cone",
+                "limitset", "product",
                 "--input", spec_path("sl3_l2.json"),
-                "--out", str(tmp_path / "out"),
-                flag, "0",
+                "--out", str(out),
+                flag, value,
             ]
         )
+        err = capsys.readouterr().err
         assert code == 1
-        assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -308,11 +308,8 @@ def test_minimality_and_containment(sl3_group):
     xi0 = table.points[1]
     rng = np.random.default_rng(0)
     samples = limitset.enumerate_samples(table.effective_generators(), 4)
-    targets = [
-        boundary.flag_from_frame(samples.frames[i])
-        for i in rng.choice(
-            np.flatnonzero(samples.lengths == 4), size=5, replace=False
-        )
+    targets = samples.frames[
+        rng.choice(np.flatnonzero(samples.lengths == 4), size=5, replace=False)
     ]
     report = limitset.minimality_check(table, xi0, targets, 6, eps=0.1)
     assert report["all_approached"]
@@ -355,25 +352,25 @@ def test_axial_density(sl3_group):
     assert report["worst_distance"] < 0.2
 
 
-def _flag_metric(n):
-    return lambda rows, q: limitset._exact_flag_dists(rows, q, n)
+def _kd_rows(frames, dirs):
+    rows = limitset._flag_embed(frames)
+    return rows if dirs is None else np.concatenate([rows, dirs], axis=1)
 
 
-def _joint_metric(n):
-    flag_dim = (n - 1) * n * n
-
-    def joint(rows, q):
-        flag = limitset._exact_flag_dists(rows[:, :flag_dim], q[..., :flag_dim], n)
-        direction = np.linalg.norm(rows[:, flag_dim:] - q[..., flag_dim:], axis=1)
-        return np.maximum(flag, direction)
-
-    return joint
-
-
-def _brute_nearest(points, queries, exact):
-    """(Euclidean, exact) nearest distances over every point."""
-    euclid = np.linalg.norm(points[None] - queries[:, None], axis=2).min(axis=1)
-    return euclid, np.array([exact(points, q).min() for q in queries])
+def _brute_nearest(points, queries):
+    """(Euclidean, exact) nearest distances over every point, for
+    (frames, dirs) pairs as _nearest_exact takes them: Euclidean between
+    the KD rows, exact as the flag distance to each query's flag, or its
+    max with the direction distance."""
+    (frames, dirs), (query_frames, query_dirs) = points, queries
+    gaps = _kd_rows(frames, dirs)[None] - _kd_rows(query_frames, query_dirs)[:, None]
+    exact = []
+    for k, frame in enumerate(query_frames):
+        dist = boundary.flag_distances_to_center(frames, boundary.Flag(frame))
+        if dirs is not None:
+            dist = np.maximum(dist, np.linalg.norm(dirs - query_dirs[k], axis=1))
+        exact.append(dist.min())
+    return np.linalg.norm(gaps, axis=2).min(axis=1), np.array(exact)
 
 
 def test_nearest_exact_is_brute_force_minimum(sl3_group):
@@ -384,58 +381,49 @@ def test_nearest_exact_is_brute_force_minimum(sl3_group):
         ([random_sl(rng, 4), random_sl(rng, 4)], 3),
     ):
         samples = limitset.enumerate_samples(gens, length)
-        n = samples.n
-        flags = limitset._flag_embed(samples.frames)
-        queries = limitset._flag_embed(boundary.random_frames(rng, 60, n))
-        bound, best = limitset._nearest_exact(
-            flags, queries, _flag_metric(n), np.sqrt(n - 1)
-        )
-        euclid, exact = _brute_nearest(flags, queries, _flag_metric(n))
+        flags = (samples.frames, None)
+        queries = (boundary.random_frames(rng, 60, samples.n), None)
+        bound, best = limitset._nearest_exact(flags, queries)
+        euclid, exact = _brute_nearest(flags, queries)
         assert np.allclose(bound, euclid, rtol=0.0, atol=1e-12)
         assert np.array_equal(best, exact)
         # Joint (flag, direction) rows, queried with other words' directions.
-        joint = np.concatenate([flags, samples.dirs], axis=1)
-        queries = np.concatenate(
-            [queries, samples.dirs[rng.choice(len(samples), 60)]], axis=1
-        )
-        _, best = limitset._nearest_exact(
-            joint, queries, _joint_metric(n), np.sqrt(n - 1) + 1.0
-        )
-        assert np.array_equal(best, _brute_nearest(joint, queries, _joint_metric(n))[1])
+        joint = (samples.frames, samples.dirs)
+        queries = (queries[0], samples.dirs[rng.choice(len(samples), 60)])
+        _, best = limitset._nearest_exact(joint, queries)
+        assert np.array_equal(best, _brute_nearest(joint, queries)[1])
 
 
 def test_nearest_exact_blocks_change_no_bit(sl3_group, monkeypatch):
     _, _, table = sl3_group
     rng = np.random.default_rng(7)
     samples = limitset.enumerate_samples(table.effective_generators(), 5)
-    n = samples.n
-    points = np.concatenate(
-        [limitset._flag_embed(samples.frames), samples.dirs], axis=1
-    )
+    frames, dirs = samples.frames, samples.dirs
+    points = (frames, dirs)
     # Product pairs: one word's flag with another's direction.  Their balls
     # range from one row to dozens.
     pairs = rng.choice(len(samples), size=(40, 2))
-    queries = np.concatenate(
-        [points[pairs[:, 0], :-n], points[pairs[:, 1], -n:]], axis=1
-    )
-    stretch = np.sqrt(n - 1) + 1.0
+    queries = (frames[pairs[:, 0]], dirs[pairs[:, 1]])
     calls = []
+    refine = limitset._exact_flag_dists
 
-    def exact(rows, q):
-        calls.append(len(rows))
-        return limitset._joint_dists(rows, q, n)
+    def counted(frames, centers):
+        calls.append(len(frames))
+        return refine(frames, centers)
 
-    bound, best = limitset._nearest_exact(points, queries, exact, stretch)
+    monkeypatch.setattr(limitset, "_exact_flag_dists", counted)
+    bound, best = limitset._nearest_exact(points, queries)
     assert calls == [sum(calls)] and sum(calls) <= limitset._REFINE_BLOCK
+    stretch = np.sqrt(samples.n - 1) + 1.0
     sizes = [
         len(ball)
-        for ball in limitset.cKDTree(points).query_ball_point(
-            queries, bound * stretch + 1e-12
+        for ball in limitset.cKDTree(_kd_rows(*points)).query_ball_point(
+            _kd_rows(*queries), bound * stretch + 1e-12
         )
     ]
     monkeypatch.setattr(limitset, "_REFINE_BLOCK", 7)
     calls.clear()
-    blocked = limitset._nearest_exact(points, queries, exact, stretch)
+    blocked = limitset._nearest_exact(points, queries)
     assert np.array_equal(blocked[0], bound)
     assert np.array_equal(blocked[1], best)
     # Blocks of several balls split the stack, and a ball above the block
@@ -445,7 +433,7 @@ def test_nearest_exact_blocks_change_no_bit(sl3_group, monkeypatch):
     assert all(c <= 7 or c in sizes for c in calls)
     assert sum(calls) == sum(sizes)
     calls.clear()
-    bound, best = limitset._nearest_exact(points, queries[:0], exact, stretch)
+    bound, best = limitset._nearest_exact(points, (frames[:0], dirs[:0]))
     assert bound.shape == best.shape == (0,) and not calls
 
 
@@ -457,15 +445,13 @@ def test_minimality_and_axdens_distances_are_brute_force(sl3_group):
     orbit = np.einsum(
         "nij,jk->nik", samples.values(), boundary.flag_frame(xi0.flag)
     )
-    orbit = limitset._flag_embed(kernel.qr_pos(orbit)[0])
     probe = limitset.enumerate_samples(gens, 4)
-    frames = probe.frames[probe.lengths == 4]
+    targets = probe.frames[probe.lengths == 4]
     euclid, exact = _brute_nearest(
-        orbit, limitset._flag_embed(frames), _flag_metric(3)
+        (kernel.qr_pos(orbit)[0], None), (targets, None)
     )
     # eps splits the targets, so both branches of the worst distance count.
     eps = float(np.median(exact))
-    targets = [boundary.flag_from_frame(f) for f in frames]
     report = limitset.minimality_check(table, xi0, targets, 5, eps=eps)
     approached = exact < eps
     assert 0 < approached.sum() < len(targets)
@@ -476,15 +462,11 @@ def test_minimality_and_axdens_distances_are_brute_force(sl3_group):
 
     regular = samples.tags == "regular-axial"
     plus = limitset._axial_plus_frames(samples.values()[regular])
-    points = np.concatenate(
-        [limitset._flag_embed(plus), samples.jdirs[regular]], axis=1
-    )
     long_words = samples.lengths >= 4
-    queries = np.concatenate(
-        [limitset._flag_embed(samples.frames[long_words]), samples.dirs[long_words]],
-        axis=1,
-    )
-    exact = _brute_nearest(points, queries, _joint_metric(3))[1]
+    exact = _brute_nearest(
+        (plus, samples.jdirs[regular]),
+        (samples.frames[long_words], samples.dirs[long_words]),
+    )[1]
     report = limitset.axial_density_check(table, 5, eps=0.01, min_length=4)
     assert report["worst_distance"] == exact.max()
     assert report["all_within_eps"] == bool((exact < 0.01).all())
@@ -513,7 +495,7 @@ def test_checks_compute_only_the_columns_they_read(sl3_group, monkeypatch):
     monkeypatch.setattr(limitset, "limit_cone_sample", lambda *args: cone)
     for name in ("_classify_stack", "_stack_log_moduli"):
         monkeypatch.setattr(limitset, name, _refuse(name))
-    targets = [point.flag for point in table.points]
+    targets = np.array([point.flag.frame for point in table.points])
     with monkeypatch.context() as patch:
         # Minimality reads no Cartan direction either.
         patch.setattr(limitset, "_stack_cartan", _refuse("_stack_cartan"))
