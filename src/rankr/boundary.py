@@ -185,7 +185,7 @@ def _scaled_cartan_vector(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     kernel keeps full relative accuracy however stretched the ray is (a
     plain SVD of the assembled matrix loses the small singular values to
     roundoff)."""
-    return kernel.graded_log_singular_values(v[None], a.T[None])[0]
+    return kernel.graded_svd(v[None], a.T[None])[0][0]
 
 
 def busemann_oracle(xi: BoundaryPoint, gx, gy) -> float:

@@ -41,6 +41,12 @@ EXIT_POWER_EXHAUSTED = 3
 EXIT_CERT_FAILED = 4
 EXIT_EMPTY_SAMPLE = 5
 
+# Largest schottky --resolution, five times the default.  Memory grows with
+# resolution * n^3 (the Cayley basis and eigenvector outer products of one
+# neighbourhood): certifying groupspecs/sl3_l2.json peaks at about 1.9 kB
+# per sample under tracemalloc, so tens of kB per sample at n = 8.
+MAX_RESOLUTION = 10_000
+
 
 def config_hash(spec: dict) -> str:
     """sha256 of the canonical (key-sorted) JSON; field order never matters."""
@@ -88,12 +94,14 @@ def load_spec(path: str) -> dict:
     if has_gens == has_schottky:
         raise SpecError("exactly one of 'generators' or 'schottky' is required")
     if has_gens:
-        if not isinstance(spec["generators"], list):
-            raise SpecError("'generators' must be a list")
+        if not isinstance(spec["generators"], list) or not spec["generators"]:
+            raise SpecError("'generators' must be a non-empty list")
         for i, entry in enumerate(spec["generators"]):
             if not isinstance(entry, dict) or "matrix" not in entry:
                 raise SpecError(f"generator {i} has no 'matrix'")
             name = entry.get("name", i)
+            if "name" in entry and not (isinstance(name, str) and name):
+                raise SpecError(f"generator {i} name must be a non-empty string")
             m = _spec_matrix(entry["matrix"], (n, n), f"generator {name}")
             if abs(np.linalg.det(m) - 1.0) > defaults.EPS_DET * 1e3:
                 raise SpecError(f"generator {name} is not det 1")
@@ -107,6 +115,8 @@ def load_spec(path: str) -> dict:
             raise SpecError("schottky 'flags', 'parabolic_flags' and 'L' must be lists")
         if len(frames) != 2 * len(recipe["L"]):
             raise SpecError("schottky recipe needs two flags per L vector")
+        if not frames and not extra:
+            raise SpecError("schottky recipe needs an L vector or a parabolic flag")
         for i, frame in enumerate(frames + extra):
             _spec_matrix(frame, (n, n), f"flag frame {i}")
         for i, ell in enumerate(recipe["L"]):
@@ -122,7 +132,9 @@ def build_group(spec: dict):
     """Resolve a spec into (generator matrices, names, table-or-None)."""
     n = spec["n"]
     if "generators" in spec:
-        names = [e["name"] for e in spec["generators"]]
+        # A generator without a name takes the default label of its place.
+        labels = limitset.default_names(len(spec["generators"]))
+        names = [e.get("name", x) for e, x in zip(spec["generators"], labels)]
         gens = [np.asarray(e["matrix"], dtype=float) for e in spec["generators"]]
         return gens, names, None
     recipe = spec["schottky"]
@@ -222,14 +234,22 @@ def cmd_schottky(args) -> int:
     spec = load_spec(args.input)
     if args.resolution < 1:
         raise SpecError("--resolution must be at least 1")
-    os.makedirs(args.out, exist_ok=True)
+    if args.resolution > MAX_RESOLUTION:
+        raise SpecError(f"--resolution must be at most {MAX_RESOLUTION}")
     if args.action == "check":
-        with open(args.table, "r", encoding="utf-8") as fh:
-            table = schottky.PingPongTable.from_json_dict(json.load(fh))
+        if args.table is None:
+            raise SpecError("schottky check needs --table")
+        try:
+            with open(args.table, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise SpecError(f"cannot read table: {exc}")
+        table = schottky.PingPongTable.from_json_dict(data)
     else:
         _, _, table = build_group(spec)
         if table is None:
             raise SpecError("schottky subcommand needs a schottky recipe")
+    os.makedirs(args.out, exist_ok=True)
     report = schottky.certify_klein(
         table, resolution=args.resolution, seed=spec.get("seed", 0) + 1
     )

@@ -7,9 +7,9 @@ is positive, which makes the factorization unique.  The general
 a fixed deterministic order.
 
 Stacks of graded matrices e^{diag a} m, whose rows span hundreds of
-orders of magnitude, get their log singular values from one batched
-LAPACK SVD after a re-triangularization that orders the scales, so the
-small singular values keep full relative accuracy.
+orders of magnitude, get their log singular values and left singular
+frames from one batched LAPACK SVD after a re-triangularization that
+orders the scales: small singular values keep full relative accuracy.
 
 Exterior powers of a stack (compounds) are built in one pass: the
 2-minors by one batched LAPACK determinant, every larger minor by a
@@ -247,14 +247,16 @@ def combo_sums(a: np.ndarray, k: int) -> np.ndarray:
 
 
 def _retriangularize(a, m):
-    """(b, u) with e^{diag b} u sharing the singular values of e^{diag a} m.
+    """(b, u, order) with e^{a_s} m_s = (e^{diag b} u)^T D Q^T, where row i
+    of a_s and m_s is row order[i] of a and m, and D Q^T is orthogonal.
 
     Transposed, the row scales become column scales, which commute with
     QR: sorting them descending, m_s^T e^{a_s} = Q R e^{a_s}, and
-    R e^{a_s} = e^{diag b} u with b_i = a_s,i + log|r_ii| and
-    u_ij = (r_ij / r_ii) e^{a_s,j - a_s,i}, whose exponents are <= 0 above
-    the diagonal.  So u is unit upper triangular with moderate entries and
-    b descends up to moderate terms, whatever the order of a."""
+    R e^{a_s} = D e^{diag b} u with D = diag(sign r_ii), b_i = a_s,i +
+    log|r_ii| and u_ij = (r_ij / r_ii) e^{a_s,j - a_s,i}, whose exponents
+    are <= 0 above the diagonal.  So u is unit upper triangular with
+    moderate entries and b descends up to moderate terms, whatever the
+    order of a."""
     order = np.argsort(-a, axis=1, kind="stable")
     a_s = np.take_along_axis(a, order, axis=1)
     m_s = np.take_along_axis(m, order[:, :, None], axis=1)
@@ -262,7 +264,7 @@ def _retriangularize(a, m):
     rd = np.einsum("nii->ni", r)
     expo = np.minimum(a_s[:, None, :] - a_s[:, :, None], 0.0)
     u = np.triu(r / rd[:, :, None] * np.exp(expo))
-    return a_s + np.log(np.abs(rd)), u
+    return a_s + np.log(np.abs(rd)), u, order
 
 
 def _exterior_log_singular_values(b, u):
@@ -282,24 +284,27 @@ def _exterior_log_singular_values(b, u):
     return np.sort(np.diff(cum, axis=0).T, axis=1)[:, ::-1]
 
 
-def graded_log_singular_values(a, m):
-    """Descending log singular values of each e^{diag a} m in a stack.
+def graded_svd(a, m):
+    """(log singular values, left singular frames) of each e^{diag a} m in
+    a stack; the values descend, and frame column i belongs to value i.
 
     After _retriangularize the scales descend, and one scaled LAPACK SVD
     of the row-graded triangular factor keeps the small singular values
     to relative accuracy (Demmel & Veselic 1992); a plain SVD of the
-    assembled product keeps only the largest.  Rows whose scales spread
-    wider than defaults.GRADED_SPREAD would underflow once scaled and
-    take the exact exterior-power route instead."""
-    b, u = _retriangularize(a, m)
-    out = np.empty_like(b)
+    assembled product keeps only the largest.  Its right singular vectors,
+    rows put back in the order of a, are the left singular frames.  Rows
+    whose scales spread wider than defaults.GRADED_SPREAD underflow once
+    scaled: their values take the exact exterior-power route, and their
+    frame columns past the scaled values that did not underflow are just
+    an orthonormal completion."""
+    b, u, order = _retriangularize(a, m)
+    shift = b.max(axis=1)
+    _, sig, vh = np.linalg.svd(np.exp(b - shift[:, None])[:, :, None] * u)
+    with np.errstate(divide="ignore"):
+        values = np.log(sig) + shift[:, None]
     wide = np.ptp(b, axis=1) > defaults.GRADED_SPREAD
-    fit = ~wide
-    shift = b[fit].max(axis=1)
-    sig = np.linalg.svd(
-        np.exp(b[fit] - shift[:, None])[:, :, None] * u[fit], compute_uv=False
-    )
-    out[fit] = np.log(sig) + shift[:, None]
     if wide.any():
-        out[wide] = _exterior_log_singular_values(b[wide], u[wide])
-    return out
+        values[wide] = _exterior_log_singular_values(b[wide], u[wide])
+    frames = np.empty_like(u)
+    frames[np.arange(len(u))[:, None], order] = vh.transpose(0, 2, 1)
+    return values, frames

@@ -12,9 +12,9 @@ factored form  w = Q e^{diag a} N  (orthogonal frame, log scales, unit
 upper triangular with moderate entries).  Prepending a generator updates
 the factorization exactly, because QR commutes with right diagonal
 scaling:  g Q e^a N = Q' (R' e^a) N  with QR(g Q) = Q' R' computed on a
-well-scaled matrix.  Cartan vectors come from one batched SVD of the
-graded factor e^a N (kernel.graded_log_singular_values), which keeps the
-small singular values to relative accuracy; only the eigenvalue moduli
+well-scaled matrix.  Cartan vectors and angular flags come from one
+batched SVD of the graded factor e^a N (kernel.graded_svd), which keeps
+the small singular values to relative accuracy; only the eigenvalue moduli
 are read off through exterior powers, with the exponents carried
 symbolically.  The exterior powers of q and N come from kernel.compounds
 (LAPACK 2-minors, Laplace expansion above), a block of words at a time.
@@ -28,9 +28,9 @@ about a seventh of the reduced words at cone length 11.
 Emitted sample order is the depth-first preorder of the word tree with
 children in fixed alphabet order (a < a' < b < b' < ...), recovered by a
 single lexicographic sort.  Word growth runs one letter's subtree per
-thread, and the moduli, Cartan and frame kernels run in equal row blocks
-on the same worker pool; every row is computed on its own, so the stream
-is byte-identical for any worker count.
+thread, and the moduli and Cartan kernels run in equal row blocks on the
+same worker pool; every row is computed on its own, so the stream is
+byte-identical for any worker count.
 """
 
 import os
@@ -253,35 +253,23 @@ def _materialize(q, a, nu):
     return np.einsum("nij,njk->nik", q, np.exp(a)[:, :, None] * nu)
 
 
-def _stack_cartan(a, nu, workers=None):
-    """Centered log singular values of a stack of factored words.
+def _stack_cartan(q, a, nu, workers=None):
+    """(centered log singular values, angular frames) of a stack of
+    factored words: both halves of each word's Cartan decomposition.
 
-    The graded factor e^a nu goes through the graded SVD kernel, which
-    keeps the small singular values however squeezed the word is; blocks
-    of at most _MODULI_BLOCK entries run on the worker pool."""
+    One graded SVD of e^a nu (kernel.graded_svd) keeps the small singular
+    values however squeezed the word is, and its left singular frames,
+    rotated by q, give the angular flags; blocks of at most _MODULI_BLOCK
+    entries run on the worker pool."""
     ls = np.empty(a.shape)
-
-    def block(rows):
-        ls[rows] = kernel.graded_log_singular_values(a[rows], nu[rows])
-
-    _fan_out(block, _row_blocks(len(a), _MODULI_BLOCK // a.shape[1] ** 2), workers)
-    return ls - ls.mean(axis=1, keepdims=True)
-
-
-def _stack_frames(q, a, nu, workers=None):
-    """Left singular frames of each e^a nu, rotated by q: the angular flags
-    of a stack of factored words, in blocks of at most _MODULI_BLOCK
-    entries on the worker pool."""
     frames = np.empty(q.shape)
 
     def block(rows):
-        shift = a[rows].max(axis=1)
-        graded = np.exp(a[rows] - shift[:, None])[:, :, None] * nu[rows]
-        u, _, _ = np.linalg.svd(graded)
-        frames[rows] = np.einsum("nij,njk->nik", q[rows], u)
+        ls[rows], left = kernel.graded_svd(a[rows], nu[rows])
+        frames[rows] = np.einsum("nij,njk->nik", q[rows], left)
 
     _fan_out(block, _row_blocks(len(q), _MODULI_BLOCK // q.shape[-1] ** 2), workers)
-    return frames
+    return ls - ls.mean(axis=1, keepdims=True), frames
 
 
 def _stack_log_moduli(q, a, nu, workers=None):
@@ -329,6 +317,7 @@ class SampleSet:
     jdirs and overflow are computed on first access, in equal row blocks on
     the worker pool (numpy's einsum takes another loop for a batch of one,
     so never row by row): a check pays only for the columns it reads.
+    Reading dirs or frames computes both, from one graded SVD per word.
     workers is the pool size the columns are computed with (see
     resolve_workers); it changes no bit of them."""
 
@@ -348,15 +337,14 @@ class SampleSet:
         return self.q.shape[-1]
 
     @cached_property
-    def dirs(self) -> np.ndarray:
+    def _cartan(self):
+        h, frames = _stack_cartan(self.q, self.a, self.nu, self.workers)
         # Unit Cartan directions; rows whose Cartan vector vanishes stay 0.
-        h = _stack_cartan(self.a, self.nu, self.workers)
         norms = np.linalg.norm(h, axis=1, keepdims=True)
-        return np.divide(h, norms, out=np.zeros_like(h), where=norms > 1e-12)
+        return np.divide(h, norms, out=np.zeros_like(h), where=norms > 1e-12), frames
 
-    @cached_property
-    def frames(self) -> np.ndarray:
-        return _stack_frames(self.q, self.a, self.nu, self.workers)
+    dirs = property(lambda self: self._cartan[0])
+    frames = property(lambda self: self._cartan[1])  # angular flags
 
     @cached_property
     def _classes(self):

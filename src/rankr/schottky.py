@@ -19,6 +19,8 @@ from .errors import (
     NotInterior,
     NotTransverse,
     PowerExhausted,
+    RankrError,
+    SpecError,
 )
 
 # Largest generator power build_table tries, and the boundary samples per
@@ -138,20 +140,27 @@ class PingPongTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PingPongTable":
-        points = [
-            boundary.boundary_point(
-                boundary.flag_from_frame(np.asarray(p["frame"], dtype=float)),
-                np.asarray(p["direction"], dtype=float),
+        """The table of to_json_dict's output; SpecError when data is not
+        one."""
+        try:
+            points = [
+                boundary.boundary_point(
+                    boundary.flag_from_frame(np.asarray(p["frame"], dtype=float)),
+                    np.asarray(p["direction"], dtype=float),
+                )
+                for p in data["points"]
+            ]
+            return cls(
+                points=points,
+                radii=np.asarray(data["radii"], dtype=float),
+                base_generators=[
+                    np.asarray(g, dtype=float) for g in data["generators"]
+                ],
+                powers=[int(k) for k in data["powers"]],
+                kinds=list(data["kinds"]),
             )
-            for p in data["points"]
-        ]
-        return cls(
-            points=points,
-            radii=np.asarray(data["radii"], dtype=float),
-            base_generators=[np.asarray(g, dtype=float) for g in data["generators"]],
-            powers=[int(k) for k in data["powers"]],
-            kinds=list(data["kinds"]),
-        )
+        except (KeyError, IndexError, TypeError, ValueError, RankrError) as exc:
+            raise SpecError(f"malformed table: {type(exc).__name__}: {exc}")
 
 
 @dataclass

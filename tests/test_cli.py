@@ -57,7 +57,13 @@ def test_load_spec_rejects_malformed_entries(tmp_path, capsys):
     ]
     ells = [[10**400, 0, -1]] + sl3["schottky"]["L"][1:]
     huge = {**sl3, "schottky": {**sl3["schottky"], "L": ells}}
-    for payload, message in seeds + radii + [
+    names = [
+        ({"n": 2, "generators": [{"name": name, "matrix": gens[0]["matrix"]}]},
+         "generator 0 name must be a non-empty string")
+        for name in (5, "", None, ["a"])
+    ]
+    out = tmp_path / "out"
+    for payload, message in seeds + radii + names + [
         (huge, "L vector 0 is not numeric"),
         ({"n": 2, "generators": [{"name": "a"}]}, "generator 0 has no 'matrix'"),
         (
@@ -69,12 +75,40 @@ def test_load_spec_rejects_malformed_entries(tmp_path, capsys):
                                   "L": [[1, 0, -1]]}},
             "flag frame 1 is not a finite 3x3 array",
         ),
+        ({"n": 2, "generators": []}, "'generators' must be a non-empty list"),
+        (
+            {"n": 3, "schottky": {"flags": [], "L": []}},
+            "schottky recipe needs an L vector or a parabolic flag",
+        ),
     ]:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
-        assert cli.main(["limitset", "enumerate", "--input", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err
+        for argv in (
+            ["limitset", "enumerate", "--input", str(bad), "--out", str(out)],
+            ["decompose", "--which", "kak", "--input", str(bad)],
+        ):
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_generators_without_names_take_default_labels(tmp_path, capsys):
+    spec = {
+        "n": 2,
+        "generators": [
+            {"matrix": [[2.0, 0.0], [0.0, 0.5]]},
+            {"matrix": [[1.25, 0.75], [0.75, 1.25]]},
+        ],
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    code, _ = _run(capsys, ["limitset", "enumerate", "--input", str(path),
+                            "--out", str(out), "--max-word-length", "1"])
+    assert code == 0
+    rows = (out / "samples.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["e", "a", "a'", "b", "b'"]
 
 
 def test_load_spec_rejects_nonempty_tolerances(tmp_path, capsys):
@@ -251,6 +285,42 @@ def test_schottky_rejects_resolution_below_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 1
         assert "--resolution must be at least 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["10001", "2000000000"])
+def test_schottky_rejects_resolution_above_bound(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    code = cli.main(["schottky", "build", "--input", spec_path("sl3_l2.json"),
+                     "--out", str(out), "--resolution", value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "--resolution must be at most 10000" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "schottky check needs --table"),
+        ("missing", "cannot read table"),
+        ("{not json", "cannot read table"),
+        ('{"radii": [1.0]}', "malformed table: KeyError: 'points'"),
+    ],
+)
+def test_schottky_check_rejects_bad_table(tmp_path, capsys, content, message):
+    out = tmp_path / "out"
+    argv = ["schottky", "check", "--input", spec_path("sl2_classical.json"),
+            "--out", str(out)]
+    if content is not None:
+        table = tmp_path / "table.json"
+        if content != "missing":
+            table.write_text(content)
+        argv += ["--table", str(table)]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from rankr import isometries, kernel
+from rankr import boundary, isometries, kernel
 from rankr.errors import (
     NotPositiveDefinite,
     NotSymmetric,
@@ -51,30 +51,45 @@ def test_qr_decompose_rejects_singular():
         kernel.qr_decompose(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
-def test_graded_log_singular_values_moderate_matches_plain_svd():
+def test_graded_svd_moderate_matches_plain_svd():
     rng = np.random.default_rng(3)
     for n in (2, 3, 5, 8):
         a = rng.uniform(-2.0, 2.0, (20, n))
         m = rng.standard_normal((20, n, n))
-        plain = np.log(np.linalg.svd(np.exp(a)[:, :, None] * m, compute_uv=False))
-        got = kernel.graded_log_singular_values(a, m)
-        assert np.abs(got - plain).max() < 1e-12
+        plain, sig, _ = np.linalg.svd(np.exp(a)[:, :, None] * m)
+        got, frames = kernel.graded_svd(a, m)
+        assert np.abs(got - np.log(sig)).max() < 1e-12
+        # Frame column i belongs to value i, with its rows in the order of
+        # a, whatever order the kernel sorted the scales in.
+        assert np.abs(frames.mT @ frames - np.eye(n)).max() < 1e-13
+        assert boundary.standard_flag_distances(plain.mT @ frames).max() < 1e-11
 
 
-def test_graded_log_singular_values_closed_form_2x2():
+def test_graded_svd_closed_form_2x2():
     # e^{diag a} [[1, x], [0, 1]] with a_1 - a_2 = t has
     # log s_1 = a_1 + log(1 + x^2) / 2 + O(e^{-2t}) and s_1 s_2 = e^{a_1 + a_2},
     # on either side of the spread at which the exterior route takes over.
+    # Its top left singular vector is e_1 up to an angle of O(x e^{-t}).
+    coordinate = np.eye(2)[None]
     for t in (40.0, 550.0, 800.0):
         for x in (0.0, 0.3, -7.0):
             a = np.array([[t / 2, -t / 2]])
             m = np.array([[[1.0, x], [0.0, 1.0]]])
             top = t / 2 + 0.5 * np.log1p(x * x)
-            got = kernel.graded_log_singular_values(a, m)[0]
-            assert np.allclose(got, [top, -top], atol=1e-12, rtol=0.0)
-            # Reversed scales and swapped rows describe the same matrix.
-            got = kernel.graded_log_singular_values(a[:, ::-1], m[:, ::-1])[0]
-            assert np.allclose(got, [top, -top], atol=1e-12, rtol=0.0)
+            got, frames = kernel.graded_svd(a, m)
+            assert np.allclose(got[0], [top, -top], atol=1e-12, rtol=0.0)
+            assert boundary.standard_flag_distances(frames)[0] < 1e-12
+            if x == 0.0:
+                # The coordinate flag in scale order.
+                assert np.array_equal(np.abs(frames), coordinate)
+            # Reversed scales and swapped rows describe the same matrix up
+            # to the row order, so its frame, rows swapped back, gives the
+            # same flag.
+            got, frames = kernel.graded_svd(a[:, ::-1], m[:, ::-1])
+            assert np.allclose(got[0], [top, -top], atol=1e-12, rtol=0.0)
+            assert boundary.standard_flag_distances(frames[:, ::-1])[0] < 1e-12
+            if x == 0.0:
+                assert np.array_equal(np.abs(frames[:, ::-1]), coordinate)
 
 
 def _compound_test_stacks(rng, n, count=10):

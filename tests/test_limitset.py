@@ -132,16 +132,14 @@ def _direct_columns(samples):
     tags, jdirs = limitset._classify_stack(
         samples.q, samples.a, samples.nu, samples.lengths
     )
-    h = limitset._stack_cartan(samples.a, samples.nu)
+    h, frames = limitset._stack_cartan(samples.q, samples.a, samples.nu)
     norms = np.linalg.norm(h, axis=1)
     nz = norms > 1e-12
     dirs = np.zeros_like(h)
     dirs[nz] = h[nz] / norms[nz, None]
-    shift = samples.a.max(axis=1)
-    graded = np.exp(samples.a - shift[:, None])[:, :, None] * samples.nu
     return {
         "dirs": dirs,
-        "frames": np.einsum("nij,njk->nik", samples.q, np.linalg.svd(graded)[0]),
+        "frames": frames,
         "tags": tags,
         "jdirs": jdirs,
         "overflow": samples.a.max(axis=1) > limitset._LOG_OVERFLOW,
@@ -496,10 +494,7 @@ def test_checks_compute_only_the_columns_they_read(sl3_group, monkeypatch):
     for name in ("_classify_stack", "_stack_log_moduli"):
         monkeypatch.setattr(limitset, name, _refuse(name))
     targets = np.array([point.flag.frame for point in table.points])
-    with monkeypatch.context() as patch:
-        # Minimality reads no Cartan direction either.
-        patch.setattr(limitset, "_stack_cartan", _refuse("_stack_cartan"))
-        report = limitset.minimality_check(table, table.points[1], targets, 4)
+    report = limitset.minimality_check(table, table.points[1], targets, 4)
     assert report["targets"] == len(targets)
     report = limitset.product_structure_check(table, 4, pair_count=20)
     assert report["pairs"] == 20
@@ -580,15 +575,19 @@ def _check_blocks_and_workers(sl3_group, monkeypatch, case):
     row_entries = rows * n * n
     whole = 1 << 40
     kernels = [
-        ("moduli", moduli_entries, lambda w: limitset._stack_log_moduli(q, a, nu, w)),
-        ("cartan", row_entries, lambda w: limitset._stack_cartan(a, nu, w)),
-        ("frames", row_entries, lambda w: limitset._stack_frames(q, a, nu, w)),
+        # Each kernel's outputs as a tuple: the Cartan kernel gives vectors
+        # and frames.
+        ("moduli", moduli_entries,
+         lambda w: (limitset._stack_log_moduli(q, a, nu, w),)),
+        ("cartan", row_entries, lambda w: limitset._stack_cartan(q, a, nu, w)),
     ]
     for name, entries, fn in kernels:
         want = _blocked(monkeypatch, whole, lambda: fn(1))
         for workers in (1, 2, 3):
             got = _blocked(monkeypatch, entries, lambda: fn(workers))
-            assert np.array_equal(got, want), (name, workers)
+            assert len(got) == len(want)
+            for part, expect in zip(got, want):
+                assert np.array_equal(part, expect), (name, workers)
 
     def columns(workers, moduli, row):
         samples = limitset.SampleSet(words, q, a, nu, workers)
@@ -621,8 +620,7 @@ def test_pools_start_one_thread_per_block_at_most(sl3_group, monkeypatch):
     assert len(limitset._row_blocks(len(a), three // 9)) == 3
     for fn in (
         lambda w: limitset._stack_log_moduli(q, a, nu, w),
-        lambda w: limitset._stack_cartan(a, nu, w),
-        lambda w: limitset._stack_frames(q, a, nu, w),
+        lambda w: limitset._stack_cartan(q, a, nu, w),
     ):
         _blocked(monkeypatch, three, lambda: fn(64))
         assert started == [3]
@@ -750,21 +748,24 @@ def _exterior_power_cartan(a, nu):
     return ls - ls.mean(axis=1, keepdims=True)
 
 
-def _assert_matches_oracle(a, nu):
-    got = limitset._stack_cartan(a, nu)
+def _assert_matches_oracle(q, a, nu):
+    got, frames = limitset._stack_cartan(q, a, nu)
     assert np.all(np.isfinite(got))
     assert np.abs(got - _exterior_power_cartan(a, nu)).max() <= 1e-11
+    # The frames of the same SVD stay finite and orthonormal at any spread.
+    assert np.all(np.isfinite(frames))
+    assert np.abs(frames.mT @ frames - np.eye(a.shape[1])).max() < 1e-13
 
 
 def test_stack_cartan_matches_exterior_powers(sl3_group):
     _, _, table = sl3_group
-    _, _, a, nu = limitset._word_values(table.effective_generators(), 8)
-    _assert_matches_oracle(a, nu)
+    _, q, a, nu = limitset._word_values(table.effective_generators(), 8)
+    _assert_matches_oracle(q, a, nu)
     rng = np.random.default_rng(21)
     for n, length in ((4, 4), (6, 4), (8, 3)):
         gens = [random_sl(rng, n), random_sl(rng, n)]
-        _, _, a, nu = limitset._word_values(gens, length)
-        _assert_matches_oracle(a, nu)
+        _, q, a, nu = limitset._word_values(gens, length)
+        _assert_matches_oracle(q, a, nu)
 
 
 def test_stack_cartan_wide_spread_and_any_scale_order():
@@ -772,15 +773,33 @@ def test_stack_cartan_wide_spread_and_any_scale_order():
     rng = np.random.default_rng(22)
     k1, k2 = random_so(rng, 3), random_so(rng, 3)
     g = k1 @ np.diag([np.exp(12.0), 1.0, np.exp(-12.0)]) @ k2
-    _, _, a, nu = limitset._word_values([g], 36)
+    _, q, a, nu = limitset._word_values([g], 36)
     assert np.ptp(a, axis=1).max() > 600.0
-    _assert_matches_oracle(a, nu)
+    _assert_matches_oracle(q, a, nu)
     # Scales in no particular order, as a factored form never produces but
     # the kernel accepts: the re-triangularization restores the grading.
     for n in (3, 5):
         a = rng.permuted(np.linspace(-150.0, 150.0, n)[None].repeat(50, 0), axis=1)
         nu = np.eye(n) + np.triu(rng.uniform(-3.0, 3.0, (50, n, n)), 1)
-        _assert_matches_oracle(a, nu)
+        _assert_matches_oracle(np.broadcast_to(np.eye(n), nu.shape), a, nu)
+
+
+def _plain_svd_frames(samples):
+    """Angular frames by a plain SVD of each scaled graded factor
+    e^{a - max a} nu, rotated by q: the reference arithmetic."""
+    shift = samples.a.max(axis=1)
+    graded = np.exp(samples.a - shift[:, None])[:, :, None] * samples.nu
+    return np.einsum("nij,njk->nik", samples.q, np.linalg.svd(graded)[0])
+
+
+def test_frames_match_plain_scaled_svd(sl3_group):
+    rng = np.random.default_rng(24)
+    cases = [(sl3_group[0], 8)]
+    cases += [([random_sl(rng, n), random_sl(rng, n)], 3) for n in (4, 6, 8)]
+    for gens, length in cases:
+        samples = limitset.enumerate_samples(gens, length)
+        relative = _plain_svd_frames(samples).mT @ samples.frames
+        assert boundary.standard_flag_distances(relative).max() < 1e-11
 
 
 def _determinant_moduli(monkeypatch, q, a, nu):
