@@ -71,10 +71,10 @@ def canonical_frames(frames) -> np.ndarray:
     Raises NotOrthogonal when some ||k^T k - I||_F exceeds 1e-8.  The
     canonical frame is read off the projector chain P_1, ..., P_{n-1}, I,
     which is blind to column signs: column i is the largest-norm column of
-    P_i - P_{i-1}, normalised with its largest entry positive, and the
-    last column's sign makes det +1.  So every frame of a flag (k m for
-    any m in M) yields the same canonical frame.  The result is read-only:
-    flag_frame hands out these arrays themselves.
+    P_i - P_{i-1}, normalised, and kernel.canonical_signs makes each
+    column's largest entry positive and det +1.  So every frame of a flag
+    (k m for any m in M) yields the same canonical frame.  The result is
+    read-only: flag_frame hands out these arrays themselves.
     """
     count, n, _ = frames.shape
     gram = np.matmul(frames.transpose(0, 2, 1), frames) - np.eye(n)
@@ -92,9 +92,8 @@ def canonical_frames(frames) -> np.ndarray:
     # norm, so the result is bit for bit that of one column at a time.
     cols = diffs[which, piece, :, pick]
     cols /= np.sqrt(np.vecdot(cols, cols))[..., None]
-    cols[cols[which, piece, np.abs(cols).argmax(axis=2)] < 0] *= -1.0
     out = cols.transpose(0, 2, 1).copy()
-    out[np.linalg.det(out) < 0, :, -1] *= -1.0
+    out *= kernel.canonical_signs(out)[:, None, :]
     out.flags.writeable = False
     return out
 

@@ -71,6 +71,12 @@ def _spec_matrix(value, shape, what) -> np.ndarray:
     return m
 
 
+def _generator_labels(entries) -> list:
+    """Each generator's name, or the default label of its place."""
+    places = limitset.default_names(len(entries))
+    return [e.get("name", x) for e, x in zip(entries, places)]
+
+
 def load_spec(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -100,11 +106,20 @@ def load_spec(path: str) -> dict:
             if not isinstance(entry, dict) or "matrix" not in entry:
                 raise SpecError(f"generator {i} has no 'matrix'")
             name = entry.get("name", i)
-            if "name" in entry and not (isinstance(name, str) and name):
-                raise SpecError(f"generator {i} name must be a non-empty string")
+            if "name" in entry and not (
+                isinstance(name, str) and name.isprintable() and name not in ("", "e")
+                and not set(name) & set(",\".'")
+            ):
+                raise SpecError(
+                    f"generator {i} name must be a non-empty string, printable, "
+                    "not 'e' and free of , \" . '"
+                )
             m = _spec_matrix(entry["matrix"], (n, n), f"generator {name}")
             if abs(np.linalg.det(m) - 1.0) > defaults.EPS_DET * 1e3:
                 raise SpecError(f"generator {name} is not det 1")
+        labels = _generator_labels(spec["generators"])
+        if len(set(labels)) < len(labels):
+            raise SpecError(f"generator labels must be distinct, got {labels}")
     else:
         recipe = spec["schottky"]
         if not isinstance(recipe, dict) or "flags" not in recipe or "L" not in recipe:
@@ -132,9 +147,7 @@ def build_group(spec: dict):
     """Resolve a spec into (generator matrices, names, table-or-None)."""
     n = spec["n"]
     if "generators" in spec:
-        # A generator without a name takes the default label of its place.
-        labels = limitset.default_names(len(spec["generators"]))
-        names = [e.get("name", x) for e, x in zip(spec["generators"], labels)]
+        names = _generator_labels(spec["generators"])
         gens = [np.asarray(e["matrix"], dtype=float) for e in spec["generators"]]
         return gens, names, None
     recipe = spec["schottky"]
@@ -283,9 +296,9 @@ def cmd_schottky(args) -> int:
 
 def cmd_limitset(args) -> int:
     spec = load_spec(args.input)
-    for flag in ("max_word_length", "cone_word_length", "target_length"):
-        if getattr(args, flag) < 1:
-            raise SpecError(f"--{flag.replace('_', '-')} must be at least 1")
+    for flag in ("max_word", "min_word", "cone_word", "target"):
+        if getattr(args, f"{flag}_length") < 1:
+            raise SpecError(f"--{flag.replace('_', '-')}-length must be at least 1")
     if args.workers is not None and args.workers < 1:
         raise SpecError("--workers must be at least 1")
     if not 0.0 < args.tol <= sys.float_info.max:

@@ -41,23 +41,17 @@ class KAN:
 def cartan_decompose(g) -> KAK:
     """Cartan decomposition with deterministic frames.
 
-    Signs are canonicalized so each column of k1 has its largest-magnitude
-    entry positive (residual signs pushed into k2); if needed the last
-    column pair is flipped to force det k1 = det k2 = +1.
+    The columns of k1 take kernel.canonical_signs (each column's
+    largest-magnitude entry positive, det k1 = +1), mirrored into the rows
+    of k2, so det k2 = +1 too when det g > 0.
     """
     g = kernel.as_matrix(g)
     # LAPACK works on g itself; squaring into g.T @ g would lose every
     # singular value below sqrt(eps) * sigma_1.
     k1, sigma, k2 = np.linalg.svd(g)
-    # Column sign convention on k1.
-    for j in range(k1.shape[1]):
-        idx = int(np.argmax(np.abs(k1[:, j])))
-        if k1[idx, j] < 0:
-            k1[:, j] *= -1.0
-            k2[j, :] *= -1.0
-    if np.linalg.det(k1) < 0:
-        k1[:, -1] *= -1.0
-        k2[-1, :] *= -1.0
+    signs = kernel.canonical_signs(k1)
+    k1 *= signs
+    k2 *= signs[:, None]
     h = np.log(sigma)
     # Exact tracelessness for (numerically) SL input; log|det| far from zero
     # means the caller really passed a non-unimodular matrix, so keep it.

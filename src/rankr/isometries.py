@@ -3,8 +3,8 @@
 The multiplicative Jordan decomposition gamma = e * h * u is computed on
 the clustered generalized eigenspaces: per block with eigenvalue lambda,
 h acts by |lambda|, e by lambda/|lambda| and u collects the unipotent
-remainder.  The translation vector is the descending vector of eigenvalue
-log-moduli; its chamber position drives the classification.
+remainder.  The translation vector is the descending vector of the
+blocks' log-moduli; its chamber position drives the classification.
 """
 
 from dataclasses import dataclass
@@ -34,6 +34,7 @@ class JordanParts:
     h: np.ndarray  # hyperbolic
     u: np.ndarray  # unipotent
     blocks: list  # the accepted clustered spectrum (kernel.EigenBlock)
+    translation: np.ndarray  # descending centred log-moduli of the blocks
 
     def reconstruct(self) -> np.ndarray:
         return self.e @ self.h @ self.u
@@ -43,9 +44,8 @@ class JordanParts:
 class IsometryClass:
     tag: str  # elliptic | regular-axial | nonregular-axial |
     #           strictly-parabolic | mixed-parabolic
-    moduli: np.ndarray
-    translation: np.ndarray
     parts: JordanParts  # the decomposition the tag was read from
+    translation = property(lambda self: self.parts.translation)
 
 
 def _block_transform(blocks):
@@ -91,24 +91,20 @@ def jordan_decompose(gamma) -> JordanParts:
         if drift > 5e-2:
             last = f"unipotent factor drift {drift:.3e}"
             continue
-        return JordanParts(e, h, u, blocks)
+        ell = np.sort(np.log(moduli))[::-1]
+        return JordanParts(e, h, u, blocks, ell - ell.mean())
     raise IllConditionedSpectrum(last or "no admissible eigenvalue clustering")
-
-
-def _log_moduli(mat) -> np.ndarray:
-    ell = np.sort(np.log(np.abs(np.linalg.eigvals(mat))))[::-1]
-    return ell - ell.mean()
 
 
 def translation_vector(gamma) -> np.ndarray:
     """Descending log-moduli of the eigenvalues; L(gamma) = L(h).
 
-    Read from the hyperbolic part of jordan_decompose: the raw eigenvalues
+    Read from the clusters jordan_decompose accepts: the raw eigenvalues
     of a defective matrix scatter at eps**(1/k) in modulus, which would
-    leak into L; the diagonalizable h has none of that.  Raises
+    leak into L; a cluster mean, like h, has none of that.  Raises
     IllConditionedSpectrum wherever jordan_decompose does.
     """
-    return _log_moduli(jordan_decompose(gamma).h)
+    return jordan_decompose(gamma).translation
 
 
 def classify(gamma) -> IsometryClass:
@@ -117,7 +113,7 @@ def classify(gamma) -> IsometryClass:
     if np.linalg.norm(gamma - np.eye(n)) <= _ID_TOL:
         raise IdentityInput("the identity is not classified")
     parts = jordan_decompose(gamma)
-    ell = _log_moduli(parts.h)
+    ell = parts.translation
     scale = max(1.0, float(np.linalg.norm(gamma)))
     translating = np.linalg.norm(ell) > _ID_TOL
     unipotent_part = np.linalg.norm(parts.u - np.eye(n)) > _ID_TOL * scale
@@ -130,7 +126,7 @@ def classify(gamma) -> IsometryClass:
         tag = "regular-axial" if kind == "interior" else "nonregular-axial"
     else:
         tag = "mixed-parabolic"
-    return IsometryClass(tag, np.exp(ell), ell, parts)
+    return IsometryClass(tag, parts)
 
 
 def _real_eigenbasis(blocks, u):
@@ -183,12 +179,12 @@ def fixed_points(gamma):
     A defective block keeps its kernel-chain column order in both frames,
     so the flags of mixed-parabolic elements are fixed too.
     """
-    parts = jordan_decompose(gamma)
-    return _fixed_points(parts, _log_moduli(parts.h))
+    return _fixed_points(jordan_decompose(gamma))
 
 
-def _fixed_points(parts: JordanParts, ell):
-    """fixed_points from a Jordan decomposition and its translation vector."""
+def _fixed_points(parts: JordanParts):
+    """fixed_points from a Jordan decomposition."""
+    ell = parts.translation
     nl = np.linalg.norm(ell)
     if nl <= defaults.EPS_WALL:
         raise NotTranslating("translation vector vanishes")

@@ -51,6 +51,17 @@ def qr_pos(m):
     return q * signs[..., None, :], r * signs[..., :, None]
 
 
+def canonical_signs(frames) -> np.ndarray:
+    """The +-1 column signs of each matrix in an (..., n, n) stack that make
+    every column's largest-magnitude entry positive, then det positive by
+    flipping the last column; flips are exact, so they change no other bit."""
+    peak = np.abs(frames).argmax(axis=-2)[..., None, :]
+    top = np.take_along_axis(frames, peak, axis=-2)[..., 0, :]
+    signs = np.where(top < 0, -1.0, 1.0)
+    signs[np.linalg.det(frames * signs[..., None, :]) < 0, -1] *= -1.0
+    return signs
+
+
 def qr_decompose(g):
     """qr_pos of one matrix; raises SingularMatrix when a pivot of r is
     below defaults.EPS_DET."""

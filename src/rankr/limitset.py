@@ -312,11 +312,11 @@ def _stack_log_moduli(q, a, nu, workers=None):
 class SampleSet:
     """Columnar store of orbit samples, one row per reduced word.
 
-    Word values live in the factored form q e^a nu (see module notes);
-    value(i) assembles the actual matrix.  The columns dirs, frames, tags,
-    jdirs and overflow are computed on first access, in equal row blocks on
-    the worker pool (numpy's einsum takes another loop for a batch of one,
-    so never row by row): a check pays only for the columns it reads.
+    Word values live in the factored form q e^a nu (see module notes).  The
+    columns dirs, frames, tags, jdirs and overflow are computed on first
+    access, in equal row blocks on the worker pool (numpy's einsum takes
+    another loop for a batch of one, so never row by row): a check pays
+    only for the columns it reads.
     Reading dirs or frames computes both, from one graded SVD per word.
     workers is the pool size the columns are computed with (see
     resolve_workers); it changes no bit of them."""
@@ -360,12 +360,6 @@ class SampleSet:
     def word_tuple(self, i) -> tuple:
         row = self.words[i]
         return tuple(int(c) for c in row[row != _PAD])
-
-    def value(self, i) -> np.ndarray:
-        return _materialize(self.q[i][None], self.a[i][None], self.nu[i][None])[0]
-
-    def values(self) -> np.ndarray:
-        return _materialize(self.q, self.a, self.nu)
 
 
 def _classify_stack(q, a, nu, lengths, workers=None):
@@ -471,8 +465,8 @@ def limit_cone_sample(generators, max_length, workers=None) -> np.ndarray:
     word per rotation class is enough: the necklaces, of which only the
     suffixes are ever grown.  The resulting directions are grid-snapped."""
     samples = SampleSet(*_necklace_values(generators, max_length, workers), workers)
-    axial = np.array(["axial" in t for t in samples.tags])
-    good = axial & ~np.isnan(samples.jdirs[:, 0])
+    # A row has a Jordan direction exactly when its tag is axial.
+    good = ~np.isnan(samples.jdirs[:, 0])
     if not good.any():
         raise EmptySample("no axial words found")
     return _snap_unique(samples.jdirs[good])
@@ -625,17 +619,19 @@ def minimality_check(
     (a) the flag of every target frame, an (N, n, n) stack of orthonormal
     frames, must be eps-approached by the orbit of xi0 under words of
     length <= max_length; (b) every angular flag of a word of length >= 2
-    must land inside the union of the table neighborhoods."""
-    generators = table.effective_generators()
+    must land inside the union of the table neighborhoods.  The words of
+    f^T g f are grown, f the frame of xi0: each q is the Iwasawa K-part of
+    f^T w f, so f q frames w xi0 at any length, and f times an angular
+    frame of f^T w f is one of w."""
+    f = boundary.flag_frame(xi0.flag)
+    generators = [f.T @ g @ f for g in table.effective_generators()]
     samples = enumerate_samples(generators, max_length, workers)
-    n = samples.n
-    prod = np.einsum("nij,jk->nik", samples.values(), boundary.flag_frame(xi0.flag))
-    targets = np.asarray(targets, dtype=float).reshape(-1, n, n)
-    bound, best = _nearest_exact((kernel.qr_pos(prod)[0], None), (targets, None))
+    targets = np.asarray(targets, dtype=float).reshape(-1, samples.n, samples.n)
+    bound, best = _nearest_exact((f @ samples.q, None), (targets, None))
     approached = best < eps
     worst = float(np.where(approached, best, bound).max(initial=0.0))
     long_mask = samples.lengths >= 2
-    gaps = gap_to_neighborhoods(samples.frames[long_mask], table)
+    gaps = gap_to_neighborhoods(f @ samples.frames[long_mask], table)
     contained = gaps < 0.0
     return {
         "eps": eps,

@@ -49,18 +49,12 @@ def adapt_frame(f_plus: boundary.Flag, f_minus: boundary.Flag) -> np.ndarray:
         _, _, vh = np.linalg.svd(stacked)
         coeffs = vh[-1, :i]
         v = u @ coeffs
-        v = v / np.linalg.norm(v)
-        idx = int(np.argmax(np.abs(v)))
-        if v[idx] < 0:
-            v = -v
-        cols.append(v)
+        cols.append(v / np.linalg.norm(v))
     g = np.column_stack(cols)
+    g *= kernel.canonical_signs(g)
     d = np.linalg.det(g)
     if abs(d) < 1e-12:
         raise NotTransverse("adapted basis is numerically singular")
-    if d < 0:
-        g[:, -1] *= -1.0
-        d = -d
     return g / d ** (1.0 / n)
 
 
@@ -487,7 +481,7 @@ def check_nonelementary(table_or_generators):
             cls = isometries.classify(g)
             u = cls.parts.u
             if cls.tag in ("regular-axial", "nonregular-axial", "mixed-parabolic"):
-                plus, minus = isometries._fixed_points(cls.parts, cls.translation)
+                plus, minus = isometries._fixed_points(cls.parts)
                 fixed.append((plus.flag, minus.flag))
             elif cls.tag == "strictly-parabolic" and isometries._regular_unipotent(u):
                 f = isometries.unipotent_fixed_flag(u)

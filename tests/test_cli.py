@@ -62,6 +62,22 @@ def test_load_spec_rejects_malformed_entries(tmp_path, capsys):
          "generator 0 name must be a non-empty string")
         for name in (5, "", None, ["a"])
     ]
+    # Names that would break a CSV row or make word labels ambiguous.
+    names += [
+        ({"n": 2, "generators": [{"name": name, "matrix": gens[0]["matrix"]}]},
+         "generator 0 name must be a non-empty string, printable, not 'e'")
+        for name in ("x,y", "a.b", "a'", "e", "a\nb", 'q"')
+    ]
+    unnamed = {"matrix": gens[0]["matrix"]}
+    names += [
+        ({"n": 2, "generators": entries},
+         f"generator labels must be distinct, got {labels}")
+        for entries, labels in (
+            ([{**unnamed, "name": "b"}, unnamed], ["b", "b"]),
+            ([{**unnamed, "name": "a"}, {**unnamed, "name": "a"}], ["a", "a"]),
+            ([unnamed, unnamed, {**unnamed, "name": "a"}], ["a", "b", "a"]),
+        )
+    ]
     out = tmp_path / "out"
     for payload, message in seeds + radii + names + [
         (huge, "L vector 0 is not numeric"),
@@ -564,7 +580,12 @@ def test_limitset_requires_table_for_checks(tmp_path, capsys):
 def test_limitset_rejects_out_of_range_flags(tmp_path, capsys):
     cases = [
         (flag, "0", f"{flag} must be at least 1")
-        for flag in ("--max-word-length", "--cone-word-length", "--target-length")
+        for flag in (
+            "--max-word-length",
+            "--min-word-length",
+            "--cone-word-length",
+            "--target-length",
+        )
     ]
     cases += [
         ("--tol", value, "--tol must be finite and above 0")
@@ -572,18 +593,21 @@ def test_limitset_rejects_out_of_range_flags(tmp_path, capsys):
     ]
     cases.append(("--seed", "-1", "--seed must be a non-negative integer"))
     out = tmp_path / "out"
-    for flag, value, message in cases:
-        code = cli.main(
-            [
-                "limitset", "product",
-                "--input", spec_path("sl3_l2.json"),
-                "--out", str(out),
-                flag, value,
-            ]
-        )
-        err = capsys.readouterr().err
-        assert code == 1
-        assert message in err and "Traceback" not in err
+    for subcommand in ("product", "cone"):
+        for flag, value, message in cases:
+            code = cli.main(
+                [
+                    "limitset", subcommand,
+                    "--input", spec_path("sl3_l2.json"),
+                    "--out", str(out),
+                    "--max-word-length", "4",
+                    "--cone-word-length", "5",
+                    flag, value,
+                ]
+            )
+            err = capsys.readouterr().err
+            assert code == 1
+            assert message in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -46,6 +46,27 @@ def test_qr_decompose_reconstructs_with_positive_diagonal():
             assert np.array_equal(q, q2) and np.array_equal(r, r2)
 
 
+def test_canonical_signs_fix_each_frame_up_to_column_signs():
+    rng = np.random.default_rng(11)
+    for n in range(2, 9):
+        frames = np.array([random_so(rng, n) for _ in range(40)])
+        signed = frames * kernel.canonical_signs(frames)[:, None, :]
+        assert np.allclose(np.linalg.det(signed), 1.0, rtol=0.0, atol=1e-12)
+        peak = np.abs(signed).argmax(axis=1)
+        tops = np.take_along_axis(signed, peak[:, None, :], axis=1)[:, 0]
+        assert np.all(tops[:, :-1] > 0)
+        for _ in range(4):
+            flipped = frames * rng.choice([-1.0, 1.0], (40, 1, n))
+            again = flipped * kernel.canonical_signs(flipped)[:, None, :]
+            assert np.array_equal(again, signed)
+        # Any leading shape, and one matrix, give the same signs.
+        signs = kernel.canonical_signs(frames)
+        assert np.array_equal(
+            kernel.canonical_signs(frames.reshape(4, 10, n, n)), signs.reshape(4, 10, n)
+        )
+        assert np.array_equal(kernel.canonical_signs(frames[3]), signs[3])
+
+
 def test_qr_decompose_rejects_singular():
     with pytest.raises(SingularMatrix):
         kernel.qr_decompose(np.array([[1.0, 1.0], [1.0, 1.0]]))

@@ -63,7 +63,7 @@ def test_factored_values_match_naive_products():
     gens = _shear_pair()
     letters = [gens[0], np.linalg.inv(gens[0]), gens[1], np.linalg.inv(gens[1])]
     samples = limitset.enumerate_samples(gens, 4)
-    vals = samples.values()
+    vals = limitset._materialize(samples.q, samples.a, samples.nu)
     for i in range(len(samples)):
         naive = np.eye(2)
         for c in samples.word_tuple(i):
@@ -77,7 +77,7 @@ def test_factored_cartan_matches_kernel_at_short_lengths():
     rng = np.random.default_rng(0)
     gens = [random_sl(rng, 3), random_sl(rng, 3)]
     samples = limitset.enumerate_samples(gens, 4)
-    vals = samples.values()
+    vals = limitset._materialize(samples.q, samples.a, samples.nu)
     for i in range(len(samples)):
         if samples.lengths[i] == 0:
             continue
@@ -93,7 +93,8 @@ def test_directions_survive_extreme_squeezing():
     # range in its small singular values; the factored form keeps the
     # Cartan direction unit-norm, traceless, and chamber-ordered.
     samples = limitset.enumerate_samples(_shear_pair(), 16 // 4)
-    gens4 = [samples.value(i) for i in range(len(samples)) if samples.lengths[i] == 4][:2]
+    four = np.flatnonzero(samples.lengths == 4)[:2]
+    gens4 = limitset._materialize(samples.q[four], samples.a[four], samples.nu[four])
     deep = limitset.enumerate_samples(gens4, 4)
     mask = deep.lengths == 4
     dirs = deep.dirs[mask]
@@ -119,7 +120,8 @@ def test_classification_tags():
     ab = words.index((0, 2))
     assert samples.tags[ab] == "regular-axial"
     assert not np.isnan(samples.jdirs[ab]).any()
-    assert np.allclose(samples.value(0), np.eye(2))
+    identity = limitset._materialize(samples.q[:1], samples.a[:1], samples.nu[:1])
+    assert np.allclose(identity[0], np.eye(2))
     # a.b = [[5, 2], [2, 1]]; its top eigenvalue fixes the direction.
     lam = max(abs(np.linalg.eigvals(np.array([[5.0, 2.0], [2.0, 1.0]]))))
     expect = np.array([np.log(lam), -np.log(lam)])
@@ -440,14 +442,18 @@ def test_minimality_and_axdens_distances_are_brute_force(sl3_group):
     gens = table.effective_generators()
     xi0 = table.points[1]
     samples = limitset.enumerate_samples(gens, 5)
-    orbit = np.einsum(
-        "nij,jk->nik", samples.values(), boundary.flag_frame(xi0.flag)
-    )
+    # The orbit flag w xi0, moved one letter at a time, last letter first:
+    # no word is built as a matrix.
+    letters = [m for g in gens for m in (g, np.linalg.inv(g))]
+    orbit = []
+    for i in range(len(samples)):
+        frame = boundary.flag_frame(xi0.flag)
+        for c in reversed(samples.word_tuple(i)):
+            frame = kernel.qr_pos(letters[c] @ frame)[0]
+        orbit.append(frame)
     probe = limitset.enumerate_samples(gens, 4)
     targets = probe.frames[probe.lengths == 4]
-    euclid, exact = _brute_nearest(
-        (kernel.qr_pos(orbit)[0], None), (targets, None)
-    )
+    euclid, exact = _brute_nearest((np.array(orbit), None), (targets, None))
     # eps splits the targets, so both branches of the worst distance count.
     eps = float(np.median(exact))
     report = limitset.minimality_check(table, xi0, targets, 5, eps=eps)
@@ -457,9 +463,17 @@ def test_minimality_and_axdens_distances_are_brute_force(sl3_group):
     assert report["worst_target_distance"] == pytest.approx(
         np.where(approached, exact, euclid).max(), rel=0.0, abs=1e-12
     )
+    # Containment reads the angular flags of the words themselves.
+    gaps = limitset.gap_to_neighborhoods(samples.frames[samples.lengths >= 2], table)
+    assert report["containment_fraction"] == np.mean(gaps < 0.0)
+    assert report["containment_worst_gap"] == pytest.approx(
+        gaps.max(), rel=0.0, abs=1e-12
+    )
 
     regular = samples.tags == "regular-axial"
-    plus = limitset._axial_plus_frames(samples.values()[regular])
+    plus = limitset._axial_plus_frames(
+        limitset._materialize(samples.q, samples.a, samples.nu)[regular]
+    )
     long_words = samples.lengths >= 4
     exact = _brute_nearest(
         (plus, samples.jdirs[regular]),
