@@ -177,16 +177,6 @@ def busemann(xi: BoundaryPoint, gx, gy) -> float:
     return float(xi.direction @ (a[0] - a[1]))
 
 
-def _scaled_cartan_vector(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cartan projection of a @ diag(exp(v)), exact in the log domain.
-
-    Its transpose e^{diag v} a.T is a row-graded matrix, so the graded SVD
-    kernel keeps full relative accuracy however stretched the ray is (a
-    plain SVD of the assembled matrix loses the small singular values to
-    roundoff)."""
-    return kernel.graded_svd(v[None], a.T[None])[0][0]
-
-
 def busemann_oracle(xi: BoundaryPoint, gx, gy) -> float:
     """Finite-ray Busemann estimate, Richardson-extrapolated in 1/s.
 
@@ -201,10 +191,11 @@ def busemann_oracle(xi: BoundaryPoint, gx, gy) -> float:
     fs = []
     for s in (64.0, 128.0, 256.0):
         v = xi.direction * s
-        f = float(
-            np.linalg.norm(_scaled_cartan_vector(ax, v))
-            - np.linalg.norm(_scaled_cartan_vector(ay, v))
-        )
+        # The Cartan projections of ax e^{diag v} and ay e^{diag v}, from
+        # the graded SVD of their transposes: a plain SVD of the assembled
+        # matrix would lose the small singular values to roundoff.
+        cx, cy = kernel.graded_svd(np.stack([v, v]), np.stack([ax.T, ay.T]))[0]
+        f = float(np.linalg.norm(cx) - np.linalg.norm(cy))
         xs.append(1.0 / s)
         fs.append(f)
     # Lagrange extrapolation to x = 0.

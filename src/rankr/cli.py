@@ -299,6 +299,8 @@ def cmd_limitset(args) -> int:
     for flag in ("max_word", "min_word", "cone_word", "target"):
         if getattr(args, f"{flag}_length") < 1:
             raise SpecError(f"--{flag.replace('_', '-')}-length must be at least 1")
+    if args.min_word_length > args.max_word_length:
+        raise SpecError("--min-word-length must be at most --max-word-length")
     if args.workers is not None and args.workers < 1:
         raise SpecError("--workers must be at least 1")
     if not 0.0 < args.tol <= sys.float_info.max:

@@ -37,8 +37,3 @@ DELTA_SEP = 1e-9
 
 # Grid snap used when deduplicating direction samples.
 DIR_SNAP = 1e-9
-
-# Largest log-scale spread max(a) - min(a) of a graded matrix e^{diag a} m
-# that one scaled SVD takes; beyond it the scaled rows near e^{-708}
-# underflow and the exterior-power route takes over.
-GRADED_SPREAD = 600.0

@@ -6,10 +6,11 @@ is positive, which makes the factorization unique.  The general
 (nonsymmetric) spectrum is also delegated to LAPACK and re-sorted under
 a fixed deterministic order.
 
-Stacks of graded matrices e^{diag a} m, whose rows span hundreds of
+Stacks of graded matrices e^{diag a} m, whose rows span any number of
 orders of magnitude, get their log singular values and left singular
-frames from one batched LAPACK SVD after a re-triangularization that
-orders the scales: small singular values keep full relative accuracy.
+frames from batched scaled LAPACK SVDs after a re-triangularization that
+orders the scales: small singular values keep full relative accuracy,
+and a factor too wide for one scaled SVD is split where its rows decouple.
 
 Exterior powers of a stack (compounds) are built in one pass: the
 2-minors by one batched LAPACK determinant, every larger minor by a
@@ -278,44 +279,55 @@ def _retriangularize(a, m):
     return a_s + np.log(np.abs(rd)), u, order
 
 
-def _exterior_log_singular_values(b, u):
-    """Log singular values of e^{diag b} u (u unit upper triangular).
+# One scaled SVD holds a scale spread up to _SPREAD: products of two scaled
+# entries stay normal floats.  Rows whose scales all beat the rest by more
+# than _DECOUPLE span the top singular space to within eps.  Not tolerances.
+_SPREAD = -0.5 * np.log(np.finfo(float).tiny)
+_DECOUPLE = -np.log(np.finfo(float).eps)
 
-    log(s_1 ... s_k) is the log top singular value of the k-th exterior
-    power with its row weights kept symbolic, which no spread underflows."""
-    count, n = b.shape
-    cum = np.zeros((n + 1, count))
-    for k, cu in enumerate(compounds(u, n - 1), start=1):
-        w = combo_sums(b, k)
-        shift = w.max(axis=1)
-        m = np.exp(w - shift[:, None])[:, :, None] * cu
-        sig = np.linalg.svd(m, compute_uv=False)[:, 0]
-        cum[k] = np.log(np.maximum(sig, 1e-300)) + shift
-    cum[n] = b.sum(axis=1)
-    return np.sort(np.diff(cum, axis=0).T, axis=1)[:, ::-1]
+
+def _split_svd(b, u):
+    """(log singular values, right singular vectors as rows) of each
+    e^{diag b} u, b descending up to moderate terms and u moderate.
+
+    One SVD scaled by the largest row takes every matrix.  One whose
+    scales spread wider than _SPREAD is cut after its first row k with
+    min(b[:k]) - max(b[k:]) > _DECOUPLE: the scaled SVD of the top k rows
+    gives k values, k vectors and a complement basis W, and the rows below,
+    u[k:] W, are the same problem one size smaller."""
+    shift = b.max(axis=1)
+    _, sig, vh = np.linalg.svd(np.exp(b - shift[:, None])[:, :, None] * u)
+    with np.errstate(divide="ignore"):
+        values = np.log(sig) + shift[:, None]
+    wide = np.ptp(b, axis=1) > _SPREAD
+    if not wide.any():
+        return values, vh
+    lead = np.minimum.accumulate(b, axis=1)[:, :-1]
+    tail = np.maximum.accumulate(b[:, ::-1], axis=1)[:, -2::-1]
+    clean = lead - tail > _DECOUPLE
+    cut = np.where(wide & clean.any(axis=1), clean.argmax(axis=1) + 1, 0)
+    for k in np.unique(cut[cut > 0]):
+        rows = np.flatnonzero(cut == k)
+        top, basis = _split_svd(b[rows, :k], u[rows, :k])
+        low, sub = _split_svd(b[rows, k:], u[rows, k:] @ basis[:, k:].mT)
+        values[rows] = np.concatenate([top, low], axis=1)
+        vh[rows] = np.concatenate([basis[:, :k], sub @ basis[:, k:]], axis=1)
+    return values, vh
 
 
 def graded_svd(a, m):
     """(log singular values, left singular frames) of each e^{diag a} m in
     a stack; the values descend, and frame column i belongs to value i.
 
-    After _retriangularize the scales descend, and one scaled LAPACK SVD
-    of the row-graded triangular factor keeps the small singular values
-    to relative accuracy (Demmel & Veselic 1992); a plain SVD of the
-    assembled product keeps only the largest.  Its right singular vectors,
-    rows put back in the order of a, are the left singular frames.  Rows
-    whose scales spread wider than defaults.GRADED_SPREAD underflow once
-    scaled: their values take the exact exterior-power route, and their
-    frame columns past the scaled values that did not underflow are just
-    an orthonormal completion."""
+    After _retriangularize the scales descend, and a scaled LAPACK SVD of
+    the row-graded triangular factor keeps the small singular values to
+    relative accuracy (Demmel & Veselic 1992); a plain SVD of the
+    assembled product keeps only the largest.  Factors spread too wide
+    for one scaled SVD are split where their rows decouple (_split_svd),
+    so values and frames hold at any spread.  The right singular vectors,
+    rows put back in the order of a, are the left singular frames."""
     b, u, order = _retriangularize(a, m)
-    shift = b.max(axis=1)
-    _, sig, vh = np.linalg.svd(np.exp(b - shift[:, None])[:, :, None] * u)
-    with np.errstate(divide="ignore"):
-        values = np.log(sig) + shift[:, None]
-    wide = np.ptp(b, axis=1) > defaults.GRADED_SPREAD
-    if wide.any():
-        values[wide] = _exterior_log_singular_values(b[wide], u[wide])
+    values, vh = _split_svd(b, u)
     frames = np.empty_like(u)
     frames[np.arange(len(u))[:, None], order] = vh.transpose(0, 2, 1)
     return values, frames

@@ -730,7 +730,8 @@ def word_separation(generators, max_length, workers=None) -> float:
 
 
 def default_names(l: int):
-    letters = string.ascii_lowercase
+    # Every letter but e, the identity's label, then g1, g2, ...
+    letters = string.ascii_lowercase.replace("e", "")
     if l <= len(letters):
         return [letters[i] for i in range(l)]
     return [f"g{i + 1}" for i in range(l)]

@@ -119,6 +119,23 @@ def det_compounds(m: np.ndarray, top: int) -> list:
     return out[:top]
 
 
+def exterior_log_singular_values(b, u):
+    """Log singular values of e^{diag b} u (u unit upper triangular).
+
+    log(s_1 ... s_k) is the log top singular value of the k-th exterior
+    power with its row weights kept symbolic, which no spread underflows."""
+    count, n = b.shape
+    cum = np.zeros((n + 1, count))
+    for k, cu in enumerate(kernel.compounds(u, n - 1), start=1):
+        w = kernel.combo_sums(b, k)
+        shift = w.max(axis=1)
+        m = np.exp(w - shift[:, None])[:, :, None] * cu
+        sig = np.linalg.svd(m, compute_uv=False)[:, 0]
+        cum[k] = np.log(np.maximum(sig, 1e-300)) + shift
+    cum[n] = b.sum(axis=1)
+    return np.sort(np.diff(cum, axis=0).T, axis=1)[:, ::-1]
+
+
 def projector_flag_distance(c: np.ndarray, f: np.ndarray) -> float:
     """Reference flag distance of two orthonormal frames from explicit
     projector chains: max_k ||P_k(f) - P_k(c)||_F, P_k(f) = f[:, :k] f[:, :k]^T."""

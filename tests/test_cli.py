@@ -110,21 +110,20 @@ def test_load_spec_rejects_malformed_entries(tmp_path, capsys):
 
 
 def test_generators_without_names_take_default_labels(tmp_path, capsys):
-    spec = {
-        "n": 2,
-        "generators": [
-            {"matrix": [[2.0, 0.0], [0.0, 0.5]]},
-            {"matrix": [[1.25, 0.75], [0.75, 1.25]]},
-        ],
-    }
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
-    out = tmp_path / "out"
-    code, _ = _run(capsys, ["limitset", "enumerate", "--input", str(path),
-                            "--out", str(out), "--max-word-length", "1"])
-    assert code == 0
-    rows = (out / "samples.csv").read_text(encoding="utf-8").splitlines()[1:]
-    assert [row.split(",")[0] for row in rows] == ["e", "a", "a'", "b", "b'"]
+    # e labels the identity, so the fifth unnamed generator takes f.
+    matrices = [[[2.0, 0.0], [0.0, 0.5]], [[1.25, 0.75], [0.75, 1.25]]]
+    matrices += [[[3.0 + i, 0.0], [0.0, 1.0 / (3.0 + i)]] for i in range(3)]
+    for count, letters in ((2, "ab"), (5, "abcdf")):
+        spec = {"n": 2, "generators": [{"matrix": m} for m in matrices[:count]]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / f"out{count}"
+        code, _ = _run(capsys, ["limitset", "enumerate", "--input", str(path),
+                                "--out", str(out), "--max-word-length", "1"])
+        assert code == 0
+        rows = (out / "samples.csv").read_text(encoding="utf-8").splitlines()[1:]
+        want = ["e"] + [x + mark for x in letters for mark in ("", "'")]
+        assert [row.split(",")[0] for row in rows] == want
 
 
 def test_load_spec_rejects_nonempty_tolerances(tmp_path, capsys):
@@ -592,6 +591,10 @@ def test_limitset_rejects_out_of_range_flags(tmp_path, capsys):
         for value in ("nan", "-1", "0", "inf")
     ]
     cases.append(("--seed", "-1", "--seed must be a non-negative integer"))
+    # A minimum above the maximum would leave the cone trend no shell.
+    cases.append(
+        ("--min-word-length", "9", "--min-word-length must be at most --max-word-length")
+    )
     out = tmp_path / "out"
     for subcommand in ("product", "cone"):
         for flag, value, message in cases:

@@ -89,7 +89,8 @@ def test_graded_svd_moderate_matches_plain_svd():
 def test_graded_svd_closed_form_2x2():
     # e^{diag a} [[1, x], [0, 1]] with a_1 - a_2 = t has
     # log s_1 = a_1 + log(1 + x^2) / 2 + O(e^{-2t}) and s_1 s_2 = e^{a_1 + a_2},
-    # on either side of the spread at which the exterior route takes over.
+    # below and above the spread at which one scaled SVD stops holding and
+    # the factor is split where its rows decouple.
     # Its top left singular vector is e_1 up to an angle of O(x e^{-t}).
     coordinate = np.eye(2)[None]
     for t in (40.0, 550.0, 800.0):
@@ -111,6 +112,43 @@ def test_graded_svd_closed_form_2x2():
             assert boundary.standard_flag_distances(frames[:, ::-1])[0] < 1e-12
             if x == 0.0:
                 assert np.array_equal(np.abs(frames[:, ::-1]), coordinate)
+
+
+def _mpmath_svd(mpmath, a, m):
+    """(log singular values, left singular vectors) of e^{diag a} m in
+    exact enough arithmetic: e^{-spread} needs spread / 2.3 digits."""
+    n = len(a)
+    with mpmath.workdps(int(np.ptp(a) / 2.3) + 60):
+        g = mpmath.matrix(
+            [[mpmath.exp(mpmath.mpf(a[i])) * mpmath.mpf(m[i, j]) for j in range(n)]
+             for i in range(n)]
+        )
+        left, sig, _ = mpmath.svd_r(g)
+        values = np.array([float(mpmath.log(x)) for x in sig])
+        frame = np.array(left.tolist(), dtype=float)
+    order = np.argsort(-values)
+    return values[order], frame[:, order]
+
+
+def test_graded_svd_matches_mpmath_at_any_spread():
+    # Dirichlet(0.5) gaps put most of the spread into one or two gaps, the
+    # scales come in any order, and one scaled SVD underflows beyond a
+    # spread of about 650: the factor is split where its rows decouple.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(0)
+    for n in (2, 3, 5, 8):
+        for i, spread in enumerate((400.0, 700.0, 1200.0, 5000.0)):
+            gaps = rng.dirichlet(np.full(n - 1, 0.5)) * spread
+            a = rng.permutation(spread / 2 - np.concatenate([[0.0], np.cumsum(gaps)]))
+            if i % 2:
+                m = np.eye(n) + np.triu(rng.uniform(-3.0, 3.0, (n, n)), 1)
+            else:
+                m = rng.standard_normal((n, n))
+            want, frame = _mpmath_svd(mpmath, a, m)
+            got, frames = kernel.graded_svd(a[None], m[None])
+            assert np.all(np.abs(got[0] - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+            relative = (frame.T @ frames[0])[None]
+            assert boundary.standard_flag_distances(relative)[0] < 1e-12
 
 
 def _compound_test_stacks(rng, n, count=10):

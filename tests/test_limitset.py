@@ -12,6 +12,7 @@ from conftest import (
     ball_product_successes,
     cyclic_canonical,
     det_compounds,
+    exterior_log_singular_values,
     random_sl,
     random_so,
 )
@@ -744,6 +745,10 @@ def test_word_labels():
     assert names == ["a", "b"]
     assert limitset.word_label((), names) == "e"
     assert limitset.word_label((0, 3, 1), names) == "a.b'.a'"
+    # e labels the identity, so no generator takes it.
+    assert limitset.default_names(5) == ["a", "b", "c", "d", "f"]
+    assert "e" not in limitset.default_names(25)
+    assert limitset.default_names(26)[0] == "g1"
     assert limitset.default_names(30)[0] == "g1"
 
 
@@ -758,7 +763,7 @@ def test_overflow_flag():
 def _exterior_power_cartan(a, nu):
     """Reference Cartan projection: log(s_1 ... s_k) is the log top singular
     value of the k-th exterior power of e^a nu, exponents kept symbolic."""
-    ls = kernel._exterior_log_singular_values(a, nu)
+    ls = exterior_log_singular_values(a, nu)
     return ls - ls.mean(axis=1, keepdims=True)
 
 
@@ -771,19 +776,34 @@ def _assert_matches_oracle(q, a, nu):
     assert np.abs(frames.mT @ frames - np.eye(a.shape[1])).max() < 1e-13
 
 
+def _one_scaled_svd(a, nu):
+    """graded_svd's arithmetic on factors that one scaled SVD holds."""
+    b, u, order = kernel._retriangularize(a, nu)
+    shift = b.max(axis=1)
+    _, sig, vh = np.linalg.svd(np.exp(b - shift[:, None])[:, :, None] * u)
+    frames = np.empty_like(u)
+    frames[np.arange(len(u))[:, None], order] = vh.transpose(0, 2, 1)
+    return np.log(sig) + shift[:, None], frames
+
+
 def test_stack_cartan_matches_exterior_powers(sl3_group):
     _, _, table = sl3_group
-    _, q, a, nu = limitset._word_values(table.effective_generators(), 8)
-    _assert_matches_oracle(q, a, nu)
+    stacks = [limitset._word_values(table.effective_generators(), 8)[1:]]
     rng = np.random.default_rng(21)
     for n, length in ((4, 4), (6, 4), (8, 3)):
         gens = [random_sl(rng, n), random_sl(rng, n)]
-        _, q, a, nu = limitset._word_values(gens, length)
+        stacks.append(limitset._word_values(gens, length)[1:])
+    for q, a, nu in stacks:
         _assert_matches_oracle(q, a, nu)
+        # No word here spreads wide enough to be split: the graded SVD is
+        # bit for bit the one scaled SVD.
+        got = kernel.graded_svd(a, nu)
+        want = _one_scaled_svd(a, nu)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 def test_stack_cartan_wide_spread_and_any_scale_order():
-    # Spreads beyond defaults.GRADED_SPREAD take the exterior-power route.
+    # Spreads beyond what one scaled SVD holds are split where rows decouple.
     rng = np.random.default_rng(22)
     k1, k2 = random_so(rng, 3), random_so(rng, 3)
     g = k1 @ np.diag([np.exp(12.0), 1.0, np.exp(-12.0)]) @ k2
