@@ -21,6 +21,7 @@ from . import (
     decompositions,
     defaults,
     isometries,
+    lie,
     limitset,
     plotting,
     schottky,
@@ -130,12 +131,25 @@ def load_spec(path: str) -> dict:
             raise SpecError("schottky 'flags', 'parabolic_flags' and 'L' must be lists")
         if len(frames) != 2 * len(recipe["L"]):
             raise SpecError("schottky recipe needs two flags per L vector")
-        if not frames and not extra:
-            raise SpecError("schottky recipe needs an L vector or a parabolic flag")
+        # The radius rule min_sep / 3 needs a pair of flags.
+        if len(frames) + len(extra) < 2:
+            raise SpecError(
+                "schottky recipe needs an L vector or a parabolic flag, "
+                "and at least two flags in all"
+            )
         for i, frame in enumerate(frames + extra):
             _spec_matrix(frame, (n, n), f"flag frame {i}")
         for i, ell in enumerate(recipe["L"]):
-            _spec_matrix(ell, (n,), f"L vector {i}")
+            ell = _spec_matrix(ell, (n,), f"L vector {i}")
+            try:
+                interior = lie.chamber_classify(ell)[0] == "interior"
+            except ValueError:  # not traceless
+                interior = False
+            if not interior:
+                raise SpecError(
+                    f"L vector {i} must be traceless and strictly descending "
+                    "(inside the chamber)"
+                )
         for key in ("radius_policy", "radius_scale"):
             value = recipe.get(key, 1.0)
             if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:

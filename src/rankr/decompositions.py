@@ -2,8 +2,9 @@
 
 The Cartan decomposition writes g = k1 e^{diag h} k2 with h the descending
 log singular values (the Cartan projection); Iwasawa is QR read as
-k * e^{diag a} * n with n unit upper triangular; Bruhat cells are
-identified from the rank pattern of lower-left submatrices.
+k * e^{diag a} * n with n unit upper triangular, by kernel.grade of r;
+Bruhat cells are identified from the rank pattern of lower-left
+submatrices.
 """
 
 from dataclasses import dataclass
@@ -76,10 +77,7 @@ def point_distance(gx, gy) -> float:
 
 def iwasawa(g) -> KAN:
     q, r = kernel.qr_decompose(g)
-    diag = np.diag(r).copy()
-    a = np.log(diag)
-    nplus = r / diag[:, None]
-    return KAN(q, a, nplus)
+    return KAN(q, *kernel.grade(r, 0.0))
 
 
 def bruhat_cell(g) -> lie.WeylElem:

@@ -6,8 +6,10 @@ is positive, which makes the factorization unique.  The general
 (nonsymmetric) spectrum is also delegated to LAPACK and re-sorted under
 a fixed deterministic order.
 
-Stacks of graded matrices e^{diag a} m, whose rows span any number of
-orders of magnitude, get their log singular values and left singular
+grade is the one re-factorisation r e^{diag a} = D e^{diag b} u of a
+graded triangular product; Iwasawa, word growth and the graded SVD call
+it.  Stacks of graded matrices e^{diag a} m, whose rows span any number
+of orders of magnitude, get their log singular values and left singular
 frames from batched scaled LAPACK SVDs after a re-triangularization that
 orders the scales: small singular values keep full relative accuracy,
 and a factor too wide for one scaled SVD is split where its rows decouple.
@@ -258,25 +260,37 @@ def combo_sums(a: np.ndarray, k: int) -> np.ndarray:
     )
 
 
+def grade(r, a):
+    """(b, u) with r e^{diag a} = D e^{diag b} u for upper triangular r,
+    one matrix or a stack: D = diag(sign r_ii), b = a + log|r_ii| and
+    u_ij = (r_ij / r_ii) e^{a_j - a_i} above a unit diagonal, 0 below it.
+    Raises SingularMatrix on a zero pivot."""
+    rd = np.diagonal(r, axis1=-2, axis2=-1)
+    if not rd.all():
+        raise SingularMatrix("a pivot of the triangular factor is zero")
+    a = np.broadcast_to(np.asarray(a, dtype=float), rd.shape)
+    ratio = r / rd[..., None]
+    # The diagonal is r_ii / r_ii e^0 = 1 exactly.  An exactly zero entry,
+    # every one below the diagonal among them, stays zero even when its
+    # grading exponent overflows; without the mask 0 * inf would poison u.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = ratio * np.exp(a[..., None, :] - a[..., :, None])
+    u[ratio == 0.0] = 0.0
+    return a + np.log(np.abs(rd)), u
+
+
 def _retriangularize(a, m):
     """(b, u, order) with e^{a_s} m_s = (e^{diag b} u)^T D Q^T, where row i
     of a_s and m_s is row order[i] of a and m, and D Q^T is orthogonal.
 
     Transposed, the row scales become column scales, which commute with
-    QR: sorting them descending, m_s^T e^{a_s} = Q R e^{a_s}, and
-    R e^{a_s} = D e^{diag b} u with D = diag(sign r_ii), b_i = a_s,i +
-    log|r_ii| and u_ij = (r_ij / r_ii) e^{a_s,j - a_s,i}, whose exponents
-    are <= 0 above the diagonal.  So u is unit upper triangular with
-    moderate entries and b descends up to moderate terms, whatever the
-    order of a."""
+    QR: sorting them descending, m_s^T e^{a_s} = Q R e^{a_s}, and grade
+    of R and a_s has exponents <= 0 above the diagonal.  So u has moderate
+    entries and b descends up to moderate terms, whatever the order of a."""
     order = np.argsort(-a, axis=1, kind="stable")
     a_s = np.take_along_axis(a, order, axis=1)
     m_s = np.take_along_axis(m, order[:, :, None], axis=1)
-    r = np.linalg.qr(m_s.transpose(0, 2, 1), mode="r")
-    rd = np.einsum("nii->ni", r)
-    expo = np.minimum(a_s[:, None, :] - a_s[:, :, None], 0.0)
-    u = np.triu(r / rd[:, :, None] * np.exp(expo))
-    return a_s + np.log(np.abs(rd)), u, order
+    return *grade(np.linalg.qr(m_s.transpose(0, 2, 1), mode="r"), a_s), order
 
 
 # One scaled SVD holds a scale spread up to _SPREAD: products of two scaled

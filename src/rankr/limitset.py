@@ -12,12 +12,14 @@ factored form  w = Q e^{diag a} N  (orthogonal frame, log scales, unit
 upper triangular with moderate entries).  Prepending a generator updates
 the factorization exactly, because QR commutes with right diagonal
 scaling:  g Q e^a N = Q' (R' e^a) N  with QR(g Q) = Q' R' computed on a
-well-scaled matrix.  Cartan vectors and angular flags come from one
-batched SVD of the graded factor e^a N (kernel.graded_svd), which keeps
-the small singular values to relative accuracy; only the eigenvalue moduli
-are read off through exterior powers, with the exponents carried
-symbolically.  The exterior powers of q and N come from kernel.compounds
-(LAPACK 2-minors, Laplace expansion above), a block of words at a time.
+well-scaled matrix, and R' e^a = e^{a'} M, M unit upper triangular, by
+kernel.grade, the one re-factorisation.  Cartan vectors and angular flags
+come from one batched SVD of the graded factor e^a N (kernel.graded_svd),
+which keeps the small singular values to relative accuracy; only the
+eigenvalue moduli are read off through exterior powers, with the
+exponents carried symbolically.  The exterior powers of q and N come from
+kernel.compounds (LAPACK 2-minors, Laplace expansion above), a block of
+words at a time.
 Directions stay accurate at any word length.
 
 Limit cones need one cyclically reduced word per conjugacy class, since
@@ -120,20 +122,8 @@ def _letter_stack(generators):
 
 def _prepend(letter, q, a, nu):
     """Factored update (q, a, nu) -> factorization of letter @ q e^a nu."""
-    prod = np.einsum("ij,njk->nik", letter, q)
-    q2, r2 = kernel.qr_pos(prod)
-    rd = np.einsum("nii->ni", r2)
-    a2 = a + np.log(rd)
-    # Unit-upper factor of (r2 e^a): entry (i, j) picks up e^{a_j - a_i}.
-    expo = a[:, None, :] - a[:, :, None]
-    upper = np.triu(np.ones_like(expo), 1)
-    ratio = (r2 / rd[:, :, None]) * upper
-    # An exactly zero entry stays zero even when its grading exponent
-    # overflows; without the mask 0 * inf would poison the factor.
-    with np.errstate(over="ignore", invalid="ignore"):
-        mixer = ratio * np.exp(expo * upper)
-    mixer[ratio == 0.0] = 0.0
-    mixer += np.eye(a.shape[1])
+    q2, r2 = kernel.qr_pos(np.einsum("ij,njk->nik", letter, q))
+    a2, mixer = kernel.grade(r2, a)
     return q2, a2, np.einsum("nij,njk->nik", mixer, nu)
 
 
@@ -155,9 +145,7 @@ def _grow_block(letters, seed, max_length, targets=None):
     words = np.full((1, max_length), _PAD, dtype=np.int8)
     words[0, 0] = seed
     q, r = kernel.qr_pos(letters[seed][None])
-    rd = np.einsum("nii->ni", r)
-    a = np.log(rd)
-    nu = r / rd[:, :, None]
+    a, nu = kernel.grade(r, 0.0)
     out = [(words, q, a, nu)]
     if targets is not None:
         lengths = (targets != _PAD).sum(axis=1)

@@ -135,7 +135,10 @@ class PingPongTable:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PingPongTable":
         """The table of to_json_dict's output; SpecError when data is not
-        one."""
+        one as build_table writes it: kinds axial, then parabolic; one
+        generator and power per kind; two points and radii per axial
+        generator and one per parabolic; finite n x n generators; finite
+        radii above 0; integer powers in [1, _K_MAX]."""
         try:
             points = [
                 boundary.boundary_point(
@@ -144,17 +147,48 @@ class PingPongTable:
                 )
                 for p in data["points"]
             ]
-            return cls(
+            table = cls(
                 points=points,
                 radii=np.asarray(data["radii"], dtype=float),
-                base_generators=[
-                    np.asarray(g, dtype=float) for g in data["generators"]
-                ],
-                powers=[int(k) for k in data["powers"]],
+                base_generators=[kernel.as_matrix(g) for g in data["generators"]],
+                powers=list(data["powers"]),
                 kinds=list(data["kinds"]),
             )
         except (KeyError, IndexError, TypeError, ValueError, RankrError) as exc:
             raise SpecError(f"malformed table: {type(exc).__name__}: {exc}")
+        l_count = table.kinds.count("axial")
+        # (n, n) for every point (flag size, direction length) and generator.
+        shapes = {(p.n, *p.direction.shape) for p in points}
+        shapes |= {g.shape for g in table.base_generators}
+        for ok, what in (
+            (table.kinds, "needs at least one generator"),
+            (
+                table.kinds == ["axial"] * l_count
+                + ["parabolic"] * (len(table.kinds) - l_count),
+                "kinds must be 'axial', then 'parabolic'",
+            ),
+            (
+                len(table.base_generators) == len(table.powers) == len(table.kinds),
+                "needs one generator and one power per kind",
+            ),
+            (
+                table.radii.shape == (len(points),)
+                and len(points) == len(table.kinds) + l_count,
+                "needs two points and radii per axial generator, one per parabolic",
+            ),
+            (len(shapes) == 1, "points and generators must share one dimension n"),
+            (
+                np.all(np.isfinite(table.radii) & (table.radii > 0)),
+                "radii must be finite and above 0",
+            ),
+            (
+                all(type(k) is int and 1 <= k <= _K_MAX for k in table.powers),
+                f"powers must be integers in [1, {_K_MAX}]",
+            ),
+        ):
+            if not ok:
+                raise SpecError(f"malformed table: {what}")
+        return table
 
 
 @dataclass
@@ -298,6 +332,9 @@ def _generator_margin(table, m, gen_eff, samples, complement=None):
         frames = np.concatenate(stacks, axis=0)
         images = boundary.act_frames(mat, frames)
         dist = boundary.flag_distances_to_center(images, table.points[tgt].flag)
+        # A non-finite image (an overflowing power) is the worst violation;
+        # as NaN it would compare False against every margin.
+        dist[~np.isfinite(dist)] = np.inf
         idx = int(np.argmax(dist))
         margin = float(table.radii[tgt] - dist[idx])
         if margin < worst:

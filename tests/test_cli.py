@@ -57,6 +57,19 @@ def test_load_spec_rejects_malformed_entries(tmp_path, capsys):
     ]
     ells = [[10**400, 0, -1]] + sl3["schottky"]["L"][1:]
     huge = {**sl3, "schottky": {**sl3["schottky"], "L": ells}}
+    # An L vector that is not traceless, lies outside the chamber or on a
+    # wall (the zero vector too), and a lone parabolic flag, which leaves
+    # the radius rule min_sep / 3 no pair.
+    recipes = [
+        ({**sl3, "schottky": {**sl3["schottky"], "L": [ell] + sl3["schottky"]["L"][1:]}},
+         "L vector 0 must be traceless and strictly descending")
+        for ell in ([1.5, 0, -1.0], [-1.5, 0, 1.5], [1, 1, -2], [0, 0, 0])
+    ]
+    recipes.append(
+        ({**sl3, "schottky": {"flags": [], "L": [],
+                              "parabolic_flags": sl3["schottky"]["flags"][:1]}},
+         "and at least two flags in all")
+    )
     names = [
         ({"n": 2, "generators": [{"name": name, "matrix": gens[0]["matrix"]}]},
          "generator 0 name must be a non-empty string")
@@ -79,7 +92,7 @@ def test_load_spec_rejects_malformed_entries(tmp_path, capsys):
         )
     ]
     out = tmp_path / "out"
-    for payload, message in seeds + radii + names + [
+    for payload, message in seeds + radii + names + recipes + [
         (huge, "L vector 0 is not numeric"),
         ({"n": 2, "generators": [{"name": "a"}]}, "generator 0 has no 'matrix'"),
         (
@@ -337,6 +350,66 @@ def test_schottky_check_rejects_bad_table(tmp_path, capsys, content, message):
     assert code == 1
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+def _edited_table(table, key, edit):
+    data = json.loads(json.dumps(table))
+    data[key] = edit(data[key])
+    return data
+
+
+def test_schottky_check_rejects_malformed_table_fields(sl3_group, tmp_path, capsys):
+    # Each table would have certified, or ended in a traceback, unchecked.
+    table = sl3_group[2].to_json_dict()
+    nan_entry = [[[float("nan"), *g[0][1:]], *g[1:]] for g in table["generators"]]
+    cases = [
+        ("generators", lambda g: nan_entry, "ValueError: matrix entries must be finite"),
+        ("generators", lambda g: [[[2.0, 0.0], [0.0, 0.5]], g[1]],
+         "points and generators must share one dimension n"),
+        ("powers", lambda k: [10**6, k[1]], "powers must be integers in [1, 60]"),
+        ("powers", lambda k: [2.5, k[1]], "powers must be integers in [1, 60]"),
+        ("powers", lambda k: k[:1], "needs one generator and one power per kind"),
+        ("kinds", lambda k: ["parabolic", "axial"], "kinds must be 'axial', then"),
+        ("kinds", lambda k: ["loxodromic", "axial"], "kinds must be 'axial', then"),
+        ("radii", lambda r: r[:2], "needs two points and radii per axial generator"),
+        ("points", lambda p: p[:3], "needs two points and radii per axial generator"),
+        ("radii", lambda r: [-0.1, *r[1:]], "radii must be finite and above 0"),
+        ("radii", lambda r: [float("nan"), *r[1:]], "radii must be finite and above 0"),
+    ]
+    out = tmp_path / "out"
+    path = tmp_path / "table.json"
+    for key, edit, message in cases:
+        path.write_text(json.dumps(_edited_table(table, key, edit)))
+        code = cli.main(["schottky", "check", "--input", spec_path("sl3_l2.json"),
+                         "--out", str(out), "--table", str(path),
+                         "--resolution", "50"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"malformed table: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_schottky_check_counts_a_nonfinite_image_as_a_violation(
+    sl3_group, tmp_path, capsys
+):
+    # A finite generator whose power overflows maps its sources to NaN
+    # frames; that is a violation with a witness, not an infinite margin.
+    table = sl3_group[2].to_json_dict()
+    huge = _edited_table(
+        table, "generators", lambda g: [(np.array(g[0]) * 1e200).tolist(), g[1]]
+    )
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(huge))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, run = _run(capsys, ["schottky", "check", "--input",
+                                  spec_path("sl3_l2.json"), "--out",
+                                  str(tmp_path / "out"), "--table", str(path),
+                                  "--resolution", "50"])
+    assert code == 4
+    assert run["metrics"]["min_margin"] == -np.inf
+    report = json.loads((tmp_path / "out" / "certification.json").read_text())
+    assert report["witness"]["generator"] == 0
+    assert report["witness"]["image_distance"] == np.inf
 
 
 def test_schottky_doubled_radii_fails(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import warnings
 from math import comb
 
 import numpy as np
@@ -70,6 +71,58 @@ def test_canonical_signs_fix_each_frame_up_to_column_signs():
 def test_qr_decompose_rejects_singular():
     with pytest.raises(SingularMatrix):
         kernel.qr_decompose(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def test_grade_reconstructs_graded_triangular_stacks():
+    rng = np.random.default_rng(17)
+    for n in range(2, 9):
+        # Pivots of either sign, scales spread over e^40.
+        r = np.triu(rng.standard_normal((40, n, n)))
+        a = rng.uniform(-20.0, 20.0, (40, n))
+        b, u = kernel.grade(r, a)
+        signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
+        got = (signs * np.exp(b))[:, :, None] * u
+        want = r * np.exp(a)[:, None, :]
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+        # An exact unit diagonal and exact (positive) zeros below it.
+        below = np.tril(np.ones((n, n), dtype=bool), -1)
+        assert np.all(np.diagonal(u, axis1=1, axis2=2) == 1.0)
+        assert np.all(u[:, below] == 0.0) and not np.signbit(u[:, below]).any()
+        # One matrix gives the row of the stack.
+        one_b, one_u = kernel.grade(r[5], a[5])
+        assert np.array_equal(one_b, b[5]) and np.array_equal(one_u, u[5])
+
+
+def test_grade_keeps_zeros_under_overflowing_exponents():
+    # The zero entries whose exponents overflow (e^800, e^1100) stay
+    # exactly zero, so u stays finite.
+    r = np.array(
+        [
+            [[2.0, 0.0, 0.5], [0.0, -1.0, 0.0], [0.0, 0.0, 3.0]],
+            [[2.0, 0.0, 0.0], [0.0, -1.0, 0.5], [0.0, 0.0, 3.0]],
+        ]
+    )
+    a = np.array([[0.0, 800.0, -300.0], [-800.0, 300.0, 0.0]])
+    b, u = kernel.grade(r, a)
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(b))
+    assert u[0, 0, 1] == 0.0 and u[0, 1, 2] == 0.0
+    assert u[1, 0, 1] == 0.0 and u[1, 0, 2] == 0.0
+    assert u[0, 0, 2] == 0.25 * np.exp(-300.0)
+    assert u[1, 1, 2] == -0.5 * np.exp(-300.0)
+    assert np.array_equal(b[0], a[0] + np.log([2.0, 1.0, 3.0]))
+
+
+def test_grade_and_graded_svd_reject_a_zero_pivot():
+    r = np.triu(np.ones((4, 3, 3)))
+    r[2, 1, 1] = 0.0
+    singular = np.eye(3)
+    singular[-1] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrix):
+            kernel.grade(r, np.zeros((4, 3)))
+        with pytest.raises(SingularMatrix):
+            kernel.graded_svd(np.zeros((1, 3)), singular[None])
 
 
 def test_graded_svd_moderate_matches_plain_svd():
