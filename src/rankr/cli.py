@@ -150,6 +150,16 @@ def load_spec(path: str) -> dict:
                     f"L vector {i} must be traceless and strictly descending "
                     "(inside the chamber)"
                 )
+            # Keeps the generator e^L and the norm of L that scales it finite
+            # and away from 0.
+            with np.errstate(over="ignore", under="ignore"):
+                scales = np.exp(ell)
+            if not (np.isfinite(scales).all() and (scales > 0).all()
+                    and (scales[:-1] > scales[1:]).all()):
+                raise SpecError(
+                    f"L vector {i} must have e^L finite, above 0 and strictly "
+                    "descending"
+                )
         for key in ("radius_policy", "radius_scale"):
             value = recipe.get(key, 1.0)
             if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:

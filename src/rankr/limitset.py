@@ -29,10 +29,11 @@ about a seventh of the reduced words at cone length 11.
 
 Emitted sample order is the depth-first preorder of the word tree with
 children in fixed alphabet order (a < a' < b < b' < ...), recovered by a
-single lexicographic sort.  Word growth runs one letter's subtree per
-thread, and the moduli and Cartan kernels run in equal row blocks on the
-same worker pool; every row is computed on its own, so the stream is
-byte-identical for any worker count.
+single lexicographic sort.  Words grow level by level from the identity,
+one prepended letter per task on the worker pool, and the moduli and
+Cartan kernels run in equal row blocks on the same pool; every row is
+computed on its own, so the stream is byte-identical for any worker
+count.
 """
 
 import os
@@ -51,7 +52,6 @@ from .errors import (
     IdentityInput,
     IllConditionedSpectrum,
     InsufficientGenerators,
-    SpecError,
 )
 
 _PAD = -1
@@ -62,19 +62,9 @@ _REFINE_BLOCK = 1 << 12  # (point, query) pairs per batched refine
 
 
 def resolve_workers(workers=None) -> int:
-    """An explicit worker count wins (below 1 means 1); else RANKR_THREADS,
-    which must be a positive integer; else the CPU count."""
+    """An explicit worker count (below 1 means 1), else the CPU count."""
     if workers is not None:
         return max(1, int(workers))
-    env = os.environ.get("RANKR_THREADS")
-    if env:
-        try:
-            count = int(env)
-        except ValueError:
-            count = 0
-        if count < 1:
-            raise SpecError(f"RANKR_THREADS must be a positive integer, got {env!r}")
-        return count
     return os.cpu_count() or 1
 
 
@@ -93,10 +83,7 @@ def _row_blocks(count, step) -> list:
     """Slices of equal blocks of at most step rows that cover count rows.
 
     The stack kernels compute each row on its own, so neither the blocks
-    nor the thread that runs each one change a bit, as long as no block is
-    a lone row that the stack is not (numpy's einsum takes another loop
-    for a batch of one): with step >= 4, every block of a stack of two or
-    more rows holds at least two."""
+    nor the thread that runs each one change a bit."""
     parts = max(1, -(-count // max(1, step)))
     edges = [count * i // parts for i in range(parts + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
@@ -134,87 +121,70 @@ def _row_keys(rows):
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
 
 
-def _grow_block(letters, seed, max_length, targets=None):
-    """Reduced words ending with a fixed letter, grown by prepending.
+def _grow_block(letters, level, picks, workers=None):
+    """One level of word growth: each letter c prepended to the rows
+    picks[c] of level, the padded word rows and factored values
+    (q, a, nu) of the words one letter shorter.  Each letter is one task
+    on the worker pool; the new rows come grouped by their first letter."""
+    words, q, a, nu = level
 
-    Grows every such word, or with targets (padded reduced word rows) only
-    the targets that end with the letter and their suffixes; a word is
-    grown from its suffix one letter shorter, so it needs every suffix.
-    Returns padded word rows and the factored values (q, a, nu)."""
-    alpha = len(letters)
-    words = np.full((1, max_length), _PAD, dtype=np.int8)
-    words[0, 0] = seed
-    q, r = kernel.qr_pos(letters[seed][None])
-    a, nu = kernel.grade(r, 0.0)
-    out = [(words, q, a, nu)]
-    if targets is not None:
-        lengths = (targets != _PAD).sum(axis=1)
-        last = targets[np.arange(len(targets)), np.maximum(lengths - 1, 0)]
-        mine = (lengths > 0) & (last == seed)
-        targets, lengths = targets[mine], lengths[mine]
-        node = np.zeros(len(targets), dtype=np.int64)  # row of each suffix
-    for depth in range(1, max_length):
-        prev_w, prev_q, prev_a, prev_nu = out[-1]
-        if targets is None:
-            first = prev_w[:, 0]
-            picks = [np.flatnonzero(first != (c ^ 1)) for c in range(alpha)]
-        else:
-            # A target at least depth + 1 long needs its suffix of that
-            # length: its next letter c prepended to the suffix row grown
-            # last.  Keys c * rows + row sort like the rows grow below.
-            long = lengths > depth
-            targets, lengths, node = targets[long], lengths[long], node[long]
-            if not len(targets):
-                break
-            letter = targets[np.arange(len(targets)), lengths - depth - 1]
-            keys, node = np.unique(
-                letter.astype(np.int64) * len(prev_w) + node, return_inverse=True
-            )
-            picks = [
-                keys[keys // len(prev_w) == c] % len(prev_w) for c in range(alpha)
-            ]
-        chunks = []
-        for c, rows in enumerate(picks):
-            if not len(rows):
-                continue
-            # Growing every word never takes a lone row here (depth > 1 and
-            # alpha > 2), and numpy's einsum takes another loop for a batch
-            # of one: a lone row is grown twice so its bits stay the same.
-            lone = len(rows) == 1 and depth > 1 and alpha > 2
-            grow = np.repeat(rows, 2) if lone else rows
-            w = np.full((len(rows), max_length), _PAD, dtype=np.int8)
-            w[:, 0] = c
-            w[:, 1 : depth + 1] = prev_w[rows, :depth]
-            values = _prepend(letters[c], prev_q[grow], prev_a[grow], prev_nu[grow])
-            chunks.append((w, *(v[: len(rows)] for v in values)))
-        out.append(tuple(np.concatenate(parts) for parts in zip(*chunks)))
-    return tuple(np.concatenate(parts) for parts in zip(*out))
+    def grow(c):
+        rows = picks[c]
+        w = np.insert(words[rows, :-1], 0, c, axis=1)
+        return (w, *_prepend(letters[c], q[rows], a[rows], nu[rows]))
+
+    tasks = [c for c, rows in enumerate(picks) if len(rows)]
+    # Joined a field at a time, each field's chunks dropped once joined.
+    fields = [list(parts) for parts in zip(*_fan_out(grow, tasks, workers))]
+    return tuple(np.concatenate(fields.pop(0)) for _ in level)
 
 
 def _word_values(generators, max_length, workers=None, targets=None):
     """All reduced words of length <= max_length in factored form, or with
-    targets (see _grow_block) the identity, the letters, the targets and
+    targets (padded reduced word rows) only the identity, the targets and
     their suffixes.
 
-    Rows are in depth-first preorder; row 0 is the identity word."""
+    Growth runs level by level from the identity: level d + 1 prepends
+    each letter c to the level-d rows that do not start with c's inverse,
+    or with targets only to the suffixes the targets need, since a word is
+    grown from its suffix one letter shorter.  Rows are in depth-first
+    preorder; row 0 is the identity word."""
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
     letters = _letter_stack(generators)
-    n = letters.shape[-1]
-    results = _fan_out(
-        lambda s: _grow_block(letters, s, max_length, targets),
-        range(len(letters)),
-        workers,
-    )
-    # Per field: the identity row, then the per-letter blocks.
-    heads = (
+    alpha, n = len(letters), letters.shape[-1]
+    level = (
         np.full((1, max_length), _PAD, dtype=np.int8),
         np.eye(n)[None],
         np.zeros((1, n)),
         np.eye(n)[None],
     )
-    fields = [[head, *parts] for head, parts in zip(heads, zip(*results))]
-    del results
+    levels = [level]
+    if targets is not None:
+        lengths = (targets != _PAD).sum(axis=1)
+        node = np.zeros(len(targets), dtype=np.int64)  # row of each suffix
+    for depth in range(max_length):
+        first = level[0][:, 0]
+        if targets is None:
+            picks = [np.flatnonzero(first != (c ^ 1)) for c in range(alpha)]
+        else:
+            # A target longer than depth needs its suffix of length
+            # depth + 1: its next letter c prepended to its suffix row r in
+            # this level.  The next level's rows are the cells (c, r) of
+            # used in row-major order, the order they grow in.
+            long = lengths > depth
+            targets, lengths, node = targets[long], lengths[long], node[long]
+            if not len(targets):
+                break
+            letter = targets[np.arange(len(targets)), lengths - depth - 1]
+            used = np.zeros((alpha, len(first)), dtype=bool)
+            used[letter, node] = True
+            node = np.cumsum(used).reshape(used.shape)[letter, node] - 1
+            picks = [np.flatnonzero(rows) for rows in used]
+        level = _grow_block(letters, level, picks, workers)
+        levels.append(level)
+    fields = [list(parts) for parts in zip(*levels)]
+    del levels, level
     # Preorder = lexicographic with the pad sorting first.
     words = np.concatenate(fields.pop(0))
     order = np.lexsort(tuple(words[:, j] for j in range(max_length - 1, -1, -1)))
@@ -302,9 +272,8 @@ class SampleSet:
 
     Word values live in the factored form q e^a nu (see module notes).  The
     columns dirs, frames, tags, jdirs and overflow are computed on first
-    access, in equal row blocks on the worker pool (numpy's einsum takes
-    another loop for a batch of one, so never row by row): a check pays
-    only for the columns it reads.
+    access, in equal row blocks on the worker pool: a check pays only for
+    the columns it reads.
     Reading dirs or frames computes both, from one graded SVD per word.
     workers is the pool size the columns are computed with (see
     resolve_workers); it changes no bit of them."""

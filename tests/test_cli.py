@@ -65,6 +65,13 @@ def test_load_spec_rejects_malformed_entries(tmp_path, capsys):
          "L vector 0 must be traceless and strictly descending")
         for ell in ([1.5, 0, -1.0], [-1.5, 0, 1.5], [1, 1, -2], [0, 0, 0])
     ]
+    # Inside the chamber, but e^L overflows, underflows to 0 or rounds to
+    # equal entries.
+    recipes += [
+        ({**sl3, "schottky": {**sl3["schottky"], "L": [ell] + sl3["schottky"]["L"][1:]}},
+         "L vector 0 must have e^L finite, above 0 and strictly descending")
+        for ell in ([800, 0, -800], [400.5, 399.5, -800], [1e-300, 0, -1e-300])
+    ]
     recipes.append(
         ({**sl3, "schottky": {"flags": [], "L": [],
                               "parabolic_flags": sl3["schottky"]["flags"][:1]}},
@@ -703,37 +710,6 @@ def test_limitset_rejects_workers_below_one(tmp_path, capsys, count):
     assert code == 1
     assert "--workers must be at least 1" in err and "Traceback" not in err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2"])
-def test_limitset_rejects_malformed_rankr_threads(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("RANKR_THREADS", value)
-    out = tmp_path / "out"
-    code = cli.main(
-        [
-            "limitset", "enumerate",
-            "--input", spec_path("sl2_classical.json"),
-            "--out", str(out),
-            "--max-word-length", "2",
-        ]
-    )
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "RANKR_THREADS must be a positive integer" in err
-    assert "Traceback" not in err
-    assert not out.exists()
-    # An explicit --workers wins over the variable.
-    code, _ = _run(
-        capsys,
-        [
-            "limitset", "enumerate",
-            "--input", spec_path("sl2_classical.json"),
-            "--out", str(out),
-            "--max-word-length", "2",
-            "--workers", "1",
-        ],
-    )
-    assert code == 0
 
 
 def test_run_report_contains_config_hash(tmp_path, capsys):

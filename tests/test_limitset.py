@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rankr import boundary, decompositions, isometries, kernel, limitset
-from rankr.errors import EmptySample, InsufficientGenerators, SpecError
+from rankr.errors import EmptySample, InsufficientGenerators
 from conftest import (
     ball_product_successes,
     cyclic_canonical,
@@ -32,16 +32,12 @@ def test_word_count():
 
 
 def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("RANKR_THREADS", raising=False)
     assert limitset.resolve_workers(3) == 3
-    assert limitset.resolve_workers() >= 1
-    monkeypatch.setenv("RANKR_THREADS", "2")
-    assert limitset.resolve_workers() == 2
-    assert limitset.resolve_workers(7) == 7
-    monkeypatch.setenv("RANKR_THREADS", "2.5")
-    with pytest.raises(SpecError, match="RANKR_THREADS"):
-        limitset.resolve_workers()
-    assert limitset.resolve_workers(3) == 3
+    assert limitset.resolve_workers(0) == limitset.resolve_workers(-2) == 1
+    monkeypatch.setattr(limitset.os, "cpu_count", lambda: 5)
+    assert limitset.resolve_workers() == 5
+    monkeypatch.setattr(limitset.os, "cpu_count", lambda: None)
+    assert limitset.resolve_workers() == 1
 
 
 def test_enumerate_counts_and_order():
@@ -548,6 +544,23 @@ def test_worker_counts_agree():
         assert np.array_equal(base.nu, other.nu)
 
 
+@pytest.mark.parametrize("case", ["sl3", "sl8"])
+def test_growth_bits_do_not_depend_on_workers(sl3_group, case):
+    # Every word, and the necklace targets with their suffixes.
+    if case == "sl3":
+        gens, length = sl3_group[0], 7
+    else:
+        rng = np.random.default_rng(29)
+        gens, length = [random_sl(rng, 8), random_sl(rng, 8)], 3
+    for targets in (None, limitset._necklaces(2 * len(gens), length)):
+        want = limitset._word_values(gens, length, 1, targets)
+        for workers in (2, 3, 64):
+            got = limitset._word_values(gens, length, workers, targets)
+            for part, expect in zip(got, want):
+                assert part.shape == expect.shape
+                assert part.tobytes() == expect.tobytes(), workers
+
+
 def _block_stack(sl3_group, case):
     """(words, q, a, nu, rows): a word stack and a block size in rows that
     splits it into at least 3 blocks of two sizes."""
@@ -592,17 +605,20 @@ def _check_blocks_and_workers(sl3_group, monkeypatch, case):
     kernels = [
         # Each kernel's outputs as a tuple: the Cartan kernel gives vectors
         # and frames.
-        ("moduli", moduli_entries,
+        ("moduli", comb(n, n // 2) ** 2,
          lambda w: (limitset._stack_log_moduli(q, a, nu, w),)),
-        ("cartan", row_entries, lambda w: limitset._stack_cartan(q, a, nu, w)),
+        ("cartan", n * n, lambda w: limitset._stack_cartan(q, a, nu, w)),
     ]
-    for name, entries, fn in kernels:
+    for name, entries_per_row, fn in kernels:
         want = _blocked(monkeypatch, whole, lambda: fn(1))
-        for workers in (1, 2, 3):
+        # Blocks of `rows` rows on one to three workers, and one-row blocks.
+        cases = [(rows * entries_per_row, workers) for workers in (1, 2, 3)]
+        cases.append((entries_per_row, 2))
+        for entries, workers in cases:
             got = _blocked(monkeypatch, entries, lambda: fn(workers))
             assert len(got) == len(want)
             for part, expect in zip(got, want):
-                assert np.array_equal(part, expect), (name, workers)
+                assert part.tobytes() == expect.tobytes(), (name, entries, workers)
 
     def columns(workers, moduli, row):
         samples = limitset.SampleSet(words, q, a, nu, workers)
@@ -644,17 +660,17 @@ def test_pools_start_one_thread_per_block_at_most(sl3_group, monkeypatch):
         _blocked(monkeypatch, 1 << 40, lambda: fn(64))
         assert started == [3]
         started.clear()
-    # Word growth: one block per letter.
+    # Word growth: one pool per level, of one thread per letter at most.
     limitset._word_values(_shear_pair(), 3, workers=64)
-    assert started == [4]
+    assert started == [4, 4, 4]
     limitset._word_values(_shear_pair(), 3, workers=1)
-    assert started == [4]
+    assert started == [4, 4, 4]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_word_values_peak_memory(sl3_group, workers):
-    # The per-letter blocks are dropped as they are joined, so the peak
-    # stays below twice what is returned (about three times before).
+    # Each level's letter chunks, and then the levels, are dropped as they
+    # are joined, so the peak stays below twice what is returned.
     gens, _, _ = sl3_group
     tracemalloc.start()
     tracemalloc.reset_peak()
