@@ -72,6 +72,19 @@ def _spec_matrix(value, shape, what) -> np.ndarray:
     return m
 
 
+def _sl_matrix(value, n, what) -> np.ndarray:
+    """A finite n x n matrix of det 1 (within EPS_DET * 1e3), n in [2, 8],
+    or a SpecError naming it."""
+    if not 2 <= n <= 8:
+        raise SpecError(f"{what} must be n x n with n in [2, 8]")
+    m = _spec_matrix(value, (n, n), what)
+    with np.errstate(over="ignore", under="ignore"):  # an inf or 0 det fails
+        det = np.linalg.det(m)
+    if abs(det - 1.0) > defaults.EPS_DET * 1e3:
+        raise SpecError(f"{what} is not det 1")
+    return m
+
+
 def _generator_labels(entries) -> list:
     """Each generator's name, or the default label of its place."""
     places = limitset.default_names(len(entries))
@@ -115,9 +128,7 @@ def load_spec(path: str) -> dict:
                     f"generator {i} name must be a non-empty string, printable, "
                     "not 'e' and free of , \" . '"
                 )
-            m = _spec_matrix(entry["matrix"], (n, n), f"generator {name}")
-            if abs(np.linalg.det(m) - 1.0) > defaults.EPS_DET * 1e3:
-                raise SpecError(f"generator {name} is not det 1")
+            _sl_matrix(entry["matrix"], n, f"generator {name}")
         labels = _generator_labels(spec["generators"])
         if len(set(labels)) < len(labels):
             raise SpecError(f"generator labels must be distinct, got {labels}")
@@ -207,7 +218,7 @@ def _parse_matrix(args, spec):
             raise SpecError(f"bad inline matrix: {exc}")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise SpecError("inline matrix must be square")
-        return _spec_matrix(m, m.shape, "inline matrix")
+        return _sl_matrix(m, len(m), "inline matrix")
     if spec and "generators" in spec:
         return np.asarray(spec["generators"][0]["matrix"], dtype=float)
     raise SpecError("decompose needs --matrix or a spec with generators")

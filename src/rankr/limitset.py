@@ -28,12 +28,12 @@ pruned FKM pass.  The cone grows only the necklaces and their suffixes,
 about a seventh of the reduced words at cone length 11.
 
 Emitted sample order is the depth-first preorder of the word tree with
-children in fixed alphabet order (a < a' < b < b' < ...), recovered by a
-single lexicographic sort.  Words grow level by level from the identity,
-one prepended letter per task on the worker pool, and the moduli and
-Cartan kernels run in equal row blocks on the same pool; every row is
-computed on its own, so the stream is byte-identical for any worker
-count.
+children in fixed alphabet order (a < a' < b < b' < ...), which one
+lexicographic sort of the integer word rows gives before any value is
+computed.  Words then grow level by level from the identity, each straight
+into its preorder row, and growth, the moduli and the Cartan kernels all
+run in equal row blocks on the worker pool; every row is computed on its
+own, so the stream is byte-identical for any worker count or block size.
 """
 
 import os
@@ -107,9 +107,10 @@ def _letter_stack(generators):
     return np.stack(letters)
 
 
-def _prepend(letter, q, a, nu):
-    """Factored update (q, a, nu) -> factorization of letter @ q e^a nu."""
-    q2, r2 = kernel.qr_pos(np.einsum("ij,njk->nik", letter, q))
+def _prepend(letters, q, a, nu):
+    """Factored update (q, a, nu) -> factorization of letters @ q e^a nu,
+    one letter per row."""
+    q2, r2 = kernel.qr_pos(np.einsum("nij,njk->nik", letters, q))
     a2, mixer = kernel.grade(r2, a)
     return q2, a2, np.einsum("nij,njk->nik", mixer, nu)
 
@@ -121,22 +122,23 @@ def _row_keys(rows):
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
 
 
-def _grow_block(letters, level, picks, workers=None):
-    """One level of word growth: each letter c prepended to the rows
-    picks[c] of level, the padded word rows and factored values
-    (q, a, nu) of the words one letter shorter.  Each letter is one task
-    on the worker pool; the new rows come grouped by their first letter."""
-    words, q, a, nu = level
+def _grow_block(letters, first, parent, place, values, workers=None):
+    """One level of word growth: letter first[i] prepended to the word in
+    row parent[i] of values = (q, a, nu), written to row place[i].
 
-    def grow(c):
-        rows = picks[c]
-        w = np.insert(words[rows, :-1], 0, c, axis=1)
-        return (w, *_prepend(letters[c], q[rows], a[rows], nu[rows]))
+    Rows run in blocks of at most _MODULI_BLOCK entries of the three fields
+    on the worker pool; each block gathers its parents, which an earlier
+    level wrote, and writes only its own rows.  Returns (place, first), one
+    entry per grown row."""
+    q, a, nu = values
+    n = q.shape[-1]
 
-    tasks = [c for c, rows in enumerate(picks) if len(rows)]
-    # Joined a field at a time, each field's chunks dropped once joined.
-    fields = [list(parts) for parts in zip(*_fan_out(grow, tasks, workers))]
-    return tuple(np.concatenate(fields.pop(0)) for _ in level)
+    def block(rows):
+        up, at = parent[rows], place[rows]
+        q[at], a[at], nu[at] = _prepend(letters[first[rows]], q[up], a[up], nu[up])
+
+    _fan_out(block, _row_blocks(len(first), _MODULI_BLOCK // (2 * n * n + n)), workers)
+    return place, first
 
 
 def _word_values(generators, max_length, workers=None, targets=None):
@@ -144,27 +146,25 @@ def _word_values(generators, max_length, workers=None, targets=None):
     targets (padded reduced word rows) only the identity, the targets and
     their suffixes.
 
-    Growth runs level by level from the identity: level d + 1 prepends
-    each letter c to the level-d rows that do not start with c's inverse,
-    or with targets only to the suffixes the targets need, since a word is
-    grown from its suffix one letter shorter.  Rows are in depth-first
-    preorder; row 0 is the identity word."""
+    The word tree is laid out in integers first, level by level from the
+    identity: level d + 1 prepends each letter c to the level-d rows that do
+    not start with c's inverse, or with targets only to the suffixes the
+    targets need, since a word is grown from its suffix one letter shorter.
+    One sort gives each row its place in depth-first preorder, and then each
+    level is grown by one _grow_block call straight into those places.
+    Row 0 is the identity word."""
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
     letters = _letter_stack(generators)
     alpha, n = len(letters), letters.shape[-1]
-    level = (
-        np.full((1, max_length), _PAD, dtype=np.int8),
-        np.eye(n)[None],
-        np.zeros((1, n)),
-        np.eye(n)[None],
-    )
-    levels = [level]
+    words = [np.full((1, max_length), _PAD, dtype=np.int8)]
+    parents = []  # per level, the row each new word is grown from
+    edges = [0, 1]  # level d is rows edges[d]:edges[d + 1]
     if targets is not None:
         lengths = (targets != _PAD).sum(axis=1)
         node = np.zeros(len(targets), dtype=np.int64)  # row of each suffix
     for depth in range(max_length):
-        first = level[0][:, 0]
+        first = words[-1][:, 0]
         if targets is None:
             picks = [np.flatnonzero(first != (c ^ 1)) for c in range(alpha)]
         else:
@@ -181,29 +181,22 @@ def _word_values(generators, max_length, workers=None, targets=None):
             used[letter, node] = True
             node = np.cumsum(used).reshape(used.shape)[letter, node] - 1
             picks = [np.flatnonzero(rows) for rows in used]
-        level = _grow_block(letters, level, picks, workers)
-        levels.append(level)
-    fields = [list(parts) for parts in zip(*levels)]
-    del levels, level
+        rows = np.concatenate(picks)
+        c = np.repeat(np.arange(alpha, dtype=np.int8), [len(p) for p in picks])
+        words.append(np.insert(words[-1][rows, :-1], 0, c, axis=1))
+        parents.append(edges[-2] + rows)
+        edges.append(edges[-1] + len(rows))
+    words = np.concatenate(words)
     # Preorder = lexicographic with the pad sorting first.
-    words = np.concatenate(fields.pop(0))
-    order = np.lexsort(tuple(words[:, j] for j in range(max_length - 1, -1, -1)))
+    order = np.lexsort(words.T[::-1])
     dest = np.empty_like(order)
     dest[order] = np.arange(len(order))
-    out = [words[order]]
-    del words
-    # Each block is scattered straight to its preorder rows and dropped, so
-    # only the field being filled is ever held twice.
-    while fields:
-        parts = fields.pop(0)
-        field = np.empty((len(order), *parts[0].shape[1:]))
-        lo = 0
-        while parts:
-            part = parts.pop(0)
-            field[dest[lo : lo + len(part)]] = part
-            lo += len(part)
-        out.append(field)
-    return tuple(out)
+    size = len(order)
+    values = np.empty((size, n, n)), np.zeros((size, n)), np.empty((size, n, n))
+    values[0][dest[0]] = values[2][dest[0]] = np.eye(n)  # the identity
+    for up, lo, hi in zip(parents, edges[1:], edges[2:]):
+        _grow_block(letters, words[lo:hi, 0], dest[up], dest[lo:hi], values, workers)
+    return (words[order], *values)
 
 
 def _materialize(q, a, nu):

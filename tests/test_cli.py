@@ -192,11 +192,18 @@ def test_decompose_rejects_malformed_inline_matrix(capsys):
         ("[[1, 0], [0, Infinity]]", "inline matrix is not a finite 2x2 array"),
         ('{"a": 1}', "bad inline matrix"),
         ("[[1, 2, 3]]", "inline matrix must be square"),
+        # Square and finite, but outside SL(n,R) for n in [2, 8].
+        ("[[0, 0], [0, 0]]", "inline matrix is not det 1"),
+        ("[[2, 0], [0, 2]]", "inline matrix is not det 1"),
+        ("[[1e300, 0], [0, 1e300]]", "inline matrix is not det 1"),
+        ("[[1]]", "with n in [2, 8]"),
+        (json.dumps(np.eye(9).tolist()), "with n in [2, 8]"),
     ):
-        assert cli.main(["decompose", "--which", "kak", "--matrix", matrix]) == 1
-        captured = capsys.readouterr()
-        assert message in captured.err and "Traceback" not in captured.err
-        assert captured.out == ""
+        for which in ("kak", "jordan"):
+            assert cli.main(["decompose", "--which", which, "--matrix", matrix]) == 1
+            captured = capsys.readouterr()
+            assert message in captured.err and "Traceback" not in captured.err
+            assert captured.out == ""
 
 
 def test_decompose_kak_identity(capsys):

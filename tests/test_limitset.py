@@ -562,8 +562,9 @@ def test_growth_bits_do_not_depend_on_workers(sl3_group, case):
 
 
 def _block_stack(sl3_group, case):
-    """(words, q, a, nu, rows): a word stack and a block size in rows that
-    splits it into at least 3 blocks of two sizes."""
+    """(gens, length, words, q, a, nu, rows): generators, their word stack up
+    to length and a block size in rows that splits it into at least 3 blocks
+    of two sizes."""
     if case == "sl3":
         gens, length, rows = sl3_group[0], 6, 400
     else:
@@ -573,7 +574,7 @@ def _block_stack(sl3_group, case):
     blocks = limitset._row_blocks(len(words), rows)
     assert len(blocks) >= 3
     assert len({b.stop - b.start for b in blocks}) == 2
-    return words, q, a, nu, rows
+    return gens, length, words, q, a, nu, rows
 
 
 def _blocked(monkeypatch, entries, fn):
@@ -596,8 +597,9 @@ def test_blocks_and_workers_change_no_bit(sl3_group, monkeypatch, case):
 
 
 def _check_blocks_and_workers(sl3_group, monkeypatch, case):
-    words, q, a, nu, rows = _block_stack(sl3_group, case)
+    gens, length, words, q, a, nu, rows = _block_stack(sl3_group, case)
     n = q.shape[-1]
+    necklaces = limitset._necklaces(2 * len(gens), length)
     # Entries per block that give `rows` rows per block in each kernel.
     moduli_entries = rows * comb(n, n // 2) ** 2
     row_entries = rows * n * n
@@ -608,6 +610,10 @@ def _check_blocks_and_workers(sl3_group, monkeypatch, case):
         ("moduli", comb(n, n // 2) ** 2,
          lambda w: (limitset._stack_log_moduli(q, a, nu, w),)),
         ("cartan", n * n, lambda w: limitset._stack_cartan(q, a, nu, w)),
+        # Growth blocks count the entries of q, a and nu.
+        ("growth", 2 * n * n + n, lambda w: limitset._word_values(gens, length, w)),
+        ("necklace growth", 2 * n * n + n,
+         lambda w: limitset._word_values(gens, length, w, necklaces)),
     ]
     for name, entries_per_row, fn in kernels:
         want = _blocked(monkeypatch, whole, lambda: fn(1))
@@ -646,7 +652,7 @@ def test_pools_start_one_thread_per_block_at_most(sl3_group, monkeypatch):
         return pool(max_workers=min(max_workers, 4))
 
     monkeypatch.setattr(limitset, "ThreadPoolExecutor", recording)
-    _, q, a, nu, _ = _block_stack(sl3_group, "sl3")
+    *_, q, a, nu, _ = _block_stack(sl3_group, "sl3")
     three = 500 * 9  # 3 blocks of 485 or 486 rows at n = 3
     assert len(limitset._row_blocks(len(a), three // 9)) == 3
     for fn in (
@@ -660,17 +666,25 @@ def test_pools_start_one_thread_per_block_at_most(sl3_group, monkeypatch):
         _blocked(monkeypatch, 1 << 40, lambda: fn(64))
         assert started == [3]
         started.clear()
-    # Word growth: one pool per level, of one thread per letter at most.
-    limitset._word_values(_shear_pair(), 3, workers=64)
-    assert started == [4, 4, 4]
-    limitset._word_values(_shear_pair(), 3, workers=1)
-    assert started == [4, 4, 4]
+    # Word growth: a level that fits in one block starts no pool.  At n = 2
+    # a row holds 10 entries, so blocks of 150 entries leave the levels of
+    # 4 and 12 rows whole and split the last level, of 36 rows, into 3.
+    def grow(workers):
+        limitset._word_values(_shear_pair(), 3, workers)
+
+    grow(64)
+    assert started == []
+    _blocked(monkeypatch, 150, lambda: grow(64))
+    assert started == [3]
+    _blocked(monkeypatch, 150, lambda: grow(1))
+    assert started == [3]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_word_values_peak_memory(sl3_group, workers):
-    # Each level's letter chunks, and then the levels, are dropped as they
-    # are joined, so the peak stays below twice what is returned.
+    # The values are allocated once at full size and each level's blocks
+    # write straight into their rows, so the peak stays below twice what is
+    # returned.
     gens, _, _ = sl3_group
     tracemalloc.start()
     tracemalloc.reset_peak()

@@ -3,11 +3,15 @@
 perfbench/spans.py traces a run by wrapping the functions it lists in
 TARGETS, and reports a target it cannot find as missing instead of
 failing; a refactor that renames a traced function would silently zero
-its spans.  This test reads the list from the file itself."""
+its spans, and one that changes what a traced function returns can break
+the hook that counts its rows.  These tests read the file itself."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import rankr
+from rankr import limitset
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 # Targets whose functions are already gone; the benchmark lists them as
@@ -15,11 +19,15 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 GONE = {("limitset", "_cyclic_canonical"), ("kernel", "jacobi_eigh")}
 
 
-def _targets():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return [(module, attr) for module, attr, *_ in spans.TARGETS]
+    return spans
+
+
+def _targets():
+    return [(module, attr) for module, attr, *_ in _spans().TARGETS]
 
 
 def test_span_targets_exist():
@@ -29,3 +37,21 @@ def test_span_targets_exist():
         found = callable(getattr(importlib.import_module(f"rankr.{module}"), attr, None))
         # A target in GONE that comes back leaves GONE.
         assert found == ((module, attr) not in GONE), f"{module}.{attr}"
+
+
+def test_traced_growth_counts_every_grown_row(sl3_group):
+    spans = _spans()
+    rec = spans.Recorder()
+    hooks = spans.Instrumentation(rec, rankr)
+    try:
+        hooks.install()
+        rec.enabled = True
+        limitset.enumerate_samples(sl3_group[0], 5)
+    finally:
+        rec.enabled = False
+        hooks.uninstall()
+    tally = spans.Tally(spans.aggregate(rec.spans))
+    words = limitset.word_count(2, 5)
+    # Every word but the identity is grown once.
+    assert tally.get("limitset.grow", "rows") == words - 1
+    assert tally.get("limitset.word_values", "max_rows") == words
