@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import decompositions, defaults, kernel, lie
-from .errors import DimensionMismatch, NotOrthogonal, SingularMatrix
+from .errors import DimensionMismatch, NotOrthogonal, SingularMatrix, ZeroVector
 
 
 class Flag:
@@ -54,8 +54,20 @@ class BoundaryPoint:
 
 
 def boundary_point(flag: Flag, direction) -> BoundaryPoint:
-    h = lie.as_cartan_vec(direction)
-    nh = np.linalg.norm(h)
+    """(flag, direction / ||direction||) for a finite, nonzero direction
+    in the closed chamber with flag.n entries; raises otherwise."""
+    h = np.asarray(direction, dtype=float)
+    if not np.all(np.isfinite(h)):
+        raise ValueError("direction must be finite")
+    h = lie.as_cartan_vec(h)
+    if h.shape != (flag.n,):
+        raise DimensionMismatch(f"direction of length {len(h)} for n = {flag.n}")
+    with np.errstate(over="ignore", under="ignore"):
+        nh = np.linalg.norm(h)
+    if nh == 0.0:
+        raise ZeroVector("direction must be nonzero")
+    if nh == np.inf:
+        raise ValueError("direction norm overflows")
     if abs(nh - 1.0) > 1e-12:
         h = h / nh
     kind, _ = lie.chamber_classify(h)

@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -294,6 +295,8 @@ def cmd_schottky(args) -> int:
             raise SpecError(f"cannot read table: {exc}")
         table = schottky.PingPongTable.from_json_dict(data)
     else:
+        if args.table is not None:
+            raise SpecError("--table is read only by schottky check")
         _, _, table = build_group(spec)
         if table is None:
             raise SpecError("schottky subcommand needs a schottky recipe")
@@ -305,7 +308,7 @@ def cmd_schottky(args) -> int:
     table_path = os.path.join(args.out, "table.json")
     report_path = os.path.join(args.out, "certification.json")
     _write_json(table_path, table.to_json_dict())
-    _write_json(report_path, report.to_json_dict())
+    _write_json(report_path, asdict(report))
     outputs += [table_path, report_path]
     checks = {"certification": report.status}
     if report.certified:

@@ -179,11 +179,7 @@ def fixed_points(gamma):
     A defective block keeps its kernel-chain column order in both frames,
     so the flags of mixed-parabolic elements are fixed too.
     """
-    return _fixed_points(jordan_decompose(gamma))
-
-
-def _fixed_points(parts: JordanParts):
-    """fixed_points from a Jordan decomposition."""
+    parts = jordan_decompose(gamma)
     ell = parts.translation
     nl = np.linalg.norm(ell)
     if nl <= defaults.EPS_WALL:
@@ -231,13 +227,8 @@ def is_generic_parabolic(gamma) -> bool:
     cls = classify(gamma)
     if cls.tag != "strictly-parabolic":
         raise NotParabolic(f"classify says {cls.tag}")
-    return _regular_unipotent(cls.parts.u)
-
-
-def _regular_unipotent(u) -> bool:
-    """True iff the unipotent u is a single Jordan block."""
-    n = u.shape[0]
-    return kernel.rank_tol(u - np.eye(n)) == n - 1
+    n = cls.parts.u.shape[0]
+    return kernel.rank_tol(cls.parts.u - np.eye(n)) == n - 1
 
 
 def _kernel_chain(nilp) -> np.ndarray:

@@ -6,14 +6,16 @@ generators (conjugated regular unipotents), pick disjoint ping-pong
 neighbourhoods, escalate generator powers until the ping-pong
 containments hold, and certify the containments by sampling.  The
 certification is statistical at an explicit resolution, not a proof; a
-failure always carries a concrete witness.
+failure always carries a concrete witness.  The pairwise conditions on a
+table's flags come from one pass; check_nonelementary takes a table.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from . import boundary, decompositions, defaults, isometries, kernel, lie
+from . import boundary, defaults, kernel, lie
 from .errors import (
     InsufficientGenerators,
     NotInterior,
@@ -91,14 +93,6 @@ class PingPongTable:
     def n(self) -> int:
         return self.points[0].n
 
-    @property
-    def l_axial(self) -> int:
-        return sum(1 for k in self.kinds if k == "axial")
-
-    @property
-    def p_parabolic(self) -> int:
-        return sum(1 for k in self.kinds if k == "parabolic")
-
     def effective_generators(self):
         return [
             np.linalg.matrix_power(g, k)
@@ -113,7 +107,7 @@ class PingPongTable:
         if self.kinds[m] == "axial":
             minus, plus = 2 * m, 2 * m + 1
             return (minus, plus), (plus, minus)
-        q = 2 * self.l_axial + (m - self.l_axial)
+        q = self.kinds.count("axial") + m
         return (q, q), (q, q)
 
     def to_json_dict(self) -> dict:
@@ -137,8 +131,9 @@ class PingPongTable:
         """The table of to_json_dict's output; SpecError when data is not
         one as build_table writes it: kinds axial, then parabolic; one
         generator and power per kind; two points and radii per axial
-        generator and one per parabolic; finite n x n generators; finite
-        radii above 0; integer powers in [1, _K_MAX]."""
+        generator and one per parabolic; finite n x n generators; point
+        directions as boundary_point takes them; finite radii above 0;
+        integer powers in [1, _K_MAX]."""
         try:
             points = [
                 boundary.boundary_point(
@@ -157,9 +152,7 @@ class PingPongTable:
         except (KeyError, IndexError, TypeError, ValueError, RankrError) as exc:
             raise SpecError(f"malformed table: {type(exc).__name__}: {exc}")
         l_count = table.kinds.count("axial")
-        # (n, n) for every point (flag size, direction length) and generator.
-        shapes = {(p.n, *p.direction.shape) for p in points}
-        shapes |= {g.shape for g in table.base_generators}
+        shapes = {(p.n, p.n) for p in points} | {g.shape for g in table.base_generators}
         for ok, what in (
             (table.kinds, "needs at least one generator"),
             (
@@ -203,16 +196,6 @@ class CertificationReport:
     @property
     def certified(self) -> bool:
         return self.status == "certified-at-resolution"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "resolution": self.resolution,
-            "min_margin": self.min_margin,
-            "per_generator_margins": self.per_generator_margins,
-            "reason": self.reason,
-            "witness": self.witness,
-        }
 
 
 def _cayley_map(skews: np.ndarray):
@@ -352,6 +335,18 @@ def _generator_margin(table, m, gen_eff, samples, complement=None):
     return worst, (witness if worst <= 0 else None)
 
 
+def _flag_pairs(points):
+    """(i, j, flag distance, transverse(...)) for every pair i < j of the
+    points' flags, in order; InsufficientGenerators below two points."""
+    if len(points) < 2:
+        raise InsufficientGenerators("need at least two points")
+    pairs = combinations(enumerate(p.flag for p in points), 2)
+    return [
+        (i, j, boundary.flag_distance(f, g), boundary.transverse(f, g))
+        for (i, f), (j, g) in pairs
+    ]
+
+
 def build_table(
     points,
     ell_choices,
@@ -372,28 +367,21 @@ def build_table(
     p_count = len(points) - 2 * l_count
     if l_count + p_count < 1 or p_count < 0:
         raise InsufficientGenerators("need at least one generator")
-    flags = [p.flag for p in points]
-    for i in range(len(flags)):
-        for j in range(i + 1, len(flags)):
-            ok, _ = boundary.transverse(flags[i], flags[j])
-            if not ok:
-                raise NotTransverse(f"prescribed flags {i} and {j} not transverse")
+    pairs = _flag_pairs(points)
+    for i, j, _, (ok, _) in pairs:
+        if not ok:
+            raise NotTransverse(f"prescribed flags {i} and {j} not transverse")
 
     gens = []
     kinds = []
-    for m in range(l_count):
-        gens.append(make_axial(flags[2 * m + 1], flags[2 * m], ell_choices[m]))
+    for m, ell in enumerate(ell_choices):
+        gens.append(make_axial(points[2 * m + 1].flag, points[2 * m].flag, ell))
         kinds.append("axial")
     for m in range(p_count):
-        gens.append(make_generic_parabolic(flags[2 * l_count + m]))
+        gens.append(make_generic_parabolic(points[2 * l_count + m].flag))
         kinds.append("parabolic")
 
-    min_sep = min(
-        boundary.flag_distance(flags[i], flags[j])
-        for i in range(len(flags))
-        for j in range(i + 1, len(flags))
-    )
-    radius = min(radius_policy, min_sep / 3.0)
+    radius = min(radius_policy, min(dist for _, _, dist, _ in pairs) / 3.0)
     table = PingPongTable(
         points=points,
         radii=np.full(len(points), radius),
@@ -448,27 +436,20 @@ def certify_klein(
             "generator subgroups (one with three or more elements)",
             float("-inf"),
         )
-    # Disjointness with separation slack.
-    for i in range(len(table.points)):
-        for j in range(i + 1, len(table.points)):
-            dist = boundary.flag_distance(
-                table.points[i].flag, table.points[j].flag
+    # Disjointness with separation slack, then transversality, pair by pair.
+    for i, j, dist, (ok, margin) in _flag_pairs(table.points):
+        if dist <= table.radii[i] + table.radii[j] + defaults.DELTA_SEP:
+            return failed(
+                "neighbourhoods overlap",
+                float(dist - table.radii[i] - table.radii[j]),
+                witness={"type": "overlap", "i": i, "j": j, "distance": dist},
             )
-            if dist <= table.radii[i] + table.radii[j] + defaults.DELTA_SEP:
-                return failed(
-                    "neighbourhoods overlap",
-                    float(dist - table.radii[i] - table.radii[j]),
-                    witness={"type": "overlap", "i": i, "j": j, "distance": dist},
-                )
-            ok, margin = boundary.transverse(
-                table.points[i].flag, table.points[j].flag
+        if not ok:
+            return failed(
+                "fixed flags not transverse",
+                margin,
+                witness={"type": "not-transverse", "i": i, "j": j},
             )
-            if not ok:
-                return failed(
-                    "fixed flags not transverse",
-                    margin,
-                    witness={"type": "not-transverse", "i": i, "j": j},
-                )
 
     rng = np.random.default_rng(seed)
     samples, complements = _sources(table, resolution, rng)
@@ -492,51 +473,23 @@ def certify_klein(
     )
 
 
-def generator_fixed_flags(table: PingPongTable):
-    """Fixed flag pair per generator: (plus, minus) for axial, (f, f) for
-    parabolic."""
-    out = []
-    for m in range(len(table.kinds)):
-        # The forward (skip, target) pair is (minus, plus); (q, q) for parabolic.
-        (minus, plus), _ = table.neighborhood_indices(m)
-        out.append((table.points[plus].flag, table.points[minus].flag))
-    return out
-
-
-def check_nonelementary(table_or_generators):
+def check_nonelementary(table: PingPongTable):
     """Transversality hypotheses for nonelementarity of the generated group.
 
     Every fixed flag of every generator must be transverse to both fixed
-    flags of every other generator.  Returns (bool, reason).
+    flags of every other generator.  Returns (bool, reason);
+    InsufficientGenerators below two generators.
     """
-    if isinstance(table_or_generators, PingPongTable):
-        fixed = generator_fixed_flags(table_or_generators)
-    else:
-        gens = list(table_or_generators)
-        fixed = []
-        for g in gens:
-            cls = isometries.classify(g)
-            u = cls.parts.u
-            if cls.tag in ("regular-axial", "nonregular-axial", "mixed-parabolic"):
-                plus, minus = isometries._fixed_points(cls.parts)
-                fixed.append((plus.flag, minus.flag))
-            elif cls.tag == "strictly-parabolic" and isometries._regular_unipotent(u):
-                f = isometries.unipotent_fixed_flag(u)
-                fixed.append((f, f))
-            else:
-                return False, f"generator of class {cls.tag} unsupported"
-    if len(fixed) < 2:
+    if len(table.kinds) < 2:
         raise InsufficientGenerators("need at least two generators")
-    for i in range(len(fixed)):
-        for m in range(len(fixed)):
-            if i == m:
-                continue
-            for fi in fixed[i]:
-                for fm in fixed[m]:
-                    ok, _ = boundary.transverse(fi, fm)
-                    if not ok:
-                        return False, (
-                            f"fixed flags of generators {i} and {m} fail the "
-                            "visibility condition"
-                        )
+    # Generator m's forward (skip, target) pair holds its fixed points.
+    owner = {
+        p: m for m in range(len(table.kinds)) for p in table.neighborhood_indices(m)[0]
+    }
+    for i, j, _, (ok, _) in _flag_pairs(table.points):
+        if owner[i] != owner[j] and not ok:
+            return False, (
+                f"fixed flags of generators {owner[i]} and {owner[j]} fail the "
+                "visibility condition"
+            )
     return True, "pairwise visibility conditions hold"

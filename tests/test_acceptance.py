@@ -3,20 +3,11 @@
 Each test prints a single PASS/FAIL line with its headline numbers; the
 frozen first-run values guard determinism of the seeded experiments."""
 
-import os
 import time
 
 import numpy as np
 
-from rankr import (
-    boundary,
-    cli,
-    decompositions,
-    isometries,
-    lie,
-    limitset,
-    schottky,
-)
+from rankr import boundary, cli, decompositions, isometries, limitset, schottky
 from conftest import random_chamber_dir, random_sl, spec_path
 
 # First-run values of the seeded experiments, frozen for determinism.

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rankr import boundary, decompositions, kernel, lie
-from rankr.errors import DimensionMismatch, NotOrthogonal, SingularMatrix
+from rankr import boundary, decompositions, kernel
+from rankr.errors import DimensionMismatch, NotOrthogonal, SingularMatrix, ZeroVector
 from conftest import (
     loop_canonical_frame,
     loop_transverse_margin,
@@ -359,6 +359,14 @@ def test_boundary_point_constructor():
     assert xi.is_regular()
     with pytest.raises(ValueError):
         boundary.boundary_point(f, [-1.0, 0.0, 1.0])
+    # A zero direction has no unit vector; a NaN one used to pass through.
+    with pytest.raises(ZeroVector):
+        boundary.boundary_point(f, [0.0, 0.0, 0.0])
+    for bad in ([float("nan"), 0.0, 0.0], [np.inf, 0.0, -np.inf], [1e200, 0.0, -1e200]):
+        with pytest.raises(ValueError):
+            boundary.boundary_point(f, bad)
+    with pytest.raises(DimensionMismatch):
+        boundary.boundary_point(f, [1.0, -1.0])
 
 
 def test_batched_helpers_match_scalar_paths():

@@ -366,6 +366,17 @@ def test_schottky_check_rejects_bad_table(tmp_path, capsys, content, message):
     assert not out.exists()
 
 
+def test_schottky_build_rejects_table(tmp_path, capsys):
+    # build makes its own table; a --table it would ignore is an error.
+    out = tmp_path / "out"
+    code = cli.main(["schottky", "build", "--input", spec_path("sl3_l2.json"),
+                     "--out", str(out), "--table", str(tmp_path / "table.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "--table is read only by schottky check" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def _edited_table(table, key, edit):
     data = json.loads(json.dumps(table))
     data[key] = edit(data[key])
@@ -389,6 +400,12 @@ def test_schottky_check_rejects_malformed_table_fields(sl3_group, tmp_path, caps
         ("points", lambda p: p[:3], "needs two points and radii per axial generator"),
         ("radii", lambda r: [-0.1, *r[1:]], "radii must be finite and above 0"),
         ("radii", lambda r: [float("nan"), *r[1:]], "radii must be finite and above 0"),
+        ("points", lambda p: [{**p[0], "direction": [0.0, 0.0, 0.0]}, *p[1:]],
+         "ZeroVector: direction must be nonzero"),
+        ("points", lambda p: [{**p[0], "direction": [float("nan"), 0.0, 0.0]}, *p[1:]],
+         "ValueError: direction must be finite"),
+        ("points", lambda p: [{**p[0], "direction": [1.0, -1.0]}, *p[1:]],
+         "DimensionMismatch: direction of length 2 for n = 3"),
     ]
     out = tmp_path / "out"
     path = tmp_path / "table.json"

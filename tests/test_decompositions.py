@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rankr import boundary, decompositions, kernel, lie
+from rankr import boundary, decompositions, lie
 from rankr.errors import IllConditionedCell
 from conftest import random_sl, random_so
 

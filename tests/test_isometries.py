@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rankr import boundary, isometries, lie, schottky
+from rankr import boundary, isometries, schottky
 from rankr.errors import (
     IdentityInput,
     IllConditionedSpectrum,
@@ -13,7 +13,6 @@ from rankr.errors import (
 )
 from conftest import (
     conjugated_unipotent,
-    random_chamber_dir,
     random_sl,
     random_so,
     unipotent_draws,

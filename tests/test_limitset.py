@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from rankr import boundary, decompositions, isometries, kernel, limitset
+from rankr import boundary, decompositions, kernel, limitset
 from rankr.errors import EmptySample, InsufficientGenerators
 from conftest import (
     ball_product_successes,

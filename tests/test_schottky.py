@@ -113,6 +113,9 @@ def test_build_table_rejects_bad_inputs():
         schottky.build_table([], [])
     with pytest.raises(NotTransverse):
         schottky.build_table([pt, pt], [np.array([1.5, 0.0, -1.5])])
+    # One parabolic point has no pair to take the least distance of.
+    with pytest.raises(InsufficientGenerators):
+        schottky.build_table([pt], [])
 
 
 def test_bundled_sl3_table_certifies(sl3_group):
@@ -195,7 +198,6 @@ def test_neighborhood_indices():
     )
     assert table.neighborhood_indices(0) == ((0, 1), (1, 0))
     assert table.neighborhood_indices(1) == ((2, 2), (2, 2))
-    assert table.l_axial == 1 and table.p_parabolic == 1
 
 
 def test_sample_flags_near_hits_targets():
@@ -291,14 +293,26 @@ def test_check_nonelementary(sl3_group):
     _, _, table = sl3_group
     ok, reason = schottky.check_nonelementary(table)
     assert ok
-    gens = table.effective_generators()
-    ok, _ = schottky.check_nonelementary(gens)
-    assert ok
-    # Powers of a single element share fixed flags: visibility fails.
-    ok, reason = schottky.check_nonelementary([gens[0], gens[0] @ gens[0]])
+    # The second generator reuses the first one's attracting point.
+    shared = schottky.PingPongTable(
+        points=[*table.points[:2], table.points[1], table.points[3]],
+        radii=table.radii,
+        base_generators=table.base_generators,
+        powers=list(table.powers),
+        kinds=list(table.kinds),
+    )
+    ok, reason = schottky.check_nonelementary(shared)
     assert not ok
+    assert "generators 0 and 1" in reason
+    single = schottky.PingPongTable(
+        points=table.points[:2],
+        radii=table.radii[:2],
+        base_generators=table.base_generators[:1],
+        powers=table.powers[:1],
+        kinds=table.kinds[:1],
+    )
     with pytest.raises(InsufficientGenerators):
-        schottky.check_nonelementary([gens[0]])
+        schottky.check_nonelementary(single)
 
 
 def test_parabolic_table_builds_and_certifies():
