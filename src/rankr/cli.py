@@ -31,6 +31,7 @@ from .errors import (
     EmptySample,
     IllConditionedCell,
     IllConditionedSpectrum,
+    InsufficientGenerators,
     PowerExhausted,
     RankrError,
     SpecError,
@@ -92,6 +93,13 @@ def _generator_labels(entries) -> list:
     return [e.get("name", x) for e, x in zip(entries, places)]
 
 
+def _known_keys(entry: dict, known, what):
+    """SpecError naming every key of entry outside known."""
+    unknown = sorted(set(entry) - set(known))
+    if unknown:
+        raise SpecError(f"{what} has unknown keys {unknown}; known: {sorted(known)}")
+
+
 def load_spec(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -100,6 +108,7 @@ def load_spec(path: str) -> dict:
         raise SpecError(f"cannot read group spec: {exc}")
     if not isinstance(spec, dict) or "n" not in spec:
         raise SpecError("group spec must be an object with an 'n' field")
+    _known_keys(spec, ("n", "seed", "tolerances", "generators", "schottky"), "spec")
     n = spec["n"]
     if not isinstance(n, int) or not 2 <= n <= 8:
         raise SpecError("n must be an integer in [2, 8]")
@@ -120,6 +129,7 @@ def load_spec(path: str) -> dict:
         for i, entry in enumerate(spec["generators"]):
             if not isinstance(entry, dict) or "matrix" not in entry:
                 raise SpecError(f"generator {i} has no 'matrix'")
+            _known_keys(entry, ("matrix", "name"), f"generator {i}")
             name = entry.get("name", i)
             if "name" in entry and not (
                 isinstance(name, str) and name.isprintable() and name not in ("", "e")
@@ -137,6 +147,11 @@ def load_spec(path: str) -> dict:
         recipe = spec["schottky"]
         if not isinstance(recipe, dict) or "flags" not in recipe or "L" not in recipe:
             raise SpecError("schottky recipe needs 'flags' and 'L'")
+        _known_keys(
+            recipe,
+            ("flags", "L", "parabolic_flags", "radius_policy", "radius_scale"),
+            "schottky recipe",
+        )
         frames = recipe["flags"]
         extra = recipe.get("parabolic_flags", [])
         if not all(isinstance(v, list) for v in (frames, extra, recipe["L"])):
@@ -310,11 +325,15 @@ def cmd_schottky(args) -> int:
     _write_json(table_path, table.to_json_dict())
     _write_json(report_path, asdict(report))
     outputs += [table_path, report_path]
-    checks = {"certification": report.status}
-    if report.certified:
+    try:
         ok, reason = schottky.check_nonelementary(table)
-        checks["nonelementary"] = ok
-        checks["nonelementary_reason"] = reason
+    except InsufficientGenerators as exc:
+        ok, reason = False, str(exc)
+    checks = {
+        "certification": report.status,
+        "nonelementary": ok,
+        "nonelementary_reason": reason,
+    }
     run = _run_report(
         args,
         spec,

@@ -572,15 +572,17 @@ def minimality_check(
     must land inside the union of the table neighborhoods.  The words of
     f^T g f are grown, f the frame of xi0: each q is the Iwasawa K-part of
     f^T w f, so f q frames w xi0 at any length, and f times an angular
-    frame of f^T w f is one of w."""
+    frame of f^T w f is one of w.  EmptySample below length 2."""
     f = boundary.flag_frame(xi0.flag)
     generators = [f.T @ g @ f for g in table.effective_generators()]
     samples = enumerate_samples(generators, max_length, workers)
+    long_mask = samples.lengths >= 2
+    if not long_mask.any():
+        raise EmptySample("containment needs words of length >= 2")
     targets = np.asarray(targets, dtype=float).reshape(-1, samples.n, samples.n)
     bound, best = _nearest_exact((f @ samples.q, None), (targets, None))
     approached = best < eps
     worst = float(np.where(approached, best, bound).max(initial=0.0))
-    long_mask = samples.lengths >= 2
     gaps = gap_to_neighborhoods(f @ samples.frames[long_mask], table)
     contained = gaps < 0.0
     return {
@@ -600,10 +602,13 @@ def product_structure_check(
     """Cross-pairing test of the product structure of the limit set.
 
     Flags and directions are drawn from different words of length at
-    least 2; a pair succeeds when a single word realizes both within eps."""
+    least 2; a pair succeeds when a single word realizes both within eps.
+    EmptySample with fewer than two such words."""
     generators = table.effective_generators()
     samples = enumerate_samples(generators, max_length, workers)
     idx = np.flatnonzero(samples.lengths >= 2)
+    if len(idx) < 2:
+        raise EmptySample("product needs two words of length >= 2")
     frames, dirs = samples.frames[idx], samples.dirs[idx]
     rng = np.random.default_rng(seed)
     pairs = np.array(
@@ -639,16 +644,19 @@ def axial_density_check(
 
     Every long-word sample (angular flag, Cartan direction) must be
     eps-close to the (fixed flag, translation direction) of some regular
-    axial word; reports the worst joint distance."""
+    axial word; reports the worst joint distance.  EmptySample without
+    words of length >= min_length or regular axial words."""
     generators = table.effective_generators()
     samples = enumerate_samples(generators, max_length, workers)
+    target_mask = samples.lengths >= min_length
+    if not target_mask.any():
+        raise EmptySample(f"no words of length >= {min_length}")
     regular = np.array([t == "regular-axial" for t in samples.tags])
     if not regular.any():
         raise EmptySample("no regular axial words found")
     plus_frames = _axial_plus_frames(
         _materialize(samples.q[regular], samples.a[regular], samples.nu[regular])
     )
-    target_mask = samples.lengths >= min_length
     _, best = _nearest_exact(
         (plus_frames, samples.jdirs[regular]),
         (samples.frames[target_mask], samples.dirs[target_mask]),

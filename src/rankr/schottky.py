@@ -265,41 +265,42 @@ def sample_flags_near(
 
 
 def _sources(table: PingPongTable, resolution: int, rng):
-    """(samples, complements) for the containment checks.
+    """(frames, owner): every source flag of the containment checks as one
+    stack, and the owner of each row.
 
-    samples[i]: boundary-biased flags of neighbourhood i plus its center;
-    then, for each parabolic generator m in order, complements[m]: uniform
-    flags rejected from its neighbourhood (the two-sided check)."""
-    samples = []
-    for point, radius in zip(table.points, table.radii):
+    Neighbourhood k owns resolution boundary-biased flags, then its center;
+    then each parabolic generator m owns resolution uniform flags rejected
+    from its neighbourhood (the two-sided check), as owner -1 - m."""
+    stacks, owner = [], []
+    for k, (point, radius) in enumerate(zip(table.points, table.radii)):
         targets = rng.uniform(0.8 * radius, radius, size=resolution)
-        frames = sample_flags_near(point.flag, targets, rng)
-        samples.append(
-            np.concatenate([frames, boundary.flag_frame(point.flag)[None]], axis=0)
-        )
-    complements = {}
+        stacks += [
+            sample_flags_near(point.flag, targets, rng),
+            boundary.flag_frame(point.flag)[None],
+        ]
+        owner += [k] * (resolution + 1)
     for m, kind in enumerate(table.kinds):
         if kind != "parabolic":
             continue
         q = table.neighborhood_indices(m)[0][0]
-        kept = []
         need = resolution
         while need > 0:
             frames = boundary.random_frames(rng, 2 * need, table.n)
             dist = boundary.flag_distances_to_center(frames, table.points[q].flag)
             good = frames[dist > table.radii[q]][:need]
-            kept.append(good)
+            stacks.append(good)
             need -= len(good)
-        complements[m] = np.concatenate(kept, axis=0)
-    return samples, complements
+        owner += [-1 - m] * resolution
+    return np.concatenate(stacks, axis=0), np.array(owner)
 
 
-def _generator_margin(table, m, gen_eff, samples, complement=None):
+def _generator_margin(table, m, gen_eff, sources):
     """Min containment margin for generator m over all required sources.
 
-    Each direction maps all of its sources (every neighbourhood but the
-    excluded one, then the complement, as source -1) as one stack.
-    Returns (margin, witness-or-None)."""
+    Each direction maps the rows of _sources' (frames, owner) that every
+    neighbourhood but the excluded one owns, then m's own complement
+    (source -1), as one stack.  Returns (margin, witness-or-None)."""
+    frames, owner = sources
     worst = np.inf
     witness = None
     for direction, mat, (skip, tgt) in zip(
@@ -307,13 +308,8 @@ def _generator_margin(table, m, gen_eff, samples, complement=None):
         (gen_eff, np.linalg.inv(gen_eff)),
         table.neighborhood_indices(m),
     ):
-        ids = [i for i in range(len(table.points)) if i != skip]
-        stacks = [samples[i] for i in ids]
-        if complement is not None:
-            ids.append(-1)
-            stacks.append(complement)
-        frames = np.concatenate(stacks, axis=0)
-        images = boundary.act_frames(mat, frames)
+        rows = np.flatnonzero(((owner >= 0) & (owner != skip)) | (owner == -1 - m))
+        images = boundary.act_frames(mat, frames[rows])
         dist = boundary.flag_distances_to_center(images, table.points[tgt].flag)
         # A non-finite image (an overflowing power) is the worst violation;
         # as NaN it would compare False against every margin.
@@ -321,16 +317,15 @@ def _generator_margin(table, m, gen_eff, samples, complement=None):
         idx = int(np.argmax(dist))
         margin = float(table.radii[tgt] - dist[idx])
         if margin < worst:
-            ends = np.cumsum([len(f) for f in stacks])
             worst = margin
             witness = {
                 "generator": m,
                 "direction": direction,
-                "source_neighborhood": ids[int(np.searchsorted(ends, idx, "right"))],
+                "source_neighborhood": max(int(owner[rows[idx]]), -1),
                 "target_neighborhood": tgt,
                 "image_distance": float(dist[idx]),
                 "target_radius": float(table.radii[tgt]),
-                "sample_frame": frames[idx].tolist(),
+                "sample_frame": frames[rows[idx]].tolist(),
             }
     return worst, (witness if worst <= 0 else None)
 
@@ -391,12 +386,12 @@ def build_table(
     )
 
     rng = np.random.default_rng(seed)
-    samples, complements = _sources(table, _WORKING_RESOLUTION, rng)
+    sources = _sources(table, _WORKING_RESOLUTION, rng)
     for m, base in enumerate(gens):
         power = None
         for k in range(1, _K_MAX + 1):
             margin, _ = _generator_margin(
-                table, m, np.linalg.matrix_power(base, k), samples, complements.get(m)
+                table, m, np.linalg.matrix_power(base, k), sources
             )
             if margin > 0:
                 power = k
@@ -452,13 +447,11 @@ def certify_klein(
             )
 
     rng = np.random.default_rng(seed)
-    samples, complements = _sources(table, resolution, rng)
+    sources = _sources(table, resolution, rng)
     margins = []
     witness = None
     for m, gen_eff in enumerate(table.effective_generators()):
-        margin, wit = _generator_margin(
-            table, m, gen_eff, samples, complements.get(m)
-        )
+        margin, wit = _generator_margin(table, m, gen_eff, sources)
         margins.append(margin)
         if wit is not None and witness is None:
             witness = wit

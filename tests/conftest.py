@@ -222,11 +222,12 @@ def random_chamber_dir(rng: np.random.Generator, n: int, min_gap: float = 0.25):
             return h
 
 
-def loop_generator_margin(table, m, gen_eff, samples, complement=None):
+def loop_generator_margin(table, m, gen_eff, sources):
     """Reference generator margin, one source at a time: each source's
     worst image sets (margin, witness) when its margin is strictly below
-    every earlier one, sources in neighbourhood order, then the
-    complement as source -1."""
+    every earlier one, sources in neighbourhood order, then m's complement
+    as source -1.  sources is schottky._sources' (frames, owner)."""
+    stack, owner = sources
     inv = np.linalg.inv(gen_eff)
     (skip_f, tgt_f), (skip_b, tgt_b) = table.neighborhood_indices(m)
     worst = np.inf
@@ -235,10 +236,10 @@ def loop_generator_margin(table, m, gen_eff, samples, complement=None):
         ("forward", gen_eff, skip_f, tgt_f),
         ("backward", inv, skip_b, tgt_b),
     ):
-        sources = [(i, samples[i]) for i in range(len(table.points)) if i != skip]
-        if table.kinds[m] == "parabolic" and complement is not None:
-            sources.append((-1, complement))
-        for i, frames in sources:
+        for i in [i for i in range(len(table.points)) if i != skip] + [-1]:
+            frames = stack[owner == (i if i >= 0 else -1 - m)]
+            if not len(frames):
+                continue
             images = boundary.act_frames(mat, frames)
             dist = boundary.flag_distances_to_center(images, table.points[tgt].flag)
             idx = int(np.argmax(dist))

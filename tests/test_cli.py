@@ -1,11 +1,15 @@
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rankr import cli, limitset, plotting
-from conftest import spec_path, unipotent_draws, write_generator_spec
+from conftest import SPEC_DIR, spec_path, unipotent_draws, write_generator_spec
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 
 
 def _run(capsys, argv):
@@ -98,8 +102,16 @@ def test_load_spec_rejects_malformed_entries(tmp_path, capsys):
             ([unnamed, unnamed, {**unnamed, "name": "a"}], ["a", "b", "a"]),
         )
     ]
+    # A misspelt key would otherwise be ignored and its default used.
+    unknown = [
+        ({**sl3, "schottky": {**sl3["schottky"], "radius_polcy": 0.05}},
+         "schottky recipe has unknown keys ['radius_polcy']"),
+        ({**sl3, "sed": 3}, "spec has unknown keys ['sed']"),
+        ({"n": 2, "generators": [{**gens[0], "matrx": gens[0]["matrix"]}]},
+         "generator 0 has unknown keys ['matrx']"),
+    ]
     out = tmp_path / "out"
-    for payload, message in seeds + radii + names + recipes + [
+    for payload, message in seeds + radii + names + recipes + unknown + [
         (huge, "L vector 0 is not numeric"),
         ({"n": 2, "generators": [{"name": "a"}]}, "generator 0 has no 'matrix'"),
         (
@@ -127,6 +139,19 @@ def test_load_spec_rejects_malformed_entries(tmp_path, capsys):
             err = capsys.readouterr().err
             assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_load_spec_accepts_bundled_and_benchmark_specs(tmp_path):
+    # The benchmark writes its own generator specs; the key rule must take them.
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    paths = [os.path.join(SPEC_DIR, name) for name in sorted(os.listdir(SPEC_DIR))]
+    for n in (2, 8):
+        paths.append(inputs.write_generator_spec(tmp_path / f"sl{n}.json", 0, n))
+    assert len(paths) == 5
+    for path in paths:
+        assert cli.load_spec(str(path))["n"] in range(2, 9)
 
 
 def test_generators_without_names_take_default_labels(tmp_path, capsys):
@@ -455,7 +480,42 @@ def test_schottky_doubled_radii_fails(tmp_path, capsys):
     )
     assert code == 4
     assert run["checks"]["certification"] == "failed"
-    assert "nonelementary" not in run["checks"]
+    assert run["checks"]["nonelementary"] is True
+
+
+def test_schottky_reports_nonelementary_for_a_one_generator_recipe(tmp_path, capsys):
+    sl3 = json.loads(open(spec_path("sl3_l2.json"), encoding="utf-8").read())
+    recipe = {"flags": sl3["schottky"]["flags"][:2], "L": sl3["schottky"]["L"][:1]}
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({**sl3, "schottky": recipe}))
+    code, run = _run(capsys, ["schottky", "build", "--input", str(path),
+                              "--out", str(tmp_path / "out"), "--resolution", "50"])
+    assert code == 4
+    assert run["checks"]["certification"] == "failed"
+    assert run["checks"]["nonelementary"] is False
+    assert run["checks"]["nonelementary_reason"] == "need at least two generators"
+
+
+def test_schottky_check_reports_non_transverse_cross_generator_flags(
+    sl3_group, tmp_path, capsys
+):
+    # Point 2 (generator 1) takes point 0's frame (generator 0) with its
+    # first two columns swapped: both flags share their 2-plane.
+    table = sl3_group[2].to_json_dict()
+
+    def swap(points):
+        frame = np.array(points[0]["frame"])[:, [1, 0, 2]]
+        return [*points[:2], {**points[2], "frame": frame.tolist()}, *points[3:]]
+
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_edited_table(table, "points", swap)))
+    code, run = _run(capsys, ["schottky", "check", "--input", spec_path("sl3_l2.json"),
+                              "--out", str(tmp_path / "out"), "--table", str(path),
+                              "--resolution", "50"])
+    assert code == 4
+    assert run["checks"]["certification"] == "failed"
+    assert run["checks"]["nonelementary"] is False
+    assert "generators 0 and 1" in run["checks"]["nonelementary_reason"]
 
 
 def test_limitset_enumerate_row_count_and_determinism(tmp_path, capsys):
@@ -634,6 +694,25 @@ def test_limitset_empty_sample_exit_code(tmp_path, capsys):
     )
     capsys.readouterr()
     assert code == 5
+
+
+@pytest.mark.parametrize(
+    "sub, length, message",
+    [
+        ("minimality", "1", "containment needs words of length >= 2"),
+        ("product", "1", "product needs two words of length >= 2"),
+        ("axdens", "3", "no words of length >= 4"),
+    ],
+)
+def test_limitset_checks_without_their_words_exit_5(
+    tmp_path, capsys, sub, length, message
+):
+    code = cli.main(["limitset", sub, "--input", spec_path("sl3_l2.json"),
+                     "--out", str(tmp_path / "out"), "--max-word-length", length,
+                     "--target-length", "2"])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err == f"empty sample: {message}\n"
 
 
 def test_limitset_checks_on_bundled_group(tmp_path, capsys):

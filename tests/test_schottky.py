@@ -365,25 +365,42 @@ def test_generator_margin_matches_per_source_loop(sl3_group, parabolic_table):
     assert parabolic_table.powers == [2, 59]
     witnesses = set()
     for tab in (table, doubled, parabolic_table):
-        samples, complements = schottky._sources(
-            tab, 200, np.random.default_rng(1)
-        )
-        assert sorted(complements) == [
-            m for m, kind in enumerate(tab.kinds) if kind == "parabolic"
-        ]
+        sources = schottky._sources(tab, 200, np.random.default_rng(1))
         for m, base in enumerate(tab.base_generators):
             for k in (1, tab.powers[m]):
                 gen = np.linalg.matrix_power(base, k)
-                got = schottky._generator_margin(
-                    tab, m, gen, samples, complements.get(m)
-                )
-                assert got == loop_generator_margin(
-                    tab, m, gen, samples, complements.get(m)
-                )
+                got = schottky._generator_margin(tab, m, gen, sources)
+                assert got == loop_generator_margin(tab, m, gen, sources)
                 if got[1] is not None:
                     witnesses.add(got[1]["source_neighborhood"])
     # Containment witnesses from neighbourhood sources and the complement.
     assert -1 in witnesses and len(witnesses) > 1
+
+
+def test_sources_lay_out_one_owner_tagged_stack(sl3_group, parabolic_table):
+    _, _, table = sl3_group
+    res = 40
+    for tab in (table, parabolic_table):
+        frames, owner = schottky._sources(tab, res, np.random.default_rng(3))
+        parabolic = [m for m, kind in enumerate(tab.kinds) if kind == "parabolic"]
+        # Each neighbourhood's rows in order, then each parabolic complement.
+        expected = np.concatenate([
+            np.repeat(np.arange(len(tab.points)), res + 1),
+            np.repeat([-1 - m for m in parabolic], res),
+        ])
+        assert np.array_equal(owner, expected)
+        assert frames.shape == (len(owner), tab.n, tab.n)
+        for k, (point, radius) in enumerate(zip(tab.points, tab.radii)):
+            own = frames[owner == k]
+            assert np.array_equal(own[-1], boundary.flag_frame(point.flag))
+            dist = boundary.flag_distances_to_center(own[:-1], point.flag)
+            assert np.all((dist >= 0.8 * radius - 1e-9) & (dist <= radius + 1e-9))
+        for m in parabolic:
+            q = tab.neighborhood_indices(m)[0][0]
+            dist = boundary.flag_distances_to_center(
+                frames[owner == -1 - m], tab.points[q].flag
+            )
+            assert np.all(dist > tab.radii[q])
 
 
 def test_certify_reports_overlapping_neighbourhoods(sl3_group):
