@@ -50,6 +50,15 @@ EXIT_EMPTY_SAMPLE = 5
 # per sample under tracemalloc, so tens of kB per sample at n = 8.
 MAX_RESOLUTION = 10_000
 
+# Largest size of the factored words one limitset length may grow: each of
+# the word_count(generators, length) words holds its q and nu frames and its
+# a vector, 8(2n^2 + n) bytes.  Under tracemalloc `limitset enumerate` on
+# groupspecs/sl3_l2.json peaks at about six times that at lengths 8 and 10,
+# so this caps such a run near 1.6 GB; the cone default length 12 on that
+# spec asks for 179 MB of words (every reduced word: the cone grows only
+# the necklaces, fewer).
+MAX_WORD_BYTES = 2**28
+
 
 def config_hash(spec: dict) -> str:
     """sha256 of the canonical (key-sorted) JSON; field order never matters."""
@@ -364,6 +373,20 @@ def cmd_limitset(args) -> int:
         raise SpecError("--tol must be finite and above 0")
     if args.seed is not None and args.seed < 0:
         raise SpecError("--seed must be a non-negative integer")
+    # build_group's generators: the spec's, or one per L and parabolic flag.
+    recipe = spec.get("schottky", {})
+    rank = len(spec.get("generators", [])) + len(recipe.get("L", [])) + len(
+        recipe.get("parabolic_flags", [])
+    )
+    word_bytes = 8 * (2 * spec["n"] ** 2 + spec["n"])
+    grown = {"cone": ("max_word", "cone_word"), "minimality": ("max_word", "target")}
+    for flag in grown.get(args.subcommand, ("max_word",)):
+        length = getattr(args, f"{flag}_length")
+        if limitset.word_count(rank, length) * word_bytes > MAX_WORD_BYTES:
+            raise SpecError(
+                f"--{flag.replace('_', '-')}-length {length} asks for more than "
+                f"{MAX_WORD_BYTES} bytes of words"
+            )
     workers = limitset.resolve_workers(args.workers)
     os.makedirs(args.out, exist_ok=True)
     gens, names, table = build_group(spec)

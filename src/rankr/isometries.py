@@ -1,10 +1,12 @@
 """Classification and dynamics of individual isometries of SL(n,R)/SO(n).
 
-The multiplicative Jordan decomposition gamma = e * h * u is computed on
-the clustered generalized eigenspaces: per block with eigenvalue lambda,
-h acts by |lambda|, e by lambda/|lambda| and u collects the unipotent
-remainder.  The translation vector is the descending vector of the
-blocks' log-moduli; its chamber position drives the classification.
+The multiplicative Jordan decomposition gamma = e * h * u is computed in
+one real basis of the clustered generalized eigenspaces: per block with
+eigenvalue lambda, h acts by |lambda|, e by lambda/|lambda| (a rotation
+on each complex pair's plane) and u collects the unipotent remainder;
+the fixed flags are read from the same basis.  The translation vector is
+the descending vector of the blocks' log-moduli; its chamber position
+drives the classification.
 """
 
 from dataclasses import dataclass
@@ -35,6 +37,8 @@ class JordanParts:
     u: np.ndarray  # unipotent
     blocks: list  # the accepted clustered spectrum (kernel.EigenBlock)
     translation: np.ndarray  # descending centred log-moduli of the blocks
+    basis: np.ndarray  # the real generalized eigenbasis (_real_eigenbasis)
+    runs: list  # sizes of the runs of basis columns whose order is fixed
 
     def reconstruct(self) -> np.ndarray:
         return self.e @ self.h @ self.u
@@ -46,15 +50,6 @@ class IsometryClass:
     #           strictly-parabolic | mixed-parabolic
     parts: JordanParts  # the decomposition the tag was read from
     translation = property(lambda self: self.parts.translation)
-
-
-def _block_transform(blocks):
-    """Complex basis matrix whose columns list all generalized eigenspaces."""
-    cols = [b.basis.astype(complex) for b in blocks]
-    values = np.concatenate(
-        [np.full(b.multiplicity, b.value, dtype=complex) for b in blocks]
-    )
-    return np.concatenate(cols, axis=1), values
 
 
 def jordan_decompose(gamma) -> JordanParts:
@@ -70,21 +65,18 @@ def jordan_decompose(gamma) -> JordanParts:
     last = None
     for tol in _CLUSTER_TOLS:
         blocks = kernel.eig_real(gamma, tol)
-        s, values = _block_transform(blocks)
-        cond = np.linalg.cond(s)
+        g, runs, values = _real_eigenbasis(blocks, gamma)
+        cond = np.linalg.cond(g)
         if cond > defaults.COND_CAP:
             last = f"eigenbasis condition number {cond:.3e}"
             continue
-        s_inv = np.linalg.inv(s)
+        g_inv = np.linalg.inv(g)
         moduli = np.abs(values)
-        h = (s * moduli) @ s_inv
-        e = (s * (values / moduli)) @ s_inv
-        imag = max(np.abs(h.imag).max(), np.abs(e.imag).max())
-        if imag > 1e-7 * max(1.0, np.abs(h.real).max()):
-            last = f"imaginary residual {imag:.3e} in Jordan parts"
-            continue
-        h = h.real
-        e = e.real
+        phase = values / moduli
+        # The (Re, Im) columns of a pair swap: e rotates the pair's plane.
+        partner = np.arange(len(values)) + np.sign(values.imag).astype(int)
+        h = (g * moduli) @ g_inv
+        e = (g * phase.real - g[:, partner] * phase.imag) @ g_inv
         u = np.linalg.solve(e @ h, gamma)
         # A wrong merge of genuinely distinct moduli shows up here.
         drift = np.abs(np.linalg.eigvals(u) - 1.0).max()
@@ -92,7 +84,7 @@ def jordan_decompose(gamma) -> JordanParts:
             last = f"unipotent factor drift {drift:.3e}"
             continue
         ell = np.sort(np.log(moduli))[::-1]
-        return JordanParts(e, h, u, blocks, ell - ell.mean())
+        return JordanParts(e, h, u, blocks, ell - ell.mean(), g, runs)
     raise IllConditionedSpectrum(last or "no admissible eigenvalue clustering")
 
 
@@ -129,71 +121,65 @@ def classify(gamma) -> IsometryClass:
     return IsometryClass(tag, parts)
 
 
-def _real_eigenbasis(blocks, u):
+def _real_eigenbasis(blocks, gamma):
     """Real basis matrix of the generalized eigenspaces of a clustered
-    spectrum (eig_real's order, modulus-descending), and the sizes of the
-    runs of its columns whose order is part of the flag.
+    spectrum (eig_real's order, modulus-descending), the sizes of the runs
+    of its columns whose order is part of the flag, and the eigenvalue of
+    each column.
 
-    Complex pairs contribute (Re, Im) column pairs.  The columns of a
-    defective real block follow the kernel chain of the unipotent part u
-    on it, so the flags they span inside the block are fixed; such a block
-    is one run, and every other column a run of its own.  The basis is
-    normalized to determinant +1 (column sign flips leave flags alone).
+    A complex pair contributes (Re, Im) column pairs, carrying lambda and
+    its conjugate.  On a defective real block the unipotent part of gamma
+    is gamma / lambda; the block's columns follow the kernel chain of that
+    part, so the flags they span inside the block are fixed; such a block
+    is one run, and every other column a run of its own.
     """
-    shift = u - np.eye(u.shape[0])
-    tol = _ID_TOL * max(1.0, float(np.linalg.norm(u)))
+    eye = np.eye(gamma.shape[0])
+    tol = _ID_TOL * max(1.0, float(np.linalg.norm(gamma)))
     cols = []
     runs = []
+    values = []
     for b in blocks:
-        if abs(b.value.imag) == 0.0:
+        m = b.multiplicity
+        if b.value.imag == 0.0:
             basis = np.real(b.basis)
-            nilp = basis.T @ shift @ basis
-            if b.multiplicity > 1 and np.linalg.norm(nilp) > tol:
+            nilp = basis.T @ (gamma / b.value.real - eye) @ basis
+            if m > 1 and np.linalg.norm(nilp) > tol:
                 cols.append(basis @ _kernel_chain(nilp))
-                runs.append(b.multiplicity)
+                runs.append(m)
             else:
                 cols.append(basis)
-                runs += [1] * b.multiplicity
+                runs += [1] * m
+            values += [b.value] * m
         elif b.value.imag > 0:
-            for j in range(b.basis.shape[1]):
-                cols.append(np.real(b.basis[:, j : j + 1]))
-                cols.append(np.imag(b.basis[:, j : j + 1]))
-            runs += [1] * (2 * b.basis.shape[1])
+            pairs = np.stack([b.basis.real, b.basis.imag], axis=2)
+            cols.append(pairs.reshape(len(pairs), 2 * m))
+            runs += [1] * (2 * m)
+            values += [b.value, b.value.conjugate()] * m
         # Im < 0 partners are the conjugates of the Im > 0 blocks: skip.
-    g = np.concatenate(cols, axis=1)
-    d = np.linalg.det(g)
-    if abs(d) < 1e-12:
-        raise IllConditionedSpectrum("generalized eigenbasis is numerically singular")
-    if d < 0:
-        g[:, 0] *= -1.0
-        d = -d
-    return g / d ** (1.0 / g.shape[0]), runs
+    return np.concatenate(cols, axis=1), runs, np.array(values)
 
 
 def fixed_points(gamma):
     """Attractive and repulsive fixed points of a translating isometry.
 
     gamma+ = (flag of pi_I(g), L/||L||) with g the modulus-ordered
-    generalized eigenbasis; gamma- = (flag of pi_I(g m_w*^-1), iota(L)/||L||).
-    L and g come from the one clustered spectrum jordan_decompose accepts.
-    A defective block keeps its kernel-chain column order in both frames,
-    so the flags of mixed-parabolic elements are fixed too.
+    generalized eigenbasis; gamma- = (flag of g with its runs in reverse
+    order, iota(L)/||L||).  L and g come from the one decomposition
+    jordan_decompose accepts.  A defective block keeps its kernel-chain
+    column order in both frames, so the flags of mixed-parabolic elements
+    are fixed too.  gamma rotates the plane of a complex pair, so of a
+    flag only the pieces that end at a pair boundary are fixed; the
+    pieces that cut a pair's plane only refine that fixed partial flag.
     """
     parts = jordan_decompose(gamma)
     ell = parts.translation
     nl = np.linalg.norm(ell)
     if nl <= defaults.EPS_WALL:
         raise NotTranslating("translation vector vanishes")
-    g, runs = _real_eigenbasis(parts.blocks, parts.u)
-    # The repelling frame lists the runs in reverse order, each in its own
-    # order; with one column per run that is w*.
-    n = len(ell)
-    ends = np.cumsum(runs)
-    wrev = lie.WeylElem(
-        [n - end + i for end, size in zip(ends, runs) for i in range(size)]
-    )
+    g = parts.basis
+    pieces = np.split(g, np.cumsum(parts.runs)[:-1], axis=1)
     plus, minus = boundary.canonical_frames(
-        kernel.qr_pos(np.stack([g, g @ wrev.matrix().T]))[0]
+        kernel.qr_pos(np.stack([g, np.concatenate(pieces[::-1], axis=1)]))[0]
     )
     return (
         boundary.BoundaryPoint(boundary.Flag(plus), ell / nl),

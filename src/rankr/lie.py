@@ -94,23 +94,6 @@ def horospherical_subalgebra(h):
     return [r for r in positive_roots(len(h)) if root_value(h, r) > thresh]
 
 
-def perm_sign(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 class WeylElem:
     """A Weyl group element of S_n with a fixed det +1 representative.
 
@@ -142,7 +125,7 @@ class WeylElem:
         m = np.zeros((self.n, self.n))
         for k, p in enumerate(self.perm):
             m[p, k] = 1.0
-        if perm_sign(self.perm) < 0:
+        if np.linalg.det(m) < 0:
             m[self.perm[0], 0] = -1.0
         return m
 

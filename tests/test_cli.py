@@ -310,6 +310,38 @@ def test_schottky_build_certifies(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "run_report.json"))
 
 
+def test_schottky_build_exits_3_when_power_escalation_is_exhausted(tmp_path, capsys):
+    # Translations this short contract too little at every allowed power.
+    sl3 = json.loads(open(spec_path("sl3_l2.json"), encoding="utf-8").read())
+    recipe = {**sl3["schottky"], "L": [[0.01, 0.0, -0.01], [0.012, 0.0, -0.012]]}
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({**sl3, "schottky": recipe}))
+    code = cli.main(["schottky", "build", "--input", str(path),
+                     "--out", str(tmp_path / "out"), "--resolution", "100"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "power escalation exhausted" in err and "Traceback" not in err
+
+
+def test_schottky_build_certifies_a_recipe_with_a_parabolic_flag(
+    parabolic_table, tmp_path, capsys
+):
+    # build_group's parabolic branch, on the flags of the seeded table.
+    frames = [p.flag.frame.tolist() for p in parabolic_table.points]
+    spec = {"n": 3, "seed": 0, "schottky": {
+        "flags": frames[:2], "parabolic_flags": frames[2:], "L": [[1.5, 0.0, -1.5]]}}
+    path = tmp_path / "parabolic.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    code, run = _run(capsys, ["schottky", "build", "--input", str(path),
+                              "--out", str(out), "--resolution", "300"])
+    assert code == 0
+    assert run["checks"]["certification"] == "certified-at-resolution"
+    assert run["metrics"]["powers"] == [2, 59]
+    table = json.loads((out / "table.json").read_text(encoding="utf-8"))
+    assert table["kinds"] == ["axial", "parabolic"]
+
+
 def test_schottky_check_reuses_table(tmp_path, capsys):
     out1 = str(tmp_path / "build")
     code, _ = _run(
@@ -794,6 +826,28 @@ def test_limitset_rejects_out_of_range_flags(tmp_path, capsys):
             err = capsys.readouterr().err
             assert code == 1
             assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag",
+    [
+        ("enumerate", "--max-word-length"),
+        ("cone", "--cone-word-length"),
+        ("minimality", "--target-length"),
+    ],
+)
+def test_limitset_rejects_word_lengths_beyond_the_memory_budget(
+    tmp_path, capsys, subcommand, flag
+):
+    # Two generators have 3^40-order reduced words up to length 40: the
+    # request is refused before any word is grown or --out is made.
+    out = tmp_path / "out"
+    code = cli.main(["limitset", subcommand, "--input", spec_path("sl3_l2.json"),
+                     "--out", str(out), flag, "40"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{flag} 40 asks for more than" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -215,6 +215,22 @@ def test_fixed_points_of_mixed_parabolic_are_fixed():
             assert boundary.flag_distance(moved, point.flag) < 1e-11
 
 
+def test_fixed_points_of_a_rotating_pair_fix_the_pieces_at_pair_boundaries():
+    # g rotates the plane of its complex pair, so the pieces of each flag
+    # that cut the plane move; those that end at the pair's boundary
+    # (piece 2 of plus, the plane; piece 1 of minus) are g-invariant.
+    k = boundary.random_frames(np.random.default_rng(3), 1, 3)[0]
+    rot = np.array([[math.cos(0.7), -math.sin(0.7)], [math.sin(0.7), math.cos(0.7)]])
+    base = np.zeros((3, 3))
+    base[:2, :2] = math.e * rot
+    base[2, 2] = math.exp(-2.0)
+    gamma = k @ base @ k.T
+    plus, minus = isometries.fixed_points(gamma)
+    for point, i in ((plus, 2), (minus, 1)):
+        v = point.flag.frame[:, :i]
+        assert np.linalg.norm(gamma @ v - v @ (v.T @ gamma @ v)) <= 1e-9
+
+
 def test_contraction_factor_values():
     gamma = np.diag(np.exp([2.0, 0.0, -2.0]))
     a_plus, a_minus = isometries.contraction_factor(gamma)
