@@ -9,6 +9,7 @@ load_spec for the schema.  Exit codes: 0 success, 1 malformed input,
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -53,8 +54,8 @@ MAX_RESOLUTION = 10_000
 # Largest size of the factored words one limitset length may grow: each of
 # the word_count(generators, length) words holds its q and nu frames and its
 # a vector, 8(2n^2 + n) bytes.  Under tracemalloc `limitset enumerate` on
-# groupspecs/sl3_l2.json peaks at about six times that at lengths 8 and 10,
-# so this caps such a run near 1.6 GB; the cone default length 12 on that
+# groupspecs/sl3_l2.json peaks at about 3.7 times that at lengths 8 and 10,
+# so this caps such a run near 1 GB; the cone default length 12 on that
 # spec asks for 179 MB of words (every reduced word: the cone grows only
 # the necklaces, fewer).
 MAX_WORD_BYTES = 2**28
@@ -158,7 +159,7 @@ def load_spec(path: str) -> dict:
             raise SpecError("schottky recipe needs 'flags' and 'L'")
         _known_keys(
             recipe,
-            ("flags", "L", "parabolic_flags", "radius_policy", "radius_scale"),
+            ("flags", "L", "parabolic_flags", "radius_scale"),
             "schottky recipe",
         )
         frames = recipe["flags"]
@@ -196,10 +197,9 @@ def load_spec(path: str) -> dict:
                     f"L vector {i} must have e^L finite, above 0 and strictly "
                     "descending"
                 )
-        for key in ("radius_policy", "radius_scale"):
-            value = recipe.get(key, 1.0)
-            if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
-                raise SpecError(f"{key} must be a finite number above 0")
+        scale = recipe.get("radius_scale", 1.0)
+        if type(scale) not in (int, float) or not 0 < scale <= sys.float_info.max:
+            raise SpecError("radius_scale must be a finite number above 0")
     return spec
 
 
@@ -223,35 +223,30 @@ def build_group(spec: dict):
         points.append(boundary.boundary_point(flags[2 * m + 1], unit))
     for flag in flags[2 * len(ells) :]:
         points.append(boundary.boundary_point(flag, center))
-    table = schottky.build_table(
-        points,
-        ells,
-        radius_policy=recipe.get("radius_policy", 0.3),
-        seed=spec.get("seed", 0),
-    )
+    table = schottky.build_table(points, ells, seed=spec.get("seed", 0))
     if "radius_scale" in recipe:
         table.radii = table.radii * float(recipe["radius_scale"])
     names = limitset.default_names(len(table.base_generators))
     return table.effective_generators(), names, table
 
 
-def _parse_matrix(args, spec):
-    if args.matrix:
-        try:
-            m = np.asarray(json.loads(args.matrix), dtype=float)
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            raise SpecError(f"bad inline matrix: {exc}")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise SpecError("inline matrix must be square")
-        return _sl_matrix(m, len(m), "inline matrix")
-    if spec and "generators" in spec:
+def _parse_matrix(args):
+    if args.input is not None:
+        spec = load_spec(args.input)
+        if "generators" not in spec:
+            raise SpecError("decompose --input needs a spec with generators")
         return np.asarray(spec["generators"][0]["matrix"], dtype=float)
-    raise SpecError("decompose needs --matrix or a spec with generators")
+    try:
+        m = np.asarray(json.loads(args.matrix), dtype=float)
+    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        raise SpecError(f"bad inline matrix: {exc}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise SpecError("inline matrix must be square")
+    return _sl_matrix(m, len(m), "inline matrix")
 
 
 def cmd_decompose(args) -> int:
-    spec = load_spec(args.input) if args.input else None
-    g = _parse_matrix(args, spec)
+    g = _parse_matrix(args)
     report = {"which": args.which, "matrix": g.tolist()}
     if args.which == "kak":
         dec = decompositions.cartan_decompose(g)
@@ -310,8 +305,6 @@ def cmd_schottky(args) -> int:
     if args.resolution > MAX_RESOLUTION:
         raise SpecError(f"--resolution must be at most {MAX_RESOLUTION}")
     if args.action == "check":
-        if args.table is None:
-            raise SpecError("schottky check needs --table")
         try:
             with open(args.table, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -319,8 +312,6 @@ def cmd_schottky(args) -> int:
             raise SpecError(f"cannot read table: {exc}")
         table = schottky.PingPongTable.from_json_dict(data)
     else:
-        if args.table is not None:
-            raise SpecError("--table is read only by schottky check")
         _, _, table = build_group(spec)
         if table is None:
             raise SpecError("schottky subcommand needs a schottky recipe")
@@ -362,40 +353,37 @@ def cmd_schottky(args) -> int:
 
 def cmd_limitset(args) -> int:
     spec = load_spec(args.input)
-    for flag in ("max_word", "min_word", "cone_word", "target"):
-        if getattr(args, f"{flag}_length") < 1:
-            raise SpecError(f"--{flag.replace('_', '-')}-length must be at least 1")
-    if args.min_word_length > args.max_word_length:
+    # Only the experiment's own flags are in args (see build_parser).
+    lengths = {k: v for k, v in vars(args).items() if k.endswith("_length")}
+    for key, length in lengths.items():
+        if length < 1:
+            raise SpecError(f"--{key.replace('_', '-')} must be at least 1")
+    if lengths.get("min_word_length", 1) > args.max_word_length:
         raise SpecError("--min-word-length must be at most --max-word-length")
     if args.workers is not None and args.workers < 1:
         raise SpecError("--workers must be at least 1")
-    if not 0.0 < args.tol <= sys.float_info.max:
+    if "tol" in vars(args) and not 0.0 < args.tol <= sys.float_info.max:
         raise SpecError("--tol must be finite and above 0")
-    if args.seed is not None and args.seed < 0:
+    if getattr(args, "seed", None) is not None and args.seed < 0:
         raise SpecError("--seed must be a non-negative integer")
-    # build_group's generators: the spec's, or one per L and parabolic flag.
-    recipe = spec.get("schottky", {})
-    rank = len(spec.get("generators", [])) + len(recipe.get("L", [])) + len(
-        recipe.get("parabolic_flags", [])
-    )
+    if args.format == "svg" and spec["n"] not in (2, 3):
+        raise SpecError("--format svg needs n = 2 or 3")
+    gens, names, table = build_group(spec)
+    if table is None and args.subcommand in ("minimality", "product", "axdens"):
+        raise SpecError(f"{args.subcommand} needs a schottky recipe")
     word_bytes = 8 * (2 * spec["n"] ** 2 + spec["n"])
-    grown = {"cone": ("max_word", "cone_word"), "minimality": ("max_word", "target")}
-    for flag in grown.get(args.subcommand, ("max_word",)):
-        length = getattr(args, f"{flag}_length")
-        if limitset.word_count(rank, length) * word_bytes > MAX_WORD_BYTES:
+    for key, length in lengths.items():
+        if limitset.word_count(len(gens), length) * word_bytes > MAX_WORD_BYTES:
             raise SpecError(
-                f"--{flag.replace('_', '-')}-length {length} asks for more than "
+                f"--{key.replace('_', '-')} {length} asks for more than "
                 f"{MAX_WORD_BYTES} bytes of words"
             )
     workers = limitset.resolve_workers(args.workers)
     os.makedirs(args.out, exist_ok=True)
-    gens, names, table = build_group(spec)
     outputs = []
     checks = {}
     metrics = {}
-    want = (
-        {"csv", "json", "svg"} if args.format == "all" else {args.format}
-    )
+    want = {"csv", "json", "svg"} if args.format == "all" else {args.format}
 
     def emit_csv(samples, filename):
         path = os.path.join(args.out, filename)
@@ -422,7 +410,6 @@ def cmd_limitset(args) -> int:
             cone, samples, lp_values, args.cone_word_length
         )
         checks["trend_non_increasing"] = report["trend_non_increasing"]
-        metrics["cone"] = report
         if "svg" in want and spec["n"] in (2, 3):
             shell = limitset.directions_in_range(samples, length, length)
             path = os.path.join(args.out, "cone.svg")
@@ -430,38 +417,34 @@ def cmd_limitset(args) -> int:
             outputs.append(path)
         if "csv" in want:
             emit_csv(samples, "samples.csv")
-    elif args.subcommand in ("minimality", "product", "axdens"):
-        if table is None:
-            raise SpecError(f"{args.subcommand} needs a schottky recipe")
-        if args.subcommand == "minimality":
-            probe = limitset.enumerate_samples(
-                gens, args.target_length, workers
-            )
-            shell = probe.lengths == args.target_length
-            report = limitset.minimality_check(
-                table,
-                table.points[1],
-                probe.frames[shell],
-                args.max_word_length,
-                eps=args.tol,
-                workers=workers,
-            )
-            checks["all_approached"] = report["all_approached"]
-            checks["containment_fraction"] = report["containment_fraction"]
-        elif args.subcommand == "product":
-            report = limitset.product_structure_check(
-                table,
-                args.max_word_length,
-                eps=args.tol,
-                seed=spec.get("seed", 0) if args.seed is None else args.seed,
-                workers=workers,
-            )
-            checks["success_fraction"] = report["success_fraction"]
-        else:
-            report = limitset.axial_density_check(
-                table, args.max_word_length, eps=args.tol, workers=workers
-            )
-            checks["all_within_eps"] = report["all_within_eps"]
+    elif args.subcommand == "minimality":
+        probe = limitset.enumerate_samples(gens, args.target_length, workers)
+        shell = probe.lengths == args.target_length
+        report = limitset.minimality_check(
+            table,
+            table.points[1],
+            probe.frames[shell],
+            args.max_word_length,
+            eps=args.tol,
+            workers=workers,
+        )
+        checks["all_approached"] = report["all_approached"]
+        checks["containment_fraction"] = report["containment_fraction"]
+    elif args.subcommand == "product":
+        report = limitset.product_structure_check(
+            table,
+            args.max_word_length,
+            eps=args.tol,
+            seed=spec.get("seed", 0) if args.seed is None else args.seed,
+            workers=workers,
+        )
+        checks["success_fraction"] = report["success_fraction"]
+    else:
+        report = limitset.axial_density_check(
+            table, args.max_word_length, eps=args.tol, workers=workers
+        )
+        checks["all_within_eps"] = report["all_within_eps"]
+    if args.subcommand != "enumerate":
         metrics[args.subcommand] = report
     run = _run_report(args, spec, checks, metrics, outputs)
     run_path = os.path.join(args.out, "run_report.json")
@@ -470,8 +453,17 @@ def cmd_limitset(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argument errors as SpecError, not argparse's exit 2."""
+
+    def error(self, message):
+        raise SpecError(message)
+
+
+# Built once: rebuilt per main() call, it crept the RSS of a long process.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rankr",
         description="decompositions, ping-pong tables and limit-set "
         "experiments for discrete subgroups of SL(n,R)",
@@ -481,43 +473,57 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decompose", help="factor a single matrix")
     p_dec.add_argument("--which", choices=["kak", "kan", "jordan", "bruhat"],
                        required=True)
-    p_dec.add_argument("--input", help="group spec JSON (first generator)")
-    p_dec.add_argument("--matrix", help="inline JSON matrix")
+    source = p_dec.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="group spec JSON (first generator)")
+    source.add_argument("--matrix", help="inline JSON matrix")
     p_dec.set_defaults(func=cmd_decompose)
 
-    p_sch = sub.add_parser("schottky", help="build or re-check a table")
-    p_sch.add_argument("action", choices=["build", "check"])
-    p_sch.add_argument("--input", required=True)
-    p_sch.add_argument("--out", default=".")
-    p_sch.add_argument("--table", help="existing table JSON (check)")
+    spec_out = _Parser(add_help=False)
+    spec_out.add_argument("--input", required=True, help="group spec JSON")
+    spec_out.add_argument("--out", default=".")
+
+    p_sch = _Parser(add_help=False, parents=[spec_out])
     p_sch.add_argument("--resolution", type=int, default=2000)
     p_sch.set_defaults(func=cmd_schottky)
+    actions = sub.add_parser("schottky", help="build or re-check a table")
+    actions = actions.add_subparsers(dest="action", required=True)
+    actions.add_parser("build", parents=[p_sch], help="build and certify a table")
+    p_check = actions.add_parser("check", parents=[p_sch], help="re-check a table")
+    p_check.add_argument("--table", required=True, help="table JSON of schottky build")
 
-    p_lim = sub.add_parser("limitset", help="orbit and limit-set experiments")
-    p_lim.add_argument(
-        "subcommand",
-        choices=["enumerate", "cone", "minimality", "product", "axdens"],
-    )
-    p_lim.add_argument("--input", required=True)
-    p_lim.add_argument("--out", default=".")
+    p_lim = _Parser(add_help=False, parents=[spec_out])
     p_lim.add_argument("--max-word-length", type=int, default=8)
-    p_lim.add_argument("--min-word-length", type=int, default=1)
-    p_lim.add_argument("--cone-word-length", type=int, default=12)
-    p_lim.add_argument("--target-length", type=int, default=8)
-    p_lim.add_argument("--tol", type=float, default=0.1)
-    p_lim.add_argument("--seed", type=int,
-                       help="pair sampling seed of product (default: the spec seed)")
     p_lim.add_argument("--workers", type=int, default=None)
-    p_lim.add_argument("--format", choices=["csv", "json", "svg", "all"],
-                       default="all")
     p_lim.set_defaults(func=cmd_limitset)
+    flags = {
+        "--min-word-length": dict(type=int, default=1),
+        "--cone-word-length": dict(type=int, default=12),
+        "--target-length": dict(type=int, default=8),
+        "--tol": dict(type=float, default=0.1),
+        "--seed": dict(type=int, help="pair sampling seed (default: the spec's)"),
+    }
+    experiments = sub.add_parser("limitset", help="orbit and limit-set experiments")
+    experiments = experiments.add_subparsers(dest="subcommand", required=True)
+    # Each experiment's own flags and --format values.  The checks write
+    # only run_report.json, so json is their one format.
+    for name, extra, formats in (
+        ("enumerate", (), ("csv", "json", "all")),
+        ("cone", ("--min-word-length", "--cone-word-length"),
+         ("csv", "json", "svg", "all")),
+        ("minimality", ("--target-length", "--tol"), ("json",)),
+        ("product", ("--tol", "--seed"), ("json",)),
+        ("axdens", ("--tol",), ("json",)),
+    ):
+        p_exp = experiments.add_parser(name, parents=[p_lim])
+        for flag in extra:
+            p_exp.add_argument(flag, **flags[flag])
+        p_exp.add_argument("--format", choices=formats, default=formats[-1])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (IllConditionedCell, IllConditionedSpectrum) as exc:
         print(f"numerical reliability error: {exc}", file=sys.stderr)
@@ -531,7 +537,9 @@ def main(argv=None) -> int:
     except EmptySample as exc:
         print(f"empty sample: {exc}", file=sys.stderr)
         return EXIT_EMPTY_SAMPLE
-    except RankrError as exc:
+    # An OSError here comes from making or writing --out, say a path that
+    # names a file: load_spec and schottky check report their own reads.
+    except (RankrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

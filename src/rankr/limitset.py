@@ -36,6 +36,7 @@ run in equal row blocks on the worker pool; every row is computed on its
 own, so the stream is byte-identical for any worker count or block size.
 """
 
+import io
 import os
 import string
 from concurrent.futures import ThreadPoolExecutor
@@ -637,20 +638,18 @@ def _axial_plus_frames(vals):
     return kernel.qr_pos(basis)[0]
 
 
-def axial_density_check(
-    table, max_length, eps=0.1, min_length=4, workers=None
-) -> dict:
+def axial_density_check(table, max_length, eps=0.1, workers=None) -> dict:
     """Attracting fixed points of axial words versus the orbit samples.
 
-    Every long-word sample (angular flag, Cartan direction) must be
-    eps-close to the (fixed flag, translation direction) of some regular
-    axial word; reports the worst joint distance.  EmptySample without
-    words of length >= min_length or regular axial words."""
+    Every sample of a word of length >= 4 (angular flag, Cartan direction)
+    must be eps-close to the (fixed flag, translation direction) of some
+    regular axial word; reports the worst joint distance.  EmptySample
+    without words of length >= 4 or regular axial words."""
     generators = table.effective_generators()
     samples = enumerate_samples(generators, max_length, workers)
-    target_mask = samples.lengths >= min_length
+    target_mask = samples.lengths >= 4
     if not target_mask.any():
-        raise EmptySample(f"no words of length >= {min_length}")
+        raise EmptySample("no words of length >= 4")
     regular = np.array([t == "regular-axial" for t in samples.tags])
     if not regular.any():
         raise EmptySample("no regular axial words found")
@@ -729,13 +728,17 @@ def write_csv(samples: SampleSet, path, names=None, table=None):
     cells = ",".join(["%.17g"] * n)
     with_jdir = f"%s,%d,%s,{cells},{cells},%s"
     no_jdir = f"%s,%d,%s,{cells},{',' * (n - 1)},%s"
-    lines = [",".join(header)]
-    # Columns go to Python lists _CSV_BLOCK rows at a time: converting all
-    # rows at once makes tens of MB of small objects live together, which
-    # fragments the heap of a process that writes many files.  Word rows
-    # are padded at the end, so a row's letters are its first `length`.
+    out = io.BytesIO()
+    out.write((",".join(header) + "\n").encode("utf-8"))
+    # Columns go to Python lists, and rows to bytes, _CSV_BLOCK rows at a
+    # time: converting all rows at once makes tens of MB of small objects
+    # live together, which fragments the heap of a process that writes
+    # many files.  One growing buffer, not a list of blocks, leaves no
+    # holes between them.  Word rows are padded at the end, so a row's
+    # letters are its first `length`.
     for lo in range(0, len(samples), _CSV_BLOCK):
         rows = slice(lo, lo + _CSV_BLOCK)
+        lines = []
         for word, length, tag, d, j, gap in zip(
             samples.words[rows].tolist(),
             samples.lengths[rows].tolist(),
@@ -749,7 +752,8 @@ def write_csv(samples: SampleSet, path, names=None, table=None):
                 lines.append(no_jdir % (label, length, tag, *d, gap))
             else:
                 lines.append(with_jdir % (label, length, tag, *d, *j, gap))
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+        out.write(("\n".join(lines) + "\n").encode("utf-8"))
+    data = out.getvalue()
     with open(path, "wb") as fh:
         fh.write(data)
     return data

@@ -342,18 +342,14 @@ def _flag_pairs(points):
     ]
 
 
-def build_table(
-    points,
-    ell_choices,
-    radius_policy: float = 0.3,
-    seed: int = 0,
-) -> PingPongTable:
+def build_table(points, ell_choices, seed: int = 0) -> PingPongTable:
     """Assemble generators and neighbourhoods and escalate powers.
 
     points: 2l+p boundary points, (minus, plus) pairs for the axial
     generators followed by p parabolic fixed points; ell_choices: one
-    interior translation vector per axial generator.  Each power k up to
-    _K_MAX is tried as matrix_power(base, k), the matrix
+    interior translation vector per axial generator.  Every radius is a
+    third of the least distance between two points, at most 0.3.  Each
+    power k up to _K_MAX is tried as matrix_power(base, k), the matrix
     effective_generators returns, on _WORKING_RESOLUTION samples per
     neighbourhood.
     """
@@ -376,7 +372,7 @@ def build_table(
         gens.append(make_generic_parabolic(points[2 * l_count + m].flag))
         kinds.append("parabolic")
 
-    radius = min(radius_policy, min(dist for _, _, dist, _ in pairs) / 3.0)
+    radius = min(0.3, min(dist for _, _, dist, _ in pairs) / 3.0)
     table = PingPongTable(
         points=points,
         radii=np.full(len(points), radius),

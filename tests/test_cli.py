@@ -54,9 +54,8 @@ def test_load_spec_rejects_malformed_entries(tmp_path, capsys):
         for seed in ("abc", 1.5, -2, True)
     ]
     radii = [
-        ({**sl3, "schottky": {**sl3["schottky"], key: value}},
-         f"{key} must be a finite number above 0")
-        for key in ("radius_policy", "radius_scale")
+        ({**sl3, "schottky": {**sl3["schottky"], "radius_scale": value}},
+         "radius_scale must be a finite number above 0")
         for value in ("x", -1, 0, float("nan"), float("inf"), 10**400, None)
     ]
     ells = [[10**400, 0, -1]] + sl3["schottky"]["L"][1:]
@@ -371,15 +370,16 @@ def test_schottky_check_reuses_table(tmp_path, capsys):
 def test_schottky_rejects_resolution_below_one(tmp_path, capsys):
     # Resolution 0 would check only the neighbourhood centres.
     out = tmp_path / "out"
-    for action, value in (("build", "0"), ("build", "-1"), ("check", "0")):
+    table = ["--table", str(tmp_path / "table.json")]
+    for action, value, extra in (("build", "0", []), ("build", "-1", []),
+                                 ("check", "0", table)):
         code = cli.main(
             [
                 "schottky", action,
                 "--input", spec_path("sl3_l2.json"),
                 "--out", str(out),
-                "--table", str(tmp_path / "table.json"),
                 "--resolution", value,
-            ]
+            ] + extra
         )
         err = capsys.readouterr().err
         assert code == 1
@@ -401,7 +401,7 @@ def test_schottky_rejects_resolution_above_bound(tmp_path, capsys, value):
 @pytest.mark.parametrize(
     "content, message",
     [
-        (None, "schottky check needs --table"),
+        (None, "arguments are required: --table"),
         ("missing", "cannot read table"),
         ("{not json", "cannot read table"),
         ('{"radii": [1.0]}', "malformed table: KeyError: 'points'"),
@@ -430,7 +430,7 @@ def test_schottky_build_rejects_table(tmp_path, capsys):
                      "--out", str(out), "--table", str(tmp_path / "table.json")])
     err = capsys.readouterr().err
     assert code == 1
-    assert "--table is read only by schottky check" in err and "Traceback" not in err
+    assert "unrecognized arguments: --table" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -690,7 +690,11 @@ def test_limitset_commands_skip_unread_columns(tmp_path, capsys, monkeypatch):
 
     for name in ("_classify_stack", "_stack_log_moduli"):
         monkeypatch.setattr(limitset, name, refuse)
-    for sub in ("minimality", "product", "cone"):
+    for sub, extra in (
+        ("minimality", ["--target-length", "3"]),
+        ("product", []),
+        ("cone", ["--cone-word-length", "6"]),
+    ):
         code, run = _run(
             capsys,
             [
@@ -698,10 +702,8 @@ def test_limitset_commands_skip_unread_columns(tmp_path, capsys, monkeypatch):
                 "--input", spec_path("sl3_l2.json"),
                 "--out", str(tmp_path / sub),
                 "--max-word-length", "5",
-                "--cone-word-length", "6",
-                "--target-length", "3",
                 "--format", "json",
-            ],
+            ] + extra,
         )
         assert code == 0, sub
         assert sub in run["metrics"]
@@ -739,19 +741,20 @@ def test_limitset_empty_sample_exit_code(tmp_path, capsys):
 def test_limitset_checks_without_their_words_exit_5(
     tmp_path, capsys, sub, length, message
 ):
+    extra = ["--target-length", "2"] if sub == "minimality" else []
     code = cli.main(["limitset", sub, "--input", spec_path("sl3_l2.json"),
-                     "--out", str(tmp_path / "out"), "--max-word-length", length,
-                     "--target-length", "2"])
+                     "--out", str(tmp_path / "out"), "--max-word-length", length]
+                    + extra)
     err = capsys.readouterr().err
     assert code == 5
     assert err == f"empty sample: {message}\n"
 
 
 def test_limitset_checks_on_bundled_group(tmp_path, capsys):
-    for sub, key in (
-        ("minimality", "all_approached"),
-        ("product", "success_fraction"),
-        ("axdens", "all_within_eps"),
+    for sub, key, extra in (
+        ("minimality", "all_approached", ["--target-length", "4"]),
+        ("product", "success_fraction", []),
+        ("axdens", "all_within_eps", []),
     ):
         out = str(tmp_path / sub)
         code, run = _run(
@@ -761,10 +764,9 @@ def test_limitset_checks_on_bundled_group(tmp_path, capsys):
                 "--input", spec_path("sl3_l2.json"),
                 "--out", out,
                 "--max-word-length", "6",
-                "--target-length", "4",
                 "--tol", "0.15",
                 "--format", "json",
-            ],
+            ] + extra,
         )
         assert code == 0
         assert key in run["checks"]
@@ -811,7 +813,12 @@ def test_limitset_rejects_out_of_range_flags(tmp_path, capsys):
         ("--min-word-length", "9", "--min-word-length must be at most --max-word-length")
     )
     out = tmp_path / "out"
-    for subcommand in ("product", "cone"):
+    # A flag the experiment does not read is argparse's error.
+    for subcommand, extra, reads in (
+        ("product", [], ("--max-word-length", "--tol", "--seed")),
+        ("cone", ["--cone-word-length", "5"],
+         ("--max-word-length", "--min-word-length", "--cone-word-length")),
+    ):
         for flag, value, message in cases:
             code = cli.main(
                 [
@@ -819,11 +826,11 @@ def test_limitset_rejects_out_of_range_flags(tmp_path, capsys):
                     "--input", spec_path("sl3_l2.json"),
                     "--out", str(out),
                     "--max-word-length", "4",
-                    "--cone-word-length", "5",
-                    flag, value,
-                ]
+                ] + extra + [flag, value]
             )
             err = capsys.readouterr().err
+            if flag not in reads:
+                message = f"unrecognized arguments: {flag} {value}"
             assert code == 1
             assert message in err and "Traceback" not in err
     assert not out.exists()
@@ -867,6 +874,102 @@ def test_limitset_rejects_workers_below_one(tmp_path, capsys, count):
     assert code == 1
     assert "--workers must be at least 1" in err and "Traceback" not in err
     assert not out.exists()
+
+
+# The flags each limitset experiment reads besides --input, --out,
+# --max-word-length, --workers and --format, and its --format values.
+READS = {
+    "enumerate": ((), ("csv", "json", "all")),
+    "cone": (("--min-word-length", "--cone-word-length"), ("csv", "json", "svg", "all")),
+    "minimality": (("--target-length", "--tol"), ("json",)),
+    "product": (("--tol", "--seed"), ("json",)),
+    "axdens": (("--tol",), ("json",)),
+}
+UNREAD = [
+    (sub, flag, "2")
+    for sub, (flags, _) in READS.items()
+    for flag in sorted({f for fs, _ in READS.values() for f in fs} - set(flags))
+] + [
+    (sub, "--format", value)
+    for sub, (_, formats) in READS.items()
+    for value in sorted({"csv", "json", "svg", "all"} - set(formats))
+]
+
+
+@pytest.mark.parametrize("sub, flag, value", UNREAD)
+def test_limitset_experiments_reject_what_they_do_not_read(
+    tmp_path, capsys, sub, flag, value
+):
+    # 18 flags and 10 --format values that some other experiment reads.
+    out = tmp_path / "out"
+    code = cli.main(["limitset", sub, "--input", spec_path("sl3_l2.json"),
+                     "--out", str(out), "--max-word-length", "2", flag, value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["limitset", "enumerate", "--input", spec_path("sl3_l2.json"),
+          "--max-word-length", "abc"],
+         "argument --max-word-length: invalid int value: 'abc'"),
+        (["limitset", "enumerate", "--input", spec_path("sl3_l2.json"), "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["limitset", "enumerate"], "the following arguments are required: --input"),
+        (["decompose", "--which", "kak", "--matrix", "[[1,0],[0,1]]",
+          "--input", spec_path("sl3_l2.json")],
+         "argument --input: not allowed with argument --matrix"),
+        (["decompose", "--which", "kak"],
+         "one of the arguments --input --matrix is required"),
+    ],
+)
+def test_argument_errors_exit_1(capsys, argv, message):
+    # argparse's own exit 2 would read as a numerical-reliability error.
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limitset", "enumerate", "--input", spec_path("sl2_classical.json"),
+         "--max-word-length", "2"],
+        ["schottky", "build", "--input", spec_path("sl2_classical.json"),
+         "--resolution", "50"],
+    ],
+)
+def test_out_naming_a_file_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    out.write_text("kept")
+    code = cli.main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "File exists" in err and "Traceback" not in err
+    assert out.read_text() == "kept"
+
+
+def test_limitset_cone_svg_needs_n_2_or_3(tmp_path, capsys):
+    path = write_generator_spec(
+        tmp_path / "g.json", 4, [np.diag([4.0, 2.0, 0.5, 0.25])]
+    )
+    out = tmp_path / "out"
+    argv = ["limitset", "cone", "--input", str(path), "--out", str(out),
+            "--max-word-length", "3", "--cone-word-length", "3"]
+    code = cli.main(argv + ["--format", "svg"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "--format svg needs n = 2 or 3" in err and "Traceback" not in err
+    assert not out.exists()
+    # --format all writes every format the run can: no chart at n = 4.
+    code, run = _run(capsys, argv + ["--format", "all"])
+    assert code == 0
+    assert run["outputs"] == [os.path.join(str(out), "samples.csv")]
+    assert sorted(os.listdir(out)) == ["run_report.json", "samples.csv"]
 
 
 def test_run_report_contains_config_hash(tmp_path, capsys):

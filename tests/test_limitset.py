@@ -344,7 +344,7 @@ def test_product_structure_matches_flag_ball_loop(sl3_group, max_length):
 
 def test_axial_density(sl3_group):
     _, _, table = sl3_group
-    report = limitset.axial_density_check(table, 6, eps=0.2, min_length=4)
+    report = limitset.axial_density_check(table, 6, eps=0.2)
     assert report["all_within_eps"]
     assert report["worst_distance"] < 0.2
 
@@ -476,7 +476,7 @@ def test_minimality_and_axdens_distances_are_brute_force(sl3_group):
         (plus, samples.jdirs[regular]),
         (samples.frames[long_words], samples.dirs[long_words]),
     )[1]
-    report = limitset.axial_density_check(table, 5, eps=0.01, min_length=4)
+    report = limitset.axial_density_check(table, 5, eps=0.01)
     assert report["worst_distance"] == exact.max()
     assert report["all_within_eps"] == bool((exact < 0.01).all())
 
@@ -768,6 +768,22 @@ def test_csv_matches_cell_by_cell_writer(sl3_group, tmp_path, monkeypatch):
     assert np.isnan(samples.jdirs[:, 0]).any()
     data = limitset.write_csv(samples, tmp_path / "s.csv")
     assert data == _reference_csv(samples, ["a", "b"], None)
+
+
+def test_csv_peak_stays_below_three_times_its_bytes(sl3_group, tmp_path):
+    # Each _CSV_BLOCK of rows becomes bytes as it is formatted, so the text
+    # of the whole file never sits beside its bytes.
+    gens, names, table = sl3_group
+    samples = limitset.enumerate_samples(gens, 8, workers=1)
+    samples.dirs, samples.jdirs, samples.tags, samples.frames  # columns read
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        data = limitset.write_csv(samples, tmp_path / "s.csv", names=names, table=table)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(data)
 
 
 def test_word_labels():
