@@ -290,7 +290,7 @@ def _write_json(path, payload):
 
 def _run_report(args, spec, checks, metrics, outputs):
     return {
-        "command": " ".join(sys.argv[1:]) if sys.argv[1:] else args.command,
+        "command": " ".join(args.argv),
         "config_hash": config_hash(spec),
         "checks": checks,
         "metrics": metrics,
@@ -522,8 +522,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
+        args.argv = argv  # the run report's command
         return args.func(args)
     except (IllConditionedCell, IllConditionedSpectrum) as exc:
         print(f"numerical reliability error: {exc}", file=sys.stderr)

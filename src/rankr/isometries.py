@@ -1,12 +1,12 @@
 """Classification and dynamics of individual isometries of SL(n,R)/SO(n).
 
 The multiplicative Jordan decomposition gamma = e * h * u is computed in
-one real basis of the clustered generalized eigenspaces: per block with
-eigenvalue lambda, h acts by |lambda|, e by lambda/|lambda| (a rotation
-on each complex pair's plane) and u collects the unipotent remainder;
-the fixed flags are read from the same basis.  The translation vector is
-the descending vector of the blocks' log-moduli; its chamber position
-drives the classification.
+the one real basis of the clustered generalized eigenspaces that
+kernel.eig_real returns: per cluster with eigenvalue lambda, h acts by
+|lambda|, e by lambda/|lambda| (a rotation on each complex pair's plane)
+and u collects the unipotent remainder; the fixed flags are read from
+the same basis.  The translation vector is the descending vector of the
+clusters' log-moduli; its chamber position drives the classification.
 """
 
 from dataclasses import dataclass
@@ -23,9 +23,6 @@ from .errors import (
     NotTranslating,
 )
 
-# Residual below which a factor counts as the identity.
-_ID_TOL = 1e-8
-
 # Clustering tolerances jordan_decompose tries in turn.
 _CLUSTER_TOLS = (defaults.EPS_CLUSTER, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2)
 
@@ -35,9 +32,8 @@ class JordanParts:
     e: np.ndarray  # elliptic
     h: np.ndarray  # hyperbolic
     u: np.ndarray  # unipotent
-    blocks: list  # the accepted clustered spectrum (kernel.EigenBlock)
-    translation: np.ndarray  # descending centred log-moduli of the blocks
-    basis: np.ndarray  # the real generalized eigenbasis (_real_eigenbasis)
+    translation: np.ndarray  # descending centred log-moduli of the clusters
+    basis: np.ndarray  # the real generalized eigenbasis (kernel.eig_real)
     runs: list  # sizes of the runs of basis columns whose order is fixed
 
     def reconstruct(self) -> np.ndarray:
@@ -64,8 +60,7 @@ def jordan_decompose(gamma) -> JordanParts:
     gamma = kernel.as_matrix(gamma)
     last = None
     for tol in _CLUSTER_TOLS:
-        blocks = kernel.eig_real(gamma, tol)
-        g, runs, values = _real_eigenbasis(blocks, gamma)
+        g, runs, values = kernel.eig_real(gamma, tol)
         cond = np.linalg.cond(g)
         if cond > defaults.COND_CAP:
             last = f"eigenbasis condition number {cond:.3e}"
@@ -84,7 +79,7 @@ def jordan_decompose(gamma) -> JordanParts:
             last = f"unipotent factor drift {drift:.3e}"
             continue
         ell = np.sort(np.log(moduli))[::-1]
-        return JordanParts(e, h, u, blocks, ell - ell.mean(), g, runs)
+        return JordanParts(e, h, u, ell - ell.mean(), g, runs)
     raise IllConditionedSpectrum(last or "no admissible eigenvalue clustering")
 
 
@@ -102,13 +97,13 @@ def translation_vector(gamma) -> np.ndarray:
 def classify(gamma) -> IsometryClass:
     gamma = kernel.as_matrix(gamma)
     n = gamma.shape[0]
-    if np.linalg.norm(gamma - np.eye(n)) <= _ID_TOL:
+    if np.linalg.norm(gamma - np.eye(n)) <= kernel.ID_TOL:
         raise IdentityInput("the identity is not classified")
     parts = jordan_decompose(gamma)
     ell = parts.translation
     scale = max(1.0, float(np.linalg.norm(gamma)))
-    translating = np.linalg.norm(ell) > _ID_TOL
-    unipotent_part = np.linalg.norm(parts.u - np.eye(n)) > _ID_TOL * scale
+    translating = np.linalg.norm(ell) > kernel.ID_TOL
+    unipotent_part = np.linalg.norm(parts.u - np.eye(n)) > kernel.ID_TOL * scale
     if not translating and not unipotent_part:
         tag = "elliptic"
     elif not translating:
@@ -119,44 +114,6 @@ def classify(gamma) -> IsometryClass:
     else:
         tag = "mixed-parabolic"
     return IsometryClass(tag, parts)
-
-
-def _real_eigenbasis(blocks, gamma):
-    """Real basis matrix of the generalized eigenspaces of a clustered
-    spectrum (eig_real's order, modulus-descending), the sizes of the runs
-    of its columns whose order is part of the flag, and the eigenvalue of
-    each column.
-
-    A complex pair contributes (Re, Im) column pairs, carrying lambda and
-    its conjugate.  On a defective real block the unipotent part of gamma
-    is gamma / lambda; the block's columns follow the kernel chain of that
-    part, so the flags they span inside the block are fixed; such a block
-    is one run, and every other column a run of its own.
-    """
-    eye = np.eye(gamma.shape[0])
-    tol = _ID_TOL * max(1.0, float(np.linalg.norm(gamma)))
-    cols = []
-    runs = []
-    values = []
-    for b in blocks:
-        m = b.multiplicity
-        if b.value.imag == 0.0:
-            basis = np.real(b.basis)
-            nilp = basis.T @ (gamma / b.value.real - eye) @ basis
-            if m > 1 and np.linalg.norm(nilp) > tol:
-                cols.append(basis @ _kernel_chain(nilp))
-                runs.append(m)
-            else:
-                cols.append(basis)
-                runs += [1] * m
-            values += [b.value] * m
-        elif b.value.imag > 0:
-            pairs = np.stack([b.basis.real, b.basis.imag], axis=2)
-            cols.append(pairs.reshape(len(pairs), 2 * m))
-            runs += [1] * (2 * m)
-            values += [b.value, b.value.conjugate()] * m
-        # Im < 0 partners are the conjugates of the Im > 0 blocks: skip.
-    return np.concatenate(cols, axis=1), runs, np.array(values)
 
 
 def fixed_points(gamma):
@@ -217,22 +174,6 @@ def is_generic_parabolic(gamma) -> bool:
     return kernel.rank_tol(cls.parts.u - np.eye(n)) == n - 1
 
 
-def _kernel_chain(nilp) -> np.ndarray:
-    """Orthonormal frame whose first i columns span ker(nilp^i), for a
-    nilpotent nilp that is one Jordan block."""
-    n = nilp.shape[0]
-    prev = np.zeros((n, 0))
-    for i in range(1, n + 1):
-        power = np.linalg.matrix_power(nilp, i)
-        basis = np.real(kernel._null_basis(power, i))
-        # New direction: the part of ker^i orthogonal to the chain so far.
-        resid = basis - prev @ (prev.T @ basis)
-        j = int(np.argmax(np.linalg.norm(resid, axis=0)))
-        v = resid[:, j] / np.linalg.norm(resid[:, j])
-        prev = np.concatenate([prev, v[:, None]], axis=1)
-    return prev
-
-
 def unipotent_fixed_flag(gamma) -> boundary.Flag:
     """The kernel-chain flag of a regular unipotent isometry.
 
@@ -240,7 +181,8 @@ def unipotent_fixed_flag(gamma) -> boundary.Flag:
     the unique fixed full flag.
     """
     gamma = kernel.as_matrix(gamma)
-    return boundary.flag_from_frame(_kernel_chain(gamma - np.eye(gamma.shape[0])))
+    chain = kernel._kernel_chain(gamma - np.eye(gamma.shape[0]))
+    return boundary.flag_from_frame(chain)
 
 
 def parabolic_escape_test(

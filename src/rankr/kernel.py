@@ -3,8 +3,9 @@
 QR (qr_pos, one matrix or a stack), the symmetric eigensolver and the
 SVD are LAPACK's via numpy; qr_pos fixes the signs so the diagonal of r
 is positive, which makes the factorization unique.  The general
-(nonsymmetric) spectrum is also delegated to LAPACK and re-sorted under
-a fixed deterministic order.
+(nonsymmetric) spectrum is also delegated to LAPACK, clustered, sorted
+under a fixed deterministic order and returned as one real generalized
+eigenbasis (eig_real).
 
 grade is the one re-factorisation r e^{diag a} = D e^{diag b} u of a
 graded triangular product; Iwasawa, word growth and the graded SVD call
@@ -20,7 +21,6 @@ Laplace expansion along its first row over the minors one size smaller.
 """
 
 import threading
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -80,52 +80,63 @@ def _spectral_key(lam: complex):
     return (-abs(lam), -lam.real, lam.imag)
 
 
-@dataclass
-class EigenBlock:
-    """One clustered eigenvalue with its generalized eigenspace.
-
-    basis spans ker((g - value*I)^multiplicity); for real eigenvalues the
-    basis is real, for complex ones it is complex and the conjugate
-    eigenvalue carries the conjugate basis.
-    """
-
-    value: complex
-    multiplicity: int
-    basis: np.ndarray
-
-
 def _null_basis(m: np.ndarray, dim: int) -> np.ndarray:
     """Orthonormal basis (as columns) of the `dim`-dimensional null space."""
     _, _, vh = np.linalg.svd(m)
     return vh[-dim:, :].conj().T
 
 
+def _kernel_chain(nilp) -> np.ndarray:
+    """Orthonormal frame whose first i columns span ker(nilp^i), for a
+    real nilpotent nilp that is one Jordan block."""
+    n = nilp.shape[0]
+    prev = np.zeros((n, 0))
+    for i in range(1, n + 1):
+        basis = _null_basis(np.linalg.matrix_power(nilp, i), i)
+        # New direction: the part of ker^i orthogonal to the chain so far.
+        resid = basis - prev @ (prev.T @ basis)
+        j = int(np.argmax(np.linalg.norm(resid, axis=0)))
+        v = resid[:, j] / np.linalg.norm(resid[:, j])
+        prev = np.concatenate([prev, v[:, None]], axis=1)
+    return prev
+
+
+# Residual below which a factor counts as the identity.
+ID_TOL = 1e-8
+
+
 def eig_real(g, eps_cluster: float = defaults.EPS_CLUSTER):
-    """Clustered spectrum of a real matrix.
+    """Clustered spectrum of a real matrix as one real generalized
+    eigenbasis (basis, runs, values): its columns, the sizes of the runs of
+    columns whose order is part of the flag, and each column's eigenvalue.
 
-    Returns a list of EigenBlock sorted by descending modulus with ties
-    broken by descending real part then ascending imaginary part.  Nearby
-    eigenvalues (within eps_cluster relative) are merged into one block so
-    defective matrices report their Jordan structure instead of spurious
-    simple eigenvalues.
+    Nearby eigenvalues (within eps_cluster relative) merge into one
+    cluster, so defective matrices report their Jordan structure instead
+    of spurious simple eigenvalues.  LAPACK returns the spectrum of a real
+    matrix in exact conjugate pairs, so only the closed upper half plane is
+    clustered, each cluster grown greedily against the running mean of its
+    members.  A cluster that holds a real eigenvalue, or whose mean lies
+    within the tolerance of the real axis, is its own mirror image: one
+    real cluster whose multiplicity counts every member above the axis
+    twice and whose value is the real part of the mean over the members
+    and their conjugates.
 
-    LAPACK returns the spectrum of a real matrix in exact conjugate pairs,
-    so only the closed upper half plane is clustered, each cluster grown
-    greedily against the running mean of its members.  A cluster that
-    holds a real eigenvalue, or whose mean lies within the tolerance of the
-    real axis, is its own mirror image: one real block whose multiplicity
-    counts every member above the axis twice and whose value is the real
-    part of the mean over the members and their conjugates.  Every other
-    cluster gives a complex block and its conjugate.
+    The clusters come in descending modulus, ties broken by descending real
+    part then ascending imaginary part.  A complex cluster lambda gives the
+    (Re, Im) column pairs of its generalized eigenspace, carrying lambda
+    and its conjugate.  A real cluster gives an orthonormal basis of its
+    generalized eigenspace; where g / lambda - I is not within ID_TOL of
+    zero on it, the columns follow the kernel chain of g / lambda - I, so
+    the flags they span inside it are fixed, and the cluster is one run.
+    Every other column is a run of its own.
     """
     g = as_matrix(g)
     vals = np.linalg.eigvals(g)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    tol = eps_cluster * scale
+    tol = eps_cluster * max(1.0, float(np.max(np.abs(vals))))
     eye = np.eye(g.shape[0])
 
     remaining = sorted(vals[vals.imag >= 0], key=_spectral_key)
-    blocks = []
+    clusters = []
     while remaining:
         members = [remaining.pop(0)]
         rest = []
@@ -138,22 +149,36 @@ def eig_real(g, eps_cluster: float = defaults.EPS_CLUSTER):
         mean = complex(np.mean(members))
         mirror = [lam.conjugate() for lam in members if lam.imag > 0]
         if abs(mean.imag) > tol and len(mirror) == len(members):
-            mult = len(members)
-            basis = _null_basis(np.linalg.matrix_power(g - mean * eye, mult), mult)
-            blocks.append(EigenBlock(mean, mult, basis))
-            blocks.append(EigenBlock(mean.conjugate(), mult, basis.conj()))
+            clusters.append((mean, len(members)))
             continue
         if mirror:
             members += mirror
             mean = complex(np.mean(members))
-        mult = len(members)
-        basis = _null_basis(np.linalg.matrix_power(g - mean.real * eye, mult), mult)
-        # Re-orthonormalize after taking real parts.
-        basis, _ = np.linalg.qr(np.real(basis))
-        blocks.append(EigenBlock(complex(mean.real, 0.0), mult, basis))
+        clusters.append((complex(mean.real, 0.0), len(members)))
+    clusters.sort(key=lambda c: _spectral_key(c[0]))
 
-    blocks.sort(key=lambda b: _spectral_key(b.value))
-    return blocks
+    defect = ID_TOL * max(1.0, float(np.linalg.norm(g)))
+    cols, runs, values = [], [], []
+    for lam, mult in clusters:
+        shift = lam if lam.imag else lam.real
+        basis = _null_basis(np.linalg.matrix_power(g - shift * eye, mult), mult)
+        if lam.imag:
+            pairs = np.stack([basis.real, basis.imag], axis=2)
+            cols.append(pairs.reshape(len(pairs), 2 * mult))
+            runs += [1] * (2 * mult)
+            values += [lam, lam.conjugate()] * mult
+            continue
+        # Real and orthonormal already; later bits rest on this QR all the same.
+        basis, _ = np.linalg.qr(basis)
+        nilp = basis.T @ (g / shift - eye) @ basis
+        if mult > 1 and np.linalg.norm(nilp) > defect:
+            cols.append(basis @ _kernel_chain(nilp))
+            runs.append(mult)
+        else:
+            cols.append(basis)
+            runs += [1] * mult
+        values += [lam] * mult
+    return np.concatenate(cols, axis=1), runs, np.array(values)
 
 
 def sym_exp_log(direction: str, s) -> np.ndarray:

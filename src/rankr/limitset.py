@@ -39,13 +39,13 @@ own, so the stream is byte-identical for any worker count or block size.
 import io
 import os
 import string
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 from itertools import chain
 from math import comb
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import boundary, defaults, isometries, kernel
 from .errors import (
@@ -60,6 +60,23 @@ _LOG_OVERFLOW = 345.0  # log 1e150
 _MODULI_BLOCK = 1 << 16  # matrix entries per row block of the stack kernels
 _CSV_BLOCK = 1024
 _REFINE_BLOCK = 1 << 12  # (point, query) pairs per batched refine
+
+
+def __getattr__(name):
+    # scipy.spatial is most of the package's import time and only the KD
+    # checks use it, so cKDTree is imported on first use and kept as a
+    # module attribute, which _kd_tree reads at call time.
+    if name != "cKDTree":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.spatial import cKDTree
+
+    globals()[name] = cKDTree
+    return cKDTree
+
+
+def _kd_tree(rows):
+    """cKDTree(rows), with cKDTree looked up on this module when called."""
+    return sys.modules[__name__].cKDTree(rows)
 
 
 def resolve_workers(workers=None) -> int:
@@ -451,7 +468,7 @@ def one_sided_distance(a: np.ndarray, b: np.ndarray) -> float:
     """max over a of the distance to the nearest point of b."""
     if len(a) == 0 or len(b) == 0:
         raise EmptySample("one-sided distance of an empty set")
-    d, _ = cKDTree(b).query(a)
+    d, _ = _kd_tree(b).query(a)
     return float(np.max(d))
 
 
@@ -527,7 +544,7 @@ def _nearest_exact(points, queries):
         rows = _flag_embed(frames)
         return rows if dirs is None else np.concatenate([rows, dirs], axis=1)
 
-    tree = cKDTree(embed(frames, dirs))
+    tree = _kd_tree(embed(frames, dirs))
     rows = embed(query_frames, query_dirs)
     bound, _ = tree.query(rows)
     balls = tree.query_ball_point(rows, bound * stretch + 1e-12)

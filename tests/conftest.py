@@ -49,10 +49,12 @@ def unipotent_draws() -> dict:
 
 
 def pairing_eig_real(g, eps_cluster: float = 1e-6) -> list:
-    """Reference clustered spectrum that clusters the whole plane: every
-    eigenvalue is merged greedily, a cluster whose mean is within the
-    tolerance of the real axis is real, and every other cluster is paired
-    with a conjugate cluster found by search (NoConvergence if none)."""
+    """Reference clustered spectrum that clusters the whole plane, as
+    (value, multiplicity, basis) tuples in kernel._spectral_key order of
+    value: every eigenvalue is merged greedily, a cluster whose mean is
+    within the tolerance of the real axis is real with a real basis, and
+    every other cluster is paired with a conjugate cluster found by search
+    (NoConvergence if none), the pair's bases conjugate."""
     g = kernel.as_matrix(g)
     vals = np.linalg.eigvals(g)
     tol = eps_cluster * max(1.0, float(np.max(np.abs(vals))))
@@ -79,7 +81,7 @@ def pairing_eig_real(g, eps_cluster: float = 1e-6) -> list:
             shifted = g - mean.real * np.eye(g.shape[0])
             basis = np.real(kernel._null_basis(np.linalg.matrix_power(shifted, mult), mult))
             basis, _ = np.linalg.qr(basis)
-            blocks.append(kernel.EigenBlock(complex(mean.real, 0.0), mult, basis))
+            blocks.append((complex(mean.real, 0.0), mult, basis))
             done[i] = True
             continue
         partner = None
@@ -93,11 +95,11 @@ def pairing_eig_real(g, eps_cluster: float = 1e-6) -> list:
         lam = mean if mean.imag > 0 else mean.conjugate()
         shifted = g - lam * np.eye(g.shape[0], dtype=complex)
         basis = kernel._null_basis(np.linalg.matrix_power(shifted, mult), mult)
-        blocks.append(kernel.EigenBlock(lam, mult, basis))
-        blocks.append(kernel.EigenBlock(lam.conjugate(), mult, basis.conj()))
+        blocks.append((lam, mult, basis))
+        blocks.append((lam.conjugate(), mult, basis.conj()))
         done[i] = True
         done[partner] = True
-    blocks.sort(key=lambda b: kernel._spectral_key(b.value))
+    blocks.sort(key=lambda b: kernel._spectral_key(b[0]))
     return blocks
 
 

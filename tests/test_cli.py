@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -989,3 +990,14 @@ def test_run_report_contains_config_hash(tmp_path, capsys):
     assert run["config_hash"] == cli.config_hash(spec)
     with open(os.path.join(out, "run_report.json"), "r", encoding="utf-8") as fh:
         assert json.load(fh) == run
+
+
+def test_run_report_command_is_the_parsed_argv(tmp_path, capsys, monkeypatch):
+    # Called in process, main records the argv it parsed, not the host's.
+    monkeypatch.setattr(sys, "argv", ["host", "--bogus-host-arg"])
+    argv = ["limitset", "enumerate", "--input", spec_path("sl2_classical.json"),
+            "--out", str(tmp_path / "out"), "--max-word-length", "2",
+            "--format", "csv"]
+    code, run = _run(capsys, argv)
+    assert code == 0
+    assert run["command"] == " ".join(argv)

@@ -3,6 +3,8 @@ its module.  No linter runs with the suite, so this AST check stands in
 for one; a package's __init__.py re-exports its imports and is skipped."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,3 +43,17 @@ def test_no_unused_module_imports():
         and (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def test_import_leaves_scipy_spatial_to_the_first_kd_tree():
+    # scipy.spatial is most of the package's import time; only the KD
+    # checks of limitset need it, and they import it on first use.
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import rankr, rankr.cli\n"
+        "print('scipy.spatial' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["False"]

@@ -7,6 +7,7 @@ from scipy.linalg import block_diag
 
 from rankr import boundary, isometries, kernel
 from rankr.errors import (
+    IllConditionedSpectrum,
     NotPositiveDefinite,
     NotSymmetric,
     SingularMatrix,
@@ -250,38 +251,37 @@ def test_compounds_shapes():
 
 
 def test_eig_real_jordan_block_is_one_cluster():
-    blocks = kernel.eig_real(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    assert len(blocks) == 1
-    assert blocks[0].multiplicity == 2
-    assert abs(blocks[0].value - 1.0) < 1e-6
+    basis, runs, values = kernel.eig_real(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert runs == [2] and basis.shape == (2, 2)
+    assert np.all(np.abs(values - 1.0) < 1e-6)
 
 
 def test_eig_real_complex_pair_is_conjugate():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    blocks = kernel.eig_real(rot)
-    assert len(blocks) == 2
-    vals = sorted(b.value.imag for b in blocks)
-    assert np.allclose(vals, [-1.0, 1.0], atol=1e-12)
-    assert np.allclose(blocks[0].basis, blocks[1].basis.conj())
+    basis, runs, values = kernel.eig_real(rot)
+    assert runs == [1, 1] and np.isrealobj(basis)
+    assert values[1] == values[0].conjugate()
+    assert np.allclose(values.imag, [1.0, -1.0], atol=1e-12)
+    # The two columns are the real and imaginary parts of one eigenvector.
+    v = basis[:, 0] + 1j * basis[:, 1]
+    assert np.allclose(rot @ v, values[0] * v, atol=1e-12)
 
 
 def test_eig_real_sorted_by_modulus():
     g = np.diag([0.25, 4.0, 1.0])
-    blocks = kernel.eig_real(g)
-    assert [abs(b.value) for b in blocks] == sorted(
-        [abs(b.value) for b in blocks], reverse=True
-    )
-    assert abs(blocks[0].value - 4.0) < 1e-12
+    _, _, values = kernel.eig_real(g)
+    assert list(np.abs(values)) == sorted(np.abs(values), reverse=True)
+    assert abs(values[0] - 4.0) < 1e-12
 
 
 def test_eig_real_generalized_basis_spans_kernel_chain():
     rng = np.random.default_rng(3)
     g = random_so(rng, 3) @ (np.eye(3) + np.diag([1.0, 1.0], 1)) @ random_so(rng, 3).T
     # Not similar to a unipotent in general, but eig_real must still give a
-    # basis of the full space across blocks.
-    blocks = kernel.eig_real(g)
-    total = sum(b.multiplicity for b in blocks)
-    assert total == 3
+    # basis of the full space across its runs.
+    basis, runs, values = kernel.eig_real(g)
+    assert sum(runs) == len(values) == 3
+    assert np.linalg.matrix_rank(basis) == 3
 
 
 def _rotation_spectrum_matrix(rng, n):
@@ -299,20 +299,28 @@ def _rotation_spectrum_matrix(rng, n):
 
 def test_eig_real_matches_pairing_reference_on_simple_spectra():
     rng = np.random.default_rng(21)
-    complex_blocks = 0
+    complex_columns = 0
     for n in range(2, 9):
         for _ in range(10):
             for g in (rng.standard_normal((n, n)), _rotation_spectrum_matrix(rng, n)):
                 want = pairing_eig_real(g)
-                got = kernel.eig_real(g)
-                assert all(b.multiplicity == 1 for b in want)
-                assert len(got) == len(want) == n
-                for x, y in zip(got, want):
-                    assert x.value == y.value
-                    assert x.multiplicity == y.multiplicity
-                    assert np.array_equal(x.basis, y.basis)
-                complex_blocks += sum(b.value.imag != 0 for b in got)
-    assert complex_blocks > 200
+                basis, runs, values = kernel.eig_real(g)
+                assert all(mult == 1 for _, mult, _ in want)
+                assert runs == [1] * n
+                # The oracle's real bases, and its (Re, Im) parts of each
+                # pair's upper basis; the lower partner adds no column.
+                cols = [
+                    b if lam.imag == 0 else np.concatenate([b.real, b.imag], axis=1)
+                    for lam, _, b in want
+                    if lam.imag >= 0
+                ]
+                assert np.array_equal(basis, np.concatenate(cols, axis=1))
+                assert values.tolist() == [
+                    v for lam, _, _ in want if lam.imag >= 0
+                    for v in ([lam] if lam.imag == 0 else [lam, lam.conjugate()])
+                ]
+                complex_columns += int(np.sum(values.imag != 0))
+    assert complex_columns > 200
 
 
 def _clustering_inputs():
@@ -333,33 +341,67 @@ def _clustering_inputs():
 @pytest.mark.parametrize("tol", isometries._CLUSTER_TOLS)
 def test_eig_real_blocks_come_in_conjugate_pairs(tol):
     for g in _clustering_inputs():
-        blocks = kernel.eig_real(g, tol)
-        assert sum(b.multiplicity for b in blocks) == g.shape[0]
-        for b in blocks:
-            if b.value.imag == 0:
-                assert np.isrealobj(b.basis)
+        basis, runs, values = kernel.eig_real(g, tol)
+        assert np.isrealobj(basis) and basis.shape == g.shape
+        assert sum(runs) == len(values) == g.shape[0]
+        # Each lambda above the axis is followed by its exact conjugate.
+        upper = np.flatnonzero(values.imag > 0)
+        lower = np.flatnonzero(values.imag < 0)
+        assert np.array_equal(lower, upper + 1)
+        assert np.array_equal(values[lower], values[upper].conj())
+        # A run of several columns is one real cluster.
+        for start, size in zip(np.cumsum([0] + runs[:-1]), runs):
+            assert size == 1 or np.all(values[start : start + size] == values[start].real)
+
+
+def test_eig_real_defective_runs_follow_the_kernel_chain():
+    # In each defective run the decomposition accepts, g / lambda - I maps
+    # the run's first i columns into the span of its first i - 1: the flag
+    # those columns span is the one fixed_points reads.
+    rng = np.random.default_rng(23)
+    rot = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
+    mixed = block_diag(
+        2.0 * (np.eye(3) + np.eye(3, k=1)), 0.5 * (np.eye(2) + np.eye(2, k=1)), rot
+    )
+    mats = list(unipotent_draws().values())
+    mats += [c @ mixed @ np.linalg.inv(c) for c in rng.standard_normal((5, 7, 7))]
+    checked = 0
+    for g in mats:
+        try:
+            accepted = isometries.jordan_decompose(g).basis
+        except IllConditionedSpectrum:
+            continue
+        basis, runs, values = next(
+            eig for eig in (kernel.eig_real(g, tol) for tol in isometries._CLUSTER_TOLS)
+            if np.array_equal(eig[0], accepted)
+        )
+        for start, size in zip(np.cumsum([0] + runs[:-1]), runs):
+            if size == 1:
                 continue
-            partners = [
-                p for p in blocks
-                if p.value == b.value.conjugate() and p.multiplicity == b.multiplicity
-            ]
-            assert len(partners) == 1
-            assert np.array_equal(partners[0].basis, b.basis.conj())
+            shift = g / values[start].real - np.eye(len(g))
+            chain = basis[:, start : start + size]
+            image = shift @ chain
+            for i in range(size):
+                head = chain[:, :i]
+                out = image[:, i] - head @ (head.T @ image[:, i])
+                assert np.linalg.norm(out) <= 1e-10 * np.linalg.norm(shift, 2)
+            checked += 1
+    assert checked > 180
 
 
 def test_eig_real_cluster_holding_a_real_eigenvalue_is_real():
     # The eigenvalue 1 seeds a greedy cluster that takes the upper member
     # of every pair x_k +- i y_k but ends with a mean above the tolerance.
-    # Mirrored, that cluster holds 1 twice, so it is one real block.
+    # Mirrored, that cluster holds 1 twice, so it is one real cluster.
     pairs = []
     for k, y in enumerate((0.0095, 0.0145, 0.0179), start=1):
         x = 1.0 - y * y / 2 - k * 1e-6
         pairs.append(np.array([[x, -y], [y, x]]))
     g = block_diag(1.0, *pairs)
-    blocks = kernel.eig_real(g, 1e-2)
-    assert [b.multiplicity for b in blocks] == [7]
-    assert blocks[0].value.imag == 0.0
-    assert abs(blocks[0].value.real - np.trace(g) / 7) < 1e-15
+    _, runs, values = kernel.eig_real(g, 1e-2)
+    assert sum(runs) == 7 and np.all(values == values[0])
+    assert values[0].imag == 0.0
+    assert abs(values[0].real - np.trace(g) / 7) < 1e-15
 
 
 def test_sym_exp_log_round_trip():

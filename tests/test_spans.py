@@ -8,6 +8,8 @@ the hook that counts its rows.  These tests read the file itself."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import rankr
@@ -55,3 +57,31 @@ def test_traced_growth_counts_every_grown_row(sl3_group):
     # Every word but the identity is grown once.
     assert tally.get("limitset.grow", "rows") == words - 1
     assert tally.get("limitset.word_values", "max_rows") == words
+
+
+def test_fresh_import_traces_the_lazy_kd_tree():
+    # limitset imports cKDTree on first use; the benchmark finds it by
+    # getattr on a fresh import all the same, and its trees open spans.
+    code = f"""
+import importlib.util, sys
+sys.path.insert(0, {str(SPANS.parents[1] / "src")!r})
+import numpy as np
+import rankr, rankr.cli
+from rankr import limitset
+spec = importlib.util.spec_from_file_location("perfbench_spans", {str(SPANS)!r})
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+rec = spans.Recorder()
+hooks = spans.Instrumentation(rec, rankr)
+hooks.install()
+rec.enabled = True
+limitset.one_sided_distance(np.eye(3), np.ones((2, 3)))
+rec.enabled = False
+hooks.uninstall()
+print(",".join(sorted(hooks.missing)))
+print(spans.Tally(spans.aggregate(rec.spans)).get("limitset.kdtree.build", "calls"))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out == [",".join(sorted(f"{m}.{a}" for m, a in GONE)), "1.0"]
