@@ -35,6 +35,7 @@ from .errors import (
     InsufficientGenerators,
     PowerExhausted,
     RankrError,
+    SingularMatrix,
     SpecError,
 )
 
@@ -65,11 +66,6 @@ def config_hash(spec: dict) -> str:
     """sha256 of the canonical (key-sorted) JSON; field order never matters."""
     canonical = json.dumps(spec, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _chamber_center(n: int) -> np.ndarray:
-    h = np.arange(n - 1, -(n + 1), -2, dtype=float)
-    return h / np.linalg.norm(h)
 
 
 def _spec_matrix(value, shape, what) -> np.ndarray:
@@ -205,25 +201,15 @@ def load_spec(path: str) -> dict:
 
 def build_group(spec: dict):
     """Resolve a spec into (generator matrices, names, table-or-None)."""
-    n = spec["n"]
     if "generators" in spec:
         names = _generator_labels(spec["generators"])
         gens = [np.asarray(e["matrix"], dtype=float) for e in spec["generators"]]
         return gens, names, None
     recipe = spec["schottky"]
-    ells = [np.asarray(v, dtype=float) for v in recipe["L"]]
-    center = _chamber_center(n)
     frames = recipe["flags"] + recipe.get("parabolic_flags", [])
     frames = boundary.canonical_frames(np.asarray(frames, dtype=float))
     flags = [boundary.Flag(f) for f in frames]
-    points = []
-    for m, ell in enumerate(ells):
-        unit = ell / np.linalg.norm(ell)
-        points.append(boundary.boundary_point(flags[2 * m], -unit[::-1]))
-        points.append(boundary.boundary_point(flags[2 * m + 1], unit))
-    for flag in flags[2 * len(ells) :]:
-        points.append(boundary.boundary_point(flag, center))
-    table = schottky.build_table(points, ells, seed=spec.get("seed", 0))
+    table = schottky.build_table(flags, recipe["L"], seed=spec.get("seed", 0))
     if "radius_scale" in recipe:
         table.radii = table.radii * float(recipe["radius_scale"])
     names = limitset.default_names(len(table.base_generators))
@@ -311,6 +297,8 @@ def cmd_schottky(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             raise SpecError(f"cannot read table: {exc}")
         table = schottky.PingPongTable.from_json_dict(data)
+        if table.n != spec["n"]:
+            raise SpecError(f"table is for n = {table.n}, the spec for n = {spec['n']}")
     else:
         _, _, table = build_group(spec)
         if table is None:
@@ -527,7 +515,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         args.argv = argv  # the run report's command
         return args.func(args)
-    except (IllConditionedCell, IllConditionedSpectrum) as exc:
+    except (IllConditionedCell, IllConditionedSpectrum, SingularMatrix) as exc:
         print(f"numerical reliability error: {exc}", file=sys.stderr)
         return EXIT_ILL_CONDITIONED
     except np.linalg.LinAlgError as exc:

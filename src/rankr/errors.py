@@ -17,10 +17,6 @@ class SingularMatrix(RankrError):
     pass
 
 
-class NoConvergence(RankrError):
-    pass
-
-
 class NotSymmetric(RankrError):
     pass
 

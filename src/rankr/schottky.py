@@ -342,35 +342,44 @@ def _flag_pairs(points):
     ]
 
 
-def build_table(points, ell_choices, seed: int = 0) -> PingPongTable:
+def build_table(flags, ell_choices, seed: int = 0) -> PingPongTable:
     """Assemble generators and neighbourhoods and escalate powers.
 
-    points: 2l+p boundary points, (minus, plus) pairs for the axial
-    generators followed by p parabolic fixed points; ell_choices: one
-    interior translation vector per axial generator.  Every radius is a
-    third of the least distance between two points, at most 0.3.  Each
-    power k up to _K_MAX is tried as matrix_power(base, k), the matrix
-    effective_generators returns, on _WORKING_RESOLUTION samples per
-    neighbourhood.
+    flags: 2l+p flags, (minus, plus) pairs for the axial generators
+    followed by p parabolic fixed flags; ell_choices: one interior
+    translation vector per axial generator.  Axial generator m's minus
+    point has direction opposition(ell / |ell|) and its plus point
+    ell / |ell|; every parabolic point has the chamber centre rho / |rho|,
+    rho = (n-1, n-3, ..., 1-n).  Every radius is a third of the least
+    distance between two flags, at most 0.3.  Each power k up to _K_MAX
+    is tried as matrix_power(base, k), the matrix effective_generators
+    returns, on _WORKING_RESOLUTION samples per neighbourhood.
     """
-    points = list(points)
+    flags = list(flags)
     l_count = len(ell_choices)
-    p_count = len(points) - 2 * l_count
+    p_count = len(flags) - 2 * l_count
     if l_count + p_count < 1 or p_count < 0:
         raise InsufficientGenerators("need at least one generator")
+    points = []
+    for m, ell in enumerate(ell_choices):
+        unit = lie.as_cartan_vec(ell) / lie.norm(ell)
+        points += [
+            boundary.boundary_point(flags[2 * m], lie.opposition(unit)),
+            boundary.boundary_point(flags[2 * m + 1], unit),
+        ]
+    n = flags[0].n
+    rho = np.arange(n - 1, -n, -2, dtype=float)
+    points += [boundary.boundary_point(f, rho) for f in flags[2 * l_count :]]
     pairs = _flag_pairs(points)
     for i, j, _, (ok, _) in pairs:
         if not ok:
             raise NotTransverse(f"prescribed flags {i} and {j} not transverse")
 
-    gens = []
-    kinds = []
-    for m, ell in enumerate(ell_choices):
-        gens.append(make_axial(points[2 * m + 1].flag, points[2 * m].flag, ell))
-        kinds.append("axial")
-    for m in range(p_count):
-        gens.append(make_generic_parabolic(points[2 * l_count + m].flag))
-        kinds.append("parabolic")
+    gens = [
+        make_axial(flags[2 * m + 1], flags[2 * m], ell)
+        for m, ell in enumerate(ell_choices)
+    ] + [make_generic_parabolic(f) for f in flags[2 * l_count :]]
+    kinds = ["axial"] * l_count + ["parabolic"] * p_count
 
     radius = min(0.3, min(dist for _, _, dist, _ in pairs) / 3.0)
     table = PingPongTable(

@@ -259,6 +259,17 @@ def test_decompose_jordan_unreliable_spectrum_exits_2(capsys):
     assert "eigenbasis condition number" in capsys.readouterr().err
 
 
+def test_decompose_singular_pivot_exits_2(capsys):
+    # A det-1 matrix is valid input; a QR pivot below the floor is a
+    # numerical failure (exit 2), not malformed input (exit 1).
+    matrix = "[[1e-10,0],[0,1e10]]"
+    code = cli.main(["decompose", "--which", "kan", "--matrix", matrix])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "numerical reliability error: QR pivot 1.000e-10 is below 1.0e-09\n"
+    assert cli.main(["decompose", "--which", "kak", "--matrix", matrix]) == 0
+
+
 def test_decompose_bruhat_reversal(capsys):
     code, report = _run(
         capsys,
@@ -366,6 +377,23 @@ def test_schottky_check_reuses_table(tmp_path, capsys):
     )
     assert code == 0
     assert run["checks"]["certification"] == "certified-at-resolution"
+
+
+def test_schottky_check_rejects_a_table_of_another_dimension(tmp_path, capsys):
+    # The run report carries the spec's config_hash, so the table must be
+    # one of the spec's n.
+    build = tmp_path / "build"
+    assert cli.main(["schottky", "build", "--input", spec_path("sl2_classical.json"),
+                     "--out", str(build), "--resolution", "50"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "check"
+    code = cli.main(["schottky", "check", "--input", spec_path("sl3_l2.json"),
+                     "--out", str(out), "--table", str(build / "table.json"),
+                     "--resolution", "50"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: table is for n = 2, the spec for n = 3\n"
+    assert not out.exists()
 
 
 def test_schottky_rejects_resolution_below_one(tmp_path, capsys):

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from rankr import boundary, isometries, lie, limitset, schottky
+from rankr import boundary, cli, isometries, lie, limitset, schottky
 from rankr.errors import InsufficientGenerators, NotInterior, NotTransverse
-from conftest import loop_generator_margin, random_chamber_dir, random_so
+from conftest import loop_generator_margin, random_chamber_dir, random_so, spec_path
 
 
 def _random_transverse_pair(rng, n, min_margin=0.2):
@@ -107,15 +107,40 @@ def test_make_generic_parabolic():
 def test_build_table_rejects_bad_inputs():
     rng = np.random.default_rng(4)
     f = boundary.random_flag(rng, 3)
-    h = random_chamber_dir(rng, 3)
-    pt = boundary.BoundaryPoint(f, h)
     with pytest.raises(InsufficientGenerators):
         schottky.build_table([], [])
     with pytest.raises(NotTransverse):
-        schottky.build_table([pt, pt], [np.array([1.5, 0.0, -1.5])])
-    # One parabolic point has no pair to take the least distance of.
+        schottky.build_table([f, f], [np.array([1.5, 0.0, -1.5])])
+    # One parabolic flag has no pair to take the least distance of.
     with pytest.raises(InsufficientGenerators):
-        schottky.build_table([pt], [])
+        schottky.build_table([f], [])
+
+
+@pytest.mark.parametrize(
+    "name", ["sl2_classical.json", "sl3_l2.json", "sl3_l2_doubled.json", None]
+)
+def test_build_table_places_points_from_generators(name, parabolic_table):
+    # Axial generator m's (minus, plus) points carry its translation
+    # direction and that direction's opposition; parabolic points the
+    # chamber centre rho / |rho|.
+    if name is None:
+        table = parabolic_table
+    else:
+        table = cli.build_group(cli.load_spec(spec_path(name)))[2]
+    n = table.n
+    rho = np.arange(n - 1, -n, -2, dtype=float)
+    for m, (kind, base) in enumerate(zip(table.kinds, table.base_generators)):
+        (minus, plus), _ = table.neighborhood_indices(m)
+        if kind == "axial":
+            ell = isometries.translation_vector(base)
+            unit = ell / np.linalg.norm(ell)
+            for point, want in ((plus, unit), (minus, lie.opposition(unit))):
+                assert np.abs(table.points[point].direction - want).max() < 1e-9
+        else:
+            assert np.array_equal(
+                table.points[plus].direction, rho / np.linalg.norm(rho)
+            )
+    assert table.kinds.count("parabolic") == (name is None)
 
 
 def test_bundled_sl3_table_certifies(sl3_group):
@@ -333,14 +358,7 @@ def test_parabolic_table_builds_and_certifies():
         if best is None or score > best[0]:
             best = (score, flags)
     _, flags = best
-    ell = np.array([1.5, 0.0, -1.5])
-    unit = ell / np.linalg.norm(ell)
-    points = [
-        boundary.BoundaryPoint(flags[0], lie.opposition(unit)),
-        boundary.BoundaryPoint(flags[1], unit),
-        boundary.BoundaryPoint(flags[2], boundary.boundary_point(flags[2], [2.0, 0.0, -2.0]).direction),
-    ]
-    table = schottky.build_table(points, [ell], seed=0)
+    table = schottky.build_table(flags, [np.array([1.5, 0.0, -1.5])], seed=0)
     assert table.kinds == ["axial", "parabolic"]
     report = schottky.certify_klein(table, resolution=300, seed=1)
     assert report.certified
