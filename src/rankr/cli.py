@@ -32,7 +32,6 @@ from .errors import (
     EmptySample,
     IllConditionedCell,
     IllConditionedSpectrum,
-    InsufficientGenerators,
     PowerExhausted,
     RankrError,
     SingularMatrix,
@@ -106,12 +105,17 @@ def _known_keys(entry: dict, known, what):
         raise SpecError(f"{what} has unknown keys {unknown}; known: {sorted(known)}")
 
 
-def load_spec(path: str) -> dict:
+def _read_json(path, what):
+    """The JSON value in path, or a SpecError "cannot read {what}"."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise SpecError(f"cannot read group spec: {exc}")
+        raise SpecError(f"cannot read {what}: {exc}")
+
+
+def load_spec(path: str) -> dict:
+    spec = _read_json(path, "group spec")
     if not isinstance(spec, dict) or "n" not in spec:
         raise SpecError("group spec must be an object with an 'n' field")
     _known_keys(spec, ("n", "seed", "tolerances", "generators", "schottky"), "spec")
@@ -269,19 +273,24 @@ def cmd_decompose(args) -> int:
 
 
 def _write_json(path, payload):
+    """Write payload to path as key-sorted JSON; returns path."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
 
 
-def _run_report(args, spec, checks, metrics, outputs):
-    return {
+def _finish(args, spec, checks, metrics, outputs):
+    """Write run_report.json into --out and print it."""
+    run = {
         "command": " ".join(args.argv),
         "config_hash": config_hash(spec),
         "checks": checks,
         "metrics": metrics,
         "outputs": sorted(outputs),
     }
+    _write_json(os.path.join(args.out, "run_report.json"), run)
+    print(json.dumps(run, indent=2, sort_keys=True))
 
 
 def cmd_schottky(args) -> int:
@@ -291,12 +300,7 @@ def cmd_schottky(args) -> int:
     if args.resolution > MAX_RESOLUTION:
         raise SpecError(f"--resolution must be at most {MAX_RESOLUTION}")
     if args.action == "check":
-        try:
-            with open(args.table, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SpecError(f"cannot read table: {exc}")
-        table = schottky.PingPongTable.from_json_dict(data)
+        table = schottky.PingPongTable.from_json_dict(_read_json(args.table, "table"))
         if table.n != spec["n"]:
             raise SpecError(f"table is for n = {table.n}, the spec for n = {spec['n']}")
     else:
@@ -307,35 +311,22 @@ def cmd_schottky(args) -> int:
     report = schottky.certify_klein(
         table, resolution=args.resolution, seed=spec.get("seed", 0) + 1
     )
-    outputs = []
-    table_path = os.path.join(args.out, "table.json")
-    report_path = os.path.join(args.out, "certification.json")
-    _write_json(table_path, table.to_json_dict())
-    _write_json(report_path, asdict(report))
-    outputs += [table_path, report_path]
-    try:
-        ok, reason = schottky.check_nonelementary(table)
-    except InsufficientGenerators as exc:
-        ok, reason = False, str(exc)
+    outputs = [
+        _write_json(os.path.join(args.out, "table.json"), table.to_json_dict()),
+        _write_json(os.path.join(args.out, "certification.json"), asdict(report)),
+    ]
+    ok, reason = schottky.check_nonelementary(table)
     checks = {
         "certification": report.status,
         "nonelementary": ok,
         "nonelementary_reason": reason,
     }
-    run = _run_report(
-        args,
-        spec,
-        checks,
-        {
-            "min_margin": report.min_margin,
-            "powers": list(table.powers),
-            "radii": table.radii.tolist(),
-        },
-        outputs,
-    )
-    run_path = os.path.join(args.out, "run_report.json")
-    _write_json(run_path, run)
-    print(json.dumps(run, indent=2, sort_keys=True))
+    metrics = {
+        "min_margin": report.min_margin,
+        "powers": list(table.powers),
+        "radii": table.radii.tolist(),
+    }
+    _finish(args, spec, checks, metrics, outputs)
     return EXIT_OK if report.certified else EXIT_CERT_FAILED
 
 
@@ -434,10 +425,7 @@ def cmd_limitset(args) -> int:
         checks["all_within_eps"] = report["all_within_eps"]
     if args.subcommand != "enumerate":
         metrics[args.subcommand] = report
-    run = _run_report(args, spec, checks, metrics, outputs)
-    run_path = os.path.join(args.out, "run_report.json")
-    _write_json(run_path, run)
-    print(json.dumps(run, indent=2, sort_keys=True))
+    _finish(args, spec, checks, metrics, outputs)
     return EXIT_OK
 
 
@@ -528,7 +516,7 @@ def main(argv=None) -> int:
         print(f"empty sample: {exc}", file=sys.stderr)
         return EXIT_EMPTY_SAMPLE
     # An OSError here comes from making or writing --out, say a path that
-    # names a file: load_spec and schottky check report their own reads.
+    # names a file: _read_json reports its own reads.
     except (RankrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -155,10 +155,10 @@ def contraction_factor(gamma):
     if cls.tag != "regular-axial":
         raise NotRegularAxial(f"classify says {cls.tag}")
     ell = cls.translation
-    a_plus = float(np.min(ell[:-1] - ell[1:]))
-    iota = lie.opposition(ell)
-    a_minus = float(np.min(iota[:-1] - iota[1:]))
-    return a_plus, a_minus
+    # The opposition iota(L) = -L[::-1] has L's gaps in reverse order, so
+    # alpha_- ||L|| is the same minimal gap.
+    alpha = float(np.min(ell[:-1] - ell[1:]))
+    return alpha, alpha
 
 
 def is_generic_parabolic(gamma) -> bool:
@@ -213,23 +213,19 @@ def parabolic_escape_test(
         if boundary.flag_distance(boundary.act_flag(gamma, flag), flag) < 1e-9:
             results.append({"outcome": "fixed", "escape_index": None})
             continue
-        outcome = {"outcome": "inconclusive", "escape_index": None}
-        escape_n = None
+        # The last index, under either sign, whose iterate is still at
+        # least delta-transverse to eta's flag.
+        last = 0
         for sign_mat in (gamma, inv):
             current = flag
-            last_inside = 0
             for j in range(1, jmax + 1):
                 current = boundary.act_flag(sign_mat, current)
-                _, margin = boundary.transverse(current, eta.flag)
-                if margin >= delta:
-                    last_inside = j
-            if last_inside >= jmax:
-                escape_n = None
-                break
-            escape_n = max(escape_n or 0, last_inside + 1)
-        if escape_n is not None:
-            outcome = {"outcome": "escaped", "escape_index": escape_n}
-        results.append(outcome)
+                if boundary.transverse(current, eta.flag)[1] >= delta:
+                    last = max(last, j)
+        if last < jmax:
+            results.append({"outcome": "escaped", "escape_index": last + 1})
+        else:
+            results.append({"outcome": "inconclusive", "escape_index": None})
     return {
         "delta": delta,
         "jmax": jmax,

@@ -475,11 +475,11 @@ def check_nonelementary(table: PingPongTable):
     """Transversality hypotheses for nonelementarity of the generated group.
 
     Every fixed flag of every generator must be transverse to both fixed
-    flags of every other generator.  Returns (bool, reason);
-    InsufficientGenerators below two generators.
+    flags of every other generator.  Returns (bool, reason), and
+    (False, "need at least two generators") below two generators.
     """
     if len(table.kinds) < 2:
-        raise InsufficientGenerators("need at least two generators")
+        return False, "need at least two generators"
     # Generator m's forward (skip, target) pair holds its fixed points.
     owner = {
         p: m for m in range(len(table.kinds)) for p in table.neighborhood_indices(m)[0]

@@ -195,6 +195,11 @@ def test_transverse():
         assert ok and 0.0 < margin <= 1.0 + 1e-12
 
 
+def test_transverse_rejects_flags_of_different_n():
+    with pytest.raises(DimensionMismatch):
+        boundary.transverse(boundary.standard_flag(2), boundary.standard_flag(3))
+
+
 def test_transverse_margin_matches_loop_oracle():
     rng = np.random.default_rng(19)
     for n in range(2, 9):

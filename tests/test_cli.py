@@ -185,6 +185,47 @@ def test_load_spec_rejects_nonempty_tolerances(tmp_path, capsys):
         assert ("'tolerances' is not read" in err) == (code == 1)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda r: {"L": r["L"]}, "schottky recipe needs 'flags' and 'L'"),
+        (lambda r: {"flags": r["flags"]}, "schottky recipe needs 'flags' and 'L'"),
+        (lambda r: {**r, "flags": {}}, "and 'L' must be lists"),
+        (lambda r: {**r, "parabolic_flags": "x"}, "and 'L' must be lists"),
+        (lambda r: {**r, "L": 1.5}, "and 'L' must be lists"),
+    ],
+)
+def test_load_spec_rejects_recipes_without_flag_and_l_lists(
+    tmp_path, capsys, edit, message
+):
+    sl3 = json.loads(open(spec_path("sl3_l2.json"), encoding="utf-8").read())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**sl3, "schottky": edit(sl3["schottky"])}))
+    out = tmp_path / "out"
+    for command in (["schottky", "build"], ["limitset", "enumerate"]):
+        code = cli.main(command + ["--input", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_commands_reject_the_other_kind_of_spec(tmp_path, capsys):
+    generators = write_generator_spec(tmp_path / "g.json", 2, [np.diag([2.0, 0.5])])
+    out = tmp_path / "out"
+    for argv, message in (
+        (["decompose", "--which", "kak", "--input", spec_path("sl3_l2.json")],
+         "decompose --input needs a spec with generators"),
+        (["schottky", "build", "--input", str(generators), "--out", str(out)],
+         "schottky subcommand needs a schottky recipe"),
+    ):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_linalg_error_exits_cleanly(tmp_path, capsys, monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -648,6 +689,28 @@ def test_limitset_cone_emits_svg(tmp_path, capsys):
     assert svg in run["outputs"]
     with open(svg, "r", encoding="utf-8") as fh:
         assert "<svg" in fh.read()
+
+
+def test_limitset_cone_svg_at_n_2_marks_the_chamber_point(tmp_path, capsys):
+    # Rank one: every direction is the chamber's one point, (1, 0) on the
+    # chart, so the snapped shell is one marker at its canvas point.
+    out = tmp_path / "out"
+    code, run = _run(
+        capsys,
+        [
+            "limitset", "cone",
+            "--input", spec_path("sl2_classical.json"),
+            "--out", str(out),
+            "--max-word-length", "4",
+            "--cone-word-length", "4",
+            "--format", "svg",
+        ],
+    )
+    assert code == 0
+    assert run["outputs"] == [str(out / "cone.svg")]
+    svg = (out / "cone.svg").read_text(encoding="utf-8")
+    assert svg.count("<circle") == 1
+    assert '<circle cx="580.000" cy="580.000"' in svg
 
 
 def test_limitset_cone_outputs_match_library(tmp_path, capsys):

@@ -163,6 +163,12 @@ def test_bruhat_cell_borderline_raises():
         decompositions.bruhat_cell(g)
 
 
+def test_bruhat_cell_of_a_zero_matrix_has_no_permutation():
+    # Every lower-left block has rank 0, so no column reaches a row.
+    with pytest.raises(IllConditionedCell, match="rank pattern is not a permutation"):
+        decompositions.bruhat_cell(np.zeros((3, 3)))
+
+
 def test_kappa_of_identity_is_reversed_flag():
     for n in (2, 3, 4):
         flag = boundary.flag_from_frame(decompositions.kappa(np.eye(n)))

@@ -7,6 +7,7 @@ from rankr import boundary, isometries, schottky
 from rankr.errors import (
     IdentityInput,
     IllConditionedSpectrum,
+    NotFixed,
     NotParabolic,
     NotRegularAxial,
     NotTranslating,
@@ -374,6 +375,18 @@ def test_parabolic_escape_inconclusive_when_jmax_small():
             break
     report = isometries.parabolic_escape_test(gamma, eta, [f], jmax=1)
     assert report["samples"][0]["outcome"] in ("inconclusive", "escaped")
+
+
+def test_parabolic_escape_rejects_axial_elements_and_unfixed_points():
+    gamma = schottky.regular_unipotent(3)
+    chamber = np.array([2.0, 0.0, -2.0]) / math.sqrt(8.0)
+    fixed = boundary.boundary_point(boundary.standard_flag(3), chamber)
+    with pytest.raises(NotParabolic):
+        isometries.parabolic_escape_test(np.diag([4.0, 1.0, 0.25]), fixed, [], jmax=5)
+    # The unipotent fixes only the standard flag, not the reversed one.
+    moved = boundary.boundary_point(boundary.reversed_flag(3), chamber)
+    with pytest.raises(NotFixed):
+        isometries.parabolic_escape_test(gamma, moved, [], jmax=5)
 
 
 def test_sl8_unipotent_draw_raises_ill_conditioned_spectrum():

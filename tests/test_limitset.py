@@ -2,12 +2,13 @@ import itertools
 import sys
 import tracemalloc
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from rankr import boundary, decompositions, kernel, limitset
-from rankr.errors import EmptySample, InsufficientGenerators
+from rankr.errors import EmptySample, IllConditionedSpectrum, InsufficientGenerators
 from conftest import (
     ball_product_successes,
     cyclic_canonical,
@@ -124,6 +125,34 @@ def test_classification_tags():
     expect = np.array([np.log(lam), -np.log(lam)])
     expect = expect / np.linalg.norm(expect)
     assert np.allclose(samples.jdirs[ab], expect, atol=1e-10)
+
+
+def test_identity_words_are_elliptic():
+    # With b = a^-1 the word a.b is the identity up to roundoff, which the
+    # per-matrix classifier refuses (IdentityInput): its row is tagged
+    # elliptic, and only the empty word is tagged identity.
+    g = np.array([[2.0, 1.0], [1.0, 1.0]])
+    samples = limitset.enumerate_samples([g, np.linalg.inv(g)], 2)
+    words = [samples.word_tuple(i) for i in range(len(samples))]
+    assert samples.tags[0] == "identity"
+    for word in ((0, 2), (1, 3), (2, 0), (3, 1)):
+        assert samples.tags[words.index(word)] == "elliptic"
+    assert list(samples.tags).count("identity") == 1
+
+
+@pytest.mark.parametrize("error", [IllConditionedSpectrum, np.linalg.LinAlgError])
+def test_rows_the_classifier_cannot_resolve_are_unresolved(monkeypatch, error):
+    def fail(g):
+        raise error("no reliable spectrum")
+
+    monkeypatch.setattr(limitset.isometries, "classify", fail)
+    samples = limitset.enumerate_samples(_shear_pair(), 2)
+    words = [samples.word_tuple(i) for i in range(len(samples))]
+    # The letters are parabolic, so they take the per-matrix path.
+    for word in ((0,), (1,), (2,), (3,)):
+        assert samples.tags[words.index(word)] == "unresolved"
+        assert np.isnan(samples.jdirs[words.index(word)]).all()
+    assert samples.tags[words.index((0, 2))] == "regular-axial"
 
 
 def _direct_columns(samples):
@@ -347,6 +376,15 @@ def test_axial_density(sl3_group):
     report = limitset.axial_density_check(table, 6, eps=0.2)
     assert report["all_within_eps"]
     assert report["worst_distance"] < 0.2
+
+
+def test_axial_density_without_regular_axial_words_is_empty():
+    # Every word of two rotations is elliptic.
+    rng = np.random.default_rng(3)
+    gens = [random_so(rng, 3), random_so(rng, 3)]
+    table = SimpleNamespace(effective_generators=lambda: gens)
+    with pytest.raises(EmptySample, match="no regular axial words found"):
+        limitset.axial_density_check(table, 4)
 
 
 def _kd_rows(frames, dirs):

@@ -314,6 +314,16 @@ def test_sample_flags_near_lands_on_targets_for_every_n():
         assert np.abs(dists - targets).max() < 1e-12
 
 
+def test_sample_flags_near_grows_its_bracket_to_far_targets():
+    # At n = 3 every path of this draw is still short of distance 1.0 at the
+    # initial bracket t = 0.5, so the bracket doubles before the bisection.
+    center = boundary.random_flag(np.random.default_rng(1), 3)
+    targets = np.full(20, 1.0)
+    frames = schottky.sample_flags_near(center, targets, np.random.default_rng(2))
+    dists = boundary.flag_distances_to_center(frames, center)
+    assert np.abs(dists - targets).max() < 2e-15
+
+
 def test_check_nonelementary(sl3_group):
     _, _, table = sl3_group
     ok, reason = schottky.check_nonelementary(table)
@@ -336,8 +346,9 @@ def test_check_nonelementary(sl3_group):
         powers=table.powers[:1],
         kinds=table.kinds[:1],
     )
-    with pytest.raises(InsufficientGenerators):
-        schottky.check_nonelementary(single)
+    assert schottky.check_nonelementary(single) == (
+        False, "need at least two generators"
+    )
 
 
 def test_parabolic_table_builds_and_certifies():
