@@ -4,7 +4,8 @@ A flag is stored as one canonical frame, computed once from the chain of
 orthogonal projectors P_1, ..., P_{n-1} (rank i, nested).  Projectors are
 blind to the column signs of a generating frame, so the quotient by
 M = {diagonal +-1, det 1} is exact.  Canonical frames are computed on
-(N, n, n) stacks (canonical_frames); flag_from_frame is its one-row call.
+(N, n, n) stacks (canonical_frames); Flag(frame) canonicalises its own
+frame as a one-row call, so every Flag holds a canonical frame.
 Flag distances never build projectors: for frames C and F and
 M = C^T F, ||P_k(F) - P_k(C)||_F^2 is 2 ||M[k:, :k]||_F^2, a sum of
 squares with no cancellation, so the flag distance keeps its relative
@@ -12,8 +13,9 @@ accuracy on nearly equal flags.
 
 A boundary point is a pair (flag, unit chamber direction H); the G-action
 moves the flag through the Iwasawa K-part of g k and never changes H.
-busemann reads the Iwasawa a-parts of both points off one QR of a
-two-matrix stack; act and act_flag take one QR and one canonical_frames row.
+busemann reads the Iwasawa a-parts of both points off one
+kernel.qr_decompose of a two-matrix stack; act and act_flag take one
+kernel.qr_decompose and one Flag.
 """
 
 from dataclasses import dataclass
@@ -25,12 +27,14 @@ from .errors import DimensionMismatch, NotOrthogonal, SingularMatrix, ZeroVector
 
 
 class Flag:
-    """A full flag in R^n, stored as its canonical frame (see canonical_frames)."""
+    """A full flag in R^n, stored as its canonical frame (see canonical_frames).
+
+    The flag of frame has frame's first i columns spanning its i-th space."""
 
     __slots__ = ("frame",)
 
     def __init__(self, frame):
-        self.frame = frame
+        self.frame = canonical_frames(kernel.as_matrix(frame)[None])[0]
 
     @property
     def n(self) -> int:
@@ -111,9 +115,8 @@ def canonical_frames(frames) -> np.ndarray:
 
 
 def flag_from_frame(k) -> Flag:
-    """The flag whose i-th space is spanned by the first i columns of k,
-    stored as its canonical frame (see canonical_frames)."""
-    return Flag(canonical_frames(kernel.as_matrix(k)[None])[0])
+    """The flag whose i-th space is spanned by the first i columns of k."""
+    return Flag(k)
 
 
 def flag_frame(flag: Flag) -> np.ndarray:
@@ -146,7 +149,7 @@ def act(g, xi: BoundaryPoint) -> BoundaryPoint:
 
 
 def act_flag(g, flag: Flag) -> Flag:
-    return flag_from_frame(kernel.qr_decompose(g @ flag.frame)[0])
+    return flag_from_frame(kernel.qr_decompose(kernel.as_matrix(g @ flag.frame))[0])
 
 
 def transverse(f1: Flag, f2: Flag):
@@ -171,21 +174,16 @@ def busemann(xi: BoundaryPoint, gx, gy) -> float:
     """Busemann cocycle B_xi(x, y) in closed form.
 
     B_xi(g1.o, g2.o) = <H, a_iw(g1^-1 k)> - <H, a_iw(g2^-1 k)> where k is a
-    frame of xi's flag and a_iw the Iwasawa a-part, log|diag R| of one
-    stacked QR of [g1^-1 k, g2^-1 k]; the sign convention is pinned by the
-    finite-ray oracle (busemann_oracle).
+    frame of xi's flag and a_iw the Iwasawa a-part, log diag R of one
+    kernel.qr_decompose of the stack [g1^-1 k, g2^-1 k]; the sign
+    convention is pinned by the finite-ray oracle (busemann_oracle).
     """
     pair = np.stack([kernel.as_matrix(gx), kernel.as_matrix(gy)])
     try:
         moved = np.linalg.solve(pair, xi.flag.frame)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"cannot solve against the points: {exc}") from exc
-    r = np.linalg.qr(moved, mode="r")
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    pivot = diag.min()
-    if pivot < defaults.EPS_DET:
-        raise SingularMatrix(f"QR pivot {pivot:.3e} is below {defaults.EPS_DET:.1e}")
-    a = np.log(diag)
+    a = np.log(np.diagonal(kernel.qr_decompose(moved)[1], axis1=1, axis2=2))
     return float(xi.direction @ (a[0] - a[1]))
 
 

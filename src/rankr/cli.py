@@ -211,7 +211,6 @@ def build_group(spec: dict):
         return gens, names, None
     recipe = spec["schottky"]
     frames = recipe["flags"] + recipe.get("parabolic_flags", [])
-    frames = boundary.canonical_frames(np.asarray(frames, dtype=float))
     flags = [boundary.Flag(f) for f in frames]
     table = schottky.build_table(flags, recipe["L"], seed=spec.get("seed", 0))
     if "radius_scale" in recipe:
@@ -238,20 +237,11 @@ def _parse_matrix(args):
 def cmd_decompose(args) -> int:
     g = _parse_matrix(args)
     report = {"which": args.which, "matrix": g.tolist()}
-    if args.which == "kak":
-        dec = decompositions.cartan_decompose(g)
+    factor = {"kak": decompositions.cartan_decompose, "kan": decompositions.iwasawa}
+    if args.which in factor:
+        dec = factor[args.which](g)
         report.update(
-            k1=dec.k1.tolist(),
-            h=dec.h.tolist(),
-            k2=dec.k2.tolist(),
-            residual=float(np.linalg.norm(dec.reconstruct() - g)),
-        )
-    elif args.which == "kan":
-        dec = decompositions.iwasawa(g)
-        report.update(
-            k=dec.k.tolist(),
-            a=dec.a.tolist(),
-            nplus=dec.nplus.tolist(),
+            {k: v.tolist() for k, v in asdict(dec).items()},
             residual=float(np.linalg.norm(dec.reconstruct() - g)),
         )
     elif args.which == "jordan":

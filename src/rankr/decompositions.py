@@ -76,7 +76,7 @@ def point_distance(gx, gy) -> float:
 
 
 def iwasawa(g) -> KAN:
-    q, r = kernel.qr_decompose(g)
+    q, r = kernel.qr_decompose(kernel.as_matrix(g))
     return KAN(q, *kernel.grade(r, 0.0))
 
 

@@ -1,10 +1,15 @@
 """Default numerical tolerances.
 
-The underlying theory is exact; every gap between exact statements and
-floating point lives in one of these constants.  Functions read them
-directly; only the rank cutoff of kernel.rank_tol and rank_with_band
-and the clustering level jordan_decompose hands kernel.eig_real are
-arguments.
+The underlying theory is exact; these constants name gaps between its
+statements and floating point: determinant and linear-algebra slack, the
+wall, rank, transversality and flag-equality cutoffs, eigenvalue
+clustering, the eigenbasis condition cap, ping-pong separation and the
+direction grid.  Functions read them directly; only the clustering level
+jordan_decompose hands kernel.eig_real is an argument.  Not every
+tolerance is here: kernel.ID_TOL (the identity test),
+isometries._CLUSTER_TOLS (the clustering ladder) and
+limitset._LOG_OVERFLOW (the overflow flag) live beside the code that
+defines them.
 """
 
 # |det - 1| allowed for matrices treated as elements of SL(n,R).

@@ -135,9 +135,7 @@ def fixed_points(gamma):
         raise NotTranslating("translation vector vanishes")
     g = parts.basis
     pieces = np.split(g, np.cumsum(parts.runs)[:-1], axis=1)
-    plus, minus = boundary.canonical_frames(
-        kernel.qr_pos(np.stack([g, np.concatenate(pieces[::-1], axis=1)]))[0]
-    )
+    plus, minus = kernel.qr_pos(np.stack([g, np.concatenate(pieces[::-1], axis=1)]))[0]
     return (
         boundary.BoundaryPoint(boundary.Flag(plus), ell / nl),
         boundary.BoundaryPoint(boundary.Flag(minus), lie.opposition(ell) / nl),

@@ -66,10 +66,10 @@ def canonical_signs(frames) -> np.ndarray:
 
 
 def qr_decompose(g):
-    """qr_pos of one matrix; raises SingularMatrix when a pivot of r is
-    below defaults.EPS_DET."""
-    q, r = qr_pos(as_matrix(g))
-    pivot = np.diag(r).min()
+    """qr_pos of one matrix or a stack; raises SingularMatrix when a pivot
+    of r is below defaults.EPS_DET."""
+    q, r = qr_pos(g)
+    pivot = np.diagonal(r, axis1=-2, axis2=-1).min()
     if pivot < defaults.EPS_DET:
         raise SingularMatrix(f"QR pivot {pivot:.3e} is below {defaults.EPS_DET:.1e}")
     return q, r
@@ -196,31 +196,27 @@ def sym_exp_log(direction: str, s) -> np.ndarray:
     raise ValueError(f"direction must be 'exp' or 'log', got {direction!r}")
 
 
-def rank_tol(m, tol: float = defaults.EPS_RANK) -> int:
-    """Number of singular values above tol * sigma_1 (0 for the zero matrix)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return rank_with_band(m, tol)[0]
+def rank_tol(m) -> int:
+    """Number of singular values above defaults.EPS_RANK * sigma_1 (0 for
+    the zero matrix)."""
+    return rank_with_band(m)[0]
 
 
-def rank_with_band(m, tol: float = defaults.EPS_RANK):
+def rank_with_band(m):
     """rank_tol plus a flag telling whether the decision was borderline.
 
     The decision is borderline when some relative singular value lies in
-    (tol/10, tol*10); callers treating the rank as load-bearing should
-    reject such inputs.
+    (tol/10, tol*10), tol = defaults.EPS_RANK; callers treating the rank
+    as load-bearing should reject such inputs.
     """
     m = np.asarray(m, dtype=float)
     if m.size == 0 or not np.any(m):
         return 0, False
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
     # Rank decisions need singular values accurate down to eps * sigma_1;
     # squaring into the Gram matrix would floor exact deficiencies at
     # sqrt(eps), inside the borderline band, so go through the direct SVD.
     sig = np.linalg.svd(m, compute_uv=False)
-    if sig[0] == 0.0:
-        return 0, False
+    tol = defaults.EPS_RANK
     rel = sig / sig[0]
     borderline = bool(np.any((rel > tol / 10.0) & (rel < tol * 10.0)))
     return int(np.sum(rel > tol)), borderline

@@ -345,7 +345,7 @@ def _classify_stack(q, a, nu, lengths, workers=None):
     jdirs = np.full((count, n), np.nan)
     # Rows whose smallest modulus gap could still be eigenvalue noise take
     # the exact per-matrix path.
-    regular = (norms > 1e-8) & (gaps > 1e-6 * np.maximum(1.0, norms))
+    regular = (norms > kernel.ID_TOL) & (gaps > 1e-6 * np.maximum(1.0, norms))
     tags[regular] = "regular-axial"
     jdirs[regular] = ell[regular] / norms[regular, None]
     tags[lengths == 0] = "identity"
@@ -375,8 +375,6 @@ def enumerate_samples(generators, max_length, workers=None) -> SampleSet:
 
 def _snap_unique(dirs: np.ndarray) -> np.ndarray:
     """Grid-snap directions and drop duplicates; rows come back sorted."""
-    if len(dirs) == 0:
-        return dirs
     snapped = np.round(dirs / defaults.DIR_SNAP) * defaults.DIR_SNAP
     snapped[snapped == 0.0] = 0.0  # normalize -0.0
     return np.unique(snapped, axis=0)
@@ -444,8 +442,6 @@ def directional_sample(
     generators, max_length, min_length=6, workers=None
 ) -> np.ndarray:
     """Cartan directions of words with length in [min_length, max_length]."""
-    if min_length < 1:
-        raise ValueError("min_length must be at least 1")
     samples = enumerate_samples(generators, max_length, workers)
     return directions_in_range(samples, min_length, max_length)
 

@@ -47,10 +47,7 @@ def adapt_frame(f_plus: boundary.Flag, f_minus: boundary.Flag) -> np.ndarray:
     for i in range(1, n + 1):
         u = kp[:, :i]
         w = km[:, : n - i + 1]
-        stacked = np.concatenate([u, -w], axis=1)
-        _, _, vh = np.linalg.svd(stacked)
-        coeffs = vh[-1, :i]
-        v = u @ coeffs
+        v = u @ kernel._null_basis(np.concatenate([u, -w], axis=1), 1)[:i, 0]
         cols.append(v / np.linalg.norm(v))
     g = np.column_stack(cols)
     g *= kernel.canonical_signs(g)

@@ -43,6 +43,18 @@ def test_flag_from_frame_standard_and_errors():
         boundary.flag_from_frame(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def test_flag_is_canonical_by_construction():
+    rng = np.random.default_rng(28)
+    for n in range(2, 9):
+        for _ in range(30):
+            k = random_so(rng, n)
+            m = rng.choice([-1.0, 1.0], n)
+            expect = boundary.canonical_frames(k[None])[0]
+            assert np.array_equal(boundary.Flag(k).frame, expect)
+            assert np.array_equal(boundary.Flag(k * m).frame, expect)
+    assert repr(boundary.standard_flag(3)) == "Flag(n=3)"
+
+
 def test_canonical_frames_match_loop_oracle():
     rng = np.random.default_rng(18)
     for n in range(2, 9):

@@ -1064,6 +1064,11 @@ def test_limitset_cone_svg_needs_n_2_or_3(tmp_path, capsys):
     assert sorted(os.listdir(out)) == ["run_report.json", "samples.csv"]
 
 
+def test_simplex_coords_reject_n_4():
+    with pytest.raises(ValueError, match="n = 2 or n = 3 only"):
+        plotting.simplex_coords(np.array([[0.6, 0.2, -0.2, -0.6]]))
+
+
 def test_run_report_contains_config_hash(tmp_path, capsys):
     out = str(tmp_path / "out")
     code, run = _run(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rankr import boundary, isometries, schottky
+from rankr import boundary, isometries, kernel, schottky
 from rankr.errors import (
     IdentityInput,
     IllConditionedSpectrum,
@@ -402,6 +402,17 @@ def test_sl8_unipotent_draw_raises_ill_conditioned_spectrum():
     for call in calls:
         with pytest.raises(IllConditionedSpectrum):
             call(g)
+
+
+def test_jordan_rejects_a_merge_of_distinct_moduli(monkeypatch):
+    # An eigen-solver that merges the moduli 4 and 1 into 2 at every rung:
+    # the basis is perfectly conditioned, so only the drift of the
+    # unipotent factor's eigenvalues from 1 can reject it.
+    merged = (np.eye(3), [1, 1, 1], np.array([2.0, 2.0, 0.25]))
+    monkeypatch.setattr(kernel, "eig_real", lambda g, tol: merged)
+    with pytest.raises(IllConditionedSpectrum) as info:
+        isometries.jordan_decompose(np.diag([4.0, 1.0, 0.25]))
+    assert str(info.value).startswith("unipotent factor drift")
 
 
 def test_translation_vector_raises_where_jordan_decompose_raises():

@@ -13,6 +13,8 @@ def test_as_cartan_vec_requires_traceless():
         lie.as_cartan_vec([1.0, 1.0])
     v = lie.as_cartan_vec([1.0, -1.0])
     assert v.shape == (2,)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        lie.as_cartan_vec([[1.0, -1.0]])
 
 
 def test_inner_examples():
@@ -116,6 +118,11 @@ def test_longest_weyl_reverses():
     w = lie.longest_weyl(4)
     assert np.allclose(w.apply([4.0, 3.0, 2.0, 1.0]), [1.0, 2.0, 3.0, 4.0])
     assert len(lie.all_weyl(4)) == 24
+
+
+def test_weyl_elements_hash_and_print_by_permutation():
+    assert len({lie.WeylElem([1, 0, 2]), lie.WeylElem((1, 0, 2))}) == 1
+    assert repr(lie.WeylElem([1, 0, 2])) == "WeylElem(1, 0, 2)"
 
 
 def test_weyl_rejects_non_permutation():

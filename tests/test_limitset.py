@@ -387,6 +387,24 @@ def test_axial_density_without_regular_axial_words_is_empty():
         limitset.axial_density_check(table, 4)
 
 
+def test_directional_sample_of_rotations_is_an_empty_stack():
+    # Every word of two rotations has Cartan vector 0, so no direction is
+    # kept, and the empty stack keeps its n columns.
+    rng = np.random.default_rng(3)
+    gens = [random_so(rng, 3), random_so(rng, 3)]
+    dirs = limitset.directional_sample(gens, 3, min_length=1)
+    assert dirs.shape == (0, 3) and dirs.dtype == float
+
+
+def test_word_and_shell_lengths_start_at_one():
+    gens = _shear_pair()
+    with pytest.raises(ValueError, match="max_length must be at least 1"):
+        limitset.enumerate_samples(gens, 0)
+    samples = limitset.enumerate_samples(gens, 3)
+    with pytest.raises(ValueError, match="min_length must be at least 1"):
+        limitset.directions_in_range(samples, 0, 3)
+
+
 def _kd_rows(frames, dirs):
     rows = limitset._flag_embed(frames)
     return rows if dirs is None else np.concatenate([rows, dirs], axis=1)
@@ -401,7 +419,9 @@ def _brute_nearest(points, queries):
     gaps = _kd_rows(frames, dirs)[None] - _kd_rows(query_frames, query_dirs)[:, None]
     exact = []
     for k, frame in enumerate(query_frames):
-        dist = boundary.flag_distances_to_center(frames, boundary.Flag(frame))
+        # The query's own frame, as _nearest_exact takes it: a Flag's
+        # canonical frame gives the same distances only up to rounding.
+        dist = boundary.standard_flag_distances(np.matmul(frame.T, frames))
         if dirs is not None:
             dist = np.maximum(dist, np.linalg.norm(dirs - query_dirs[k], axis=1))
         exact.append(dist.min())
