@@ -576,7 +576,7 @@ def gap_to_neighborhoods(frames: np.ndarray, table) -> np.ndarray:
 
 
 def minimality_check(
-    table, xi0, targets, max_length, eps=0.05, workers=None
+    table, xi0, targets, max_length, eps=0.1, workers=None
 ) -> dict:
     """Orbit density and neighborhood containment for a certified table.
 

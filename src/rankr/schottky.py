@@ -30,6 +30,12 @@ from .errors import (
 _K_MAX = 60
 _WORKING_RESOLUTION = 256
 
+# Most secant steps sample_flags_near takes after growing its bracket, and
+# the miss, relative to the target, below which a row stops: the distance
+# itself is rounded to a few units in the last place.
+_SECANT_STEPS = 12
+_MISS = 2.0 * np.finfo(float).eps
+
 
 def adapt_frame(f_plus: boundary.Flag, f_minus: boundary.Flag) -> np.ndarray:
     """det-1 basis g sending the standard flag to f_plus and the reversed
@@ -232,10 +238,15 @@ def sample_flags_near(
     """Frames of flags at prescribed flag distances from a center flag.
 
     Random unit skew directions S give the frames center @ Cay(tS).  The
-    flag distance is invariant under the center frame, so each t is
-    bisected for 50 steps on the distance of Cay(tS) to the standard
-    flag, in the center's coordinates; only the final frames are rotated
-    by the center."""
+    flag distance is invariant under the center frame, so each t solves
+    d(Cay(tS)) = target, the distance to the standard flag in the center's
+    coordinates; only the final frames are rotated by the center.  The
+    bracket [lo, hi] doubles hi until the path crosses its target.  Then
+    Illinois steps (regula falsi that halves the weight of an end kept
+    twice running) shrink it, with a bisection step wherever the secant
+    point leaves the bracket, until each row misses its target by at most
+    _MISS relative or _SECANT_STEPS are taken.  Each row returns its
+    bracket end with the smaller miss."""
     n = center.n
     count = len(targets)
     raw = rng.standard_normal((count, n, n))
@@ -243,22 +254,37 @@ def sample_flags_near(
     skews /= np.linalg.norm(skews, axis=(1, 2), keepdims=True)
     cayley = _cayley_map(skews)
 
-    def dist(t):
-        return boundary.standard_flag_distances(cayley(t))
+    def miss(t):
+        return boundary.standard_flag_distances(cayley(t)) - targets
 
-    lo = np.zeros(count)
+    lo, f_lo = np.zeros(count), -targets
     hi = np.full(count, 0.5)
+    f_hi = miss(hi)
     for _ in range(12):  # grow until every path crosses its target
-        short = dist(hi) < targets
+        short = f_hi < 0
         if not short.any():
             break
+        lo[short], f_lo[short] = hi[short], f_hi[short]
         hi[short] *= 2.0
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        low = dist(mid) < targets
-        lo[low] = mid[low]
-        hi[~low] = mid[~low]
-    return np.matmul(boundary.flag_frame(center), cayley(0.5 * (lo + hi)))
+        f_hi = miss(hi)
+    w_lo, w_hi = f_lo.copy(), f_hi.copy()  # the ends' Illinois weights
+    was_up = was_down = np.zeros(count, dtype=bool)
+    for _ in range(_SECANT_STEPS):
+        t = (lo * w_hi - hi * w_lo) / (w_hi - w_lo)
+        t = np.where((lo < t) & (t < hi), t, 0.5 * (lo + hi))
+        best = np.minimum(np.abs(f_lo), np.abs(f_hi))
+        live = (best > _MISS * targets) & (lo < t) & (t < hi)
+        if not live.any():
+            break
+        f = miss(t)
+        up, down = live & (f < 0), live & (f >= 0)
+        w_hi[up & was_up] *= 0.5
+        w_lo[down & was_down] *= 0.5
+        lo[up], f_lo[up], w_lo[up] = t[up], f[up], f[up]
+        hi[down], f_hi[down], w_hi[down] = t[down], f[down], f[down]
+        was_up, was_down = up, down
+    t = np.where(np.abs(f_lo) < np.abs(f_hi), lo, hi)
+    return np.matmul(boundary.flag_frame(center), cayley(t))
 
 
 def _sources(table: PingPongTable, resolution: int, rng):

@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import json
 import os
 import sys
@@ -1097,3 +1098,16 @@ def test_run_report_command_is_the_parsed_argv(tmp_path, capsys, monkeypatch):
     code, run = _run(capsys, argv)
     assert code == 0
     assert run["command"] == " ".join(argv)
+
+
+def test_check_eps_defaults_are_the_cli_tol_default():
+    # The library checks run with the tolerance the CLI would pass them.
+    args = cli.build_parser().parse_args(
+        ["limitset", "minimality", "--input", "spec.json"]
+    )
+    for check in (
+        limitset.minimality_check,
+        limitset.product_structure_check,
+        limitset.axial_density_check,
+    ):
+        assert inspect.signature(check).parameters["eps"].default == args.tol

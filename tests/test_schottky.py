@@ -324,6 +324,77 @@ def test_sample_flags_near_grows_its_bracket_to_far_targets():
     assert np.abs(dists - targets).max() < 2e-15
 
 
+def _bisected_flags_near(center, targets, rng):
+    """sample_flags_near with 50 bisection steps after the same bracket
+    growth, on the same draws: the reference for its accuracy."""
+    n = center.n
+    raw = rng.standard_normal((len(targets), n, n))
+    skews = raw - raw.transpose(0, 2, 1)
+    skews /= np.linalg.norm(skews, axis=(1, 2), keepdims=True)
+    cayley = schottky._cayley_map(skews)
+
+    def dist(t):
+        return boundary.standard_flag_distances(cayley(t))
+
+    lo = np.zeros(len(targets))
+    hi = np.full(len(targets), 0.5)
+    for _ in range(12):
+        short = dist(hi) < targets
+        if not short.any():
+            break
+        hi[short] *= 2.0
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        low = dist(mid) < targets
+        lo[low] = mid[low]
+        hi[~low] = mid[~low]
+    return np.matmul(center.frame, cayley(0.5 * (lo + hi)))
+
+
+def test_sample_flags_near_takes_at_most_sixteen_distance_evaluations(monkeypatch):
+    # A 50-step bisection makes 51 or more evaluations of the distance.
+    calls = []
+    distances = boundary.standard_flag_distances
+
+    def counted(frames):
+        calls.append(len(frames))
+        return distances(frames)
+
+    monkeypatch.setattr(boundary, "standard_flag_distances", counted)
+    rng = np.random.default_rng(11)
+    for n in range(2, 9):
+        center = boundary.random_flag(rng, n)
+        targets = rng.uniform(0.24, 0.3, size=2000)
+        calls.clear()
+        schottky.sample_flags_near(center, targets, rng)
+        assert 1 <= len(calls) <= 16
+
+
+@pytest.mark.parametrize(
+    "low, high", [(0.24, 0.3), (0.48, 0.6), (0.005, 0.015), (1.0, 1.0)]
+)
+def test_sample_flags_near_is_as_close_as_bisection_on_every_row(low, high):
+    # The bundled tables draw targets in [0.8 r, r] with r = 0.3 and 0.6.
+    # Near 0.01 the miss at the bracket's low end is tiny, and at 1.0 the
+    # bracket has to grow.
+    rng = np.random.default_rng(12)
+    for n in range(2, 9):
+        center = boundary.random_flag(rng, n)
+        targets = rng.uniform(low, high, size=500)
+        seed = int(rng.integers(2**32))
+        worst = [
+            np.abs(
+                boundary.flag_distances_to_center(
+                    sample(center, targets, np.random.default_rng(seed)), center
+                )
+                - targets
+            ).max()
+            for sample in (schottky.sample_flags_near, _bisected_flags_near)
+        ]
+        assert worst[0] < 2e-15
+        assert worst[0] <= worst[1]
+
+
 def test_check_nonelementary(sl3_group):
     _, _, table = sl3_group
     ok, reason = schottky.check_nonelementary(table)
