@@ -259,6 +259,13 @@ def standard_flag_distances(frames: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 * lower.max(axis=0))
 
 
+def flag_diameter(n: int) -> float:
+    """The largest flag distance at dimension n: ||frame[k:, :k]||_F^2 is at
+    most min(k, n - k), so the distance is at most sqrt(2 floor(n / 2)),
+    which the reversed flag attains."""
+    return float(np.sqrt(2 * (n // 2)))
+
+
 def flag_distances_to_center(frames: np.ndarray, center: Flag) -> np.ndarray:
     """Flag distance of the flag of each (N, n, n) frame to a center flag,
     taken from the frames relative to the center's, center^T @ frame."""

@@ -18,6 +18,8 @@ and a factor too wide for one scaled SVD is split where its rows decouple.
 Exterior powers of a stack (compounds) are built in one pass: the
 2-minors by one batched LAPACK determinant, every larger minor by a
 Laplace expansion along its first row over the minors one size smaller.
+They serve only the eigenvalue moduli of words whose scales spread too
+wide for one eigenvalue call (limitset._stack_log_moduli).
 """
 
 import threading

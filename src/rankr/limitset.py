@@ -15,9 +15,11 @@ scaling:  g Q e^a N = Q' (R' e^a) N  with QR(g Q) = Q' R' computed on a
 well-scaled matrix, and R' e^a = e^{a'} M, M unit upper triangular, by
 kernel.grade, the one re-factorisation.  Cartan vectors and angular flags
 come from one batched SVD of the graded factor e^a N (kernel.graded_svd),
-which keeps the small singular values to relative accuracy; only the
-eigenvalue moduli are read off through exterior powers, with the
-exponents carried symbolically.  The exterior powers of q and N come from
+which keeps the small singular values to relative accuracy.  The
+eigenvalue moduli of a word whose log scales spread at most
+_DIRECT_SPREAD come from one n x n eigenvalue call on a matrix similar to
+it; a wider word's are read off its exterior powers, with the exponents
+carried symbolically.  The exterior powers of q and N come from
 kernel.compounds (LAPACK 2-minors, Laplace expansion above), a block of
 words at a time.
 Directions stay accurate at any word length.
@@ -60,6 +62,12 @@ _LOG_OVERFLOW = 345.0  # log 1e150
 _MODULI_BLOCK = 1 << 16  # matrix entries per row block of the stack kernels
 _CSV_BLOCK = 1024
 _REFINE_BLOCK = 1 << 12  # (point, query) pairs per batched refine
+# Widest spread max a - min a of a word's log scales at which one n x n
+# eigenvalue call gives its moduli (see _stack_log_moduli): on cyclically
+# reduced words up to n = 8 it stays within 1.8e-13 of the exterior powers
+# there, and at a spread of 90 it can be off by 10.  It is below the spread
+# of every sl3_l2 row the benchmark reference pins (27.3 and more).
+_DIRECT_SPREAD = 16.0
 
 
 def __getattr__(name):
@@ -244,36 +252,50 @@ def _stack_cartan(q, a, nu, workers=None):
 def _stack_log_moduli(q, a, nu, workers=None):
     """Centered log eigenvalue moduli of a stack of factored words.
 
-    |l_1 ... l_k| is the dominant eigenvalue modulus of the k-th exterior
-    power, an isolated and well-conditioned quantity; a plain eigenvalue
-    call on the assembled product would fuse the small moduli into
-    spurious complex pairs.  The exterior powers of q and nu come from one
+    A word whose log scales a spread by at most _DIRECT_SPREAD takes its
+    moduli from one eigenvalue call on e^{a - max a} (nu q), which is
+    similar to q e^a nu up to the factor e^{max a}.  Past that spread a
+    plain eigenvalue call fuses the small moduli into spurious complex
+    pairs, so a wider word reads |l_1 ... l_k| as the dominant eigenvalue
+    modulus of its k-th exterior power, an isolated and well-conditioned
+    quantity.  The exterior powers of q and nu come from one
     kernel.compounds pass each per block of words: LAPACK determinants for
-    the 2-minors and a Laplace expansion over those for every larger minor."""
+    the 2-minors and a Laplace expansion over those for every larger minor.
+    Either route computes each row on its own."""
     count, n = a.shape
-    cum = np.zeros((n + 1, count))
+    lm = np.empty((count, n))
+    wide = a.max(axis=1) - a.min(axis=1) > _DIRECT_SPREAD
 
     def block(rows):
+        rows = np.arange(rows.start, rows.stop)
+        near, far = rows[~wide[rows]], rows[wide[rows]]
+        if len(near):
+            top = a[near].max(axis=1, keepdims=True)
+            m = np.exp(a[near] - top)[:, :, None] * np.matmul(nu[near], q[near])
+            lm[near] = np.log(np.abs(np.linalg.eigvals(m))) + top
+        if not len(far):
+            return
+        cum = np.zeros((n + 1, len(far)))  # cum[k] = log |l_1 ... l_k|
+        cum[n] = a[far].sum(axis=1)
         powers = zip(
-            kernel.compounds(q[rows], n - 1), kernel.compounds(nu[rows], n - 1)
+            kernel.compounds(q[far], n - 1), kernel.compounds(nu[far], n - 1)
         )
         for k, (cq, cn) in enumerate(powers, start=1):
             # k-th exterior power of e^a nu: row log-weights w, moderate part cn.
-            w = kernel.combo_sums(a[rows], k)
+            w = kernel.combo_sums(a[far], k)
             shift = w.max(axis=1)
             m = np.einsum(
                 "nij,njk->nik", cq, np.exp(w - shift[:, None])[:, :, None] * cn
             )
             scale = np.maximum(np.abs(m).max(axis=(1, 2)), 1e-300)
             top = np.abs(np.linalg.eigvals(m / scale[:, None, None])).max(axis=1)
-            cum[k, rows] = np.log(np.maximum(top, 1e-300)) + np.log(scale) + shift
+            cum[k] = np.log(np.maximum(top, 1e-300)) + np.log(scale) + shift
+        lm[far] = np.diff(cum, axis=0).T
 
     # Blocks of at most _MODULI_BLOCK entries per exterior power keep the
     # Laplace passes in cache and the memory bounded at any word count.
     step = _MODULI_BLOCK // comb(n, n // 2) ** 2
     _fan_out(block, _row_blocks(count, step), workers)
-    cum[n] = a.sum(axis=1)
-    lm = np.diff(cum, axis=0).T
     lm = np.sort(lm, axis=1)[:, ::-1]
     return lm - lm.mean(axis=1, keepdims=True)
 

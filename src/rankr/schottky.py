@@ -135,8 +135,8 @@ class PingPongTable:
         one as build_table writes it: kinds axial, then parabolic; one
         generator and power per kind; two points and radii per axial
         generator and one per parabolic; finite n x n generators; point
-        directions as boundary_point takes them; finite radii above 0;
-        integer powers in [1, _K_MAX]."""
+        directions as boundary_point takes them; radii above 0 and below
+        the flag diameter; integer powers in [1, _K_MAX]."""
         try:
             points = [
                 boundary.boundary_point(
@@ -184,6 +184,13 @@ class PingPongTable:
         ):
             if not ok:
                 raise SpecError(f"malformed table: {what}")
+        # A neighbourhood as wide as the flag diameter has no boundary to
+        # sample.
+        diameter = boundary.flag_diameter(table.n)
+        if np.any(table.radii >= diameter):
+            raise SpecError(
+                f"malformed table: radii must be below the flag diameter {diameter}"
+            )
         return table
 
 
@@ -212,7 +219,8 @@ def _cayley_map(skews: np.ndarray):
 
     where x_k = t w_k and P_k = v_k v_k^H.  The real and imaginary parts of
     the P_k are formed once, so each t costs one batched matrix-vector
-    product and no linear solve.  The identity is split off, so the
+    product and no linear solve; cayley(t, rows) maps only the given rows
+    of the batch, one parameter each.  The identity is split off, so the
     off-diagonal entries, of size 2t|S|, keep their relative accuracy at
     small t."""
     count, n, _ = skews.shape
@@ -223,11 +231,12 @@ def _cayley_map(skews: np.ndarray):
     )
     eye = np.eye(n).reshape(n * n)
 
-    def cayley(t):
-        x = t[:, None] * w
+    def cayley(t, rows=slice(None)):
+        x = t[:, None] * w[rows]
         scale = 2.0 / (1.0 + x * x)
         coef = np.concatenate([-x * x * scale, x * scale], axis=1)
-        return (eye + np.matmul(coef[:, None, :], basis)[:, 0]).reshape(count, n, n)
+        out = eye + np.matmul(coef[:, None, :], basis[rows])[:, 0]
+        return out.reshape(len(t), n, n)
 
     return cayley
 
@@ -245,28 +254,48 @@ def sample_flags_near(
     Illinois steps (regula falsi that halves the weight of an end kept
     twice running) shrink it, with a bisection step wherever the secant
     point leaves the bracket, until each row misses its target by at most
-    _MISS relative or _SECANT_STEPS are taken.  Each row returns its
-    bracket end with the smaller miss."""
+    _MISS relative or _SECANT_STEPS are taken.  Each step maps only the
+    rows still moving, and each row returns its bracket end with the
+    smaller miss.
+
+    RankrError, before any draw, for a target at or above the diameter of
+    the flag distance, and for a path still short of its target after
+    the bracket growth."""
     n = center.n
     count = len(targets)
+    diameter = boundary.flag_diameter(n)
+    if np.any(targets >= diameter):
+        raise RankrError(
+            f"target distance {np.max(targets)} is not below the flag "
+            f"diameter {diameter} at n = {n}"
+        )
     raw = rng.standard_normal((count, n, n))
     skews = raw - raw.transpose(0, 2, 1)
     skews /= np.linalg.norm(skews, axis=(1, 2), keepdims=True)
     cayley = _cayley_map(skews)
 
-    def miss(t):
-        return boundary.standard_flag_distances(cayley(t)) - targets
+    def miss(t, rows):
+        # While every row moves, a view: gathering all the maps costs more
+        # than the rows it would skip.
+        rows = slice(None) if rows.all() else rows
+        return boundary.standard_flag_distances(cayley(t, rows)) - targets[rows]
 
     lo, f_lo = np.zeros(count), -targets
     hi = np.full(count, 0.5)
-    f_hi = miss(hi)
+    f_hi = miss(hi, np.full(count, True))
     for _ in range(12):  # grow until every path crosses its target
         short = f_hi < 0
         if not short.any():
             break
         lo[short], f_lo[short] = hi[short], f_hi[short]
         hi[short] *= 2.0
-        f_hi = miss(hi)
+        f_hi[short] = miss(hi[short], short)
+    short = f_hi < 0
+    if short.any():
+        raise RankrError(
+            f"{short.sum()} of {count} Cayley paths are still short of their "
+            f"target distance (up to {np.max(targets[short])}) at t = {hi.max()}"
+        )
     w_lo, w_hi = f_lo.copy(), f_hi.copy()  # the ends' Illinois weights
     was_up = was_down = np.zeros(count, dtype=bool)
     for _ in range(_SECANT_STEPS):
@@ -276,7 +305,8 @@ def sample_flags_near(
         live = (best > _MISS * targets) & (lo < t) & (t < hi)
         if not live.any():
             break
-        f = miss(t)
+        f = np.zeros(count)
+        f[live] = miss(t[live], live)
         up, down = live & (f < 0), live & (f >= 0)
         w_hi[up & was_up] *= 0.5
         w_lo[down & was_down] *= 0.5

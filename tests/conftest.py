@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import os
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from rankr import boundary, cli, kernel, limitset, schottky
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "groupspecs")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def random_sl(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -278,6 +281,15 @@ def ball_product_successes(table, max_length, eps, pair_count, seed):
 
 def spec_path(name: str) -> str:
     return os.path.join(SPEC_DIR, name)
+
+
+def perfbench_inputs():
+    """The benchmark's seeded input module, perfbench/inputs.py."""
+    path = PERFBENCH / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
 
 
 @pytest.fixture(scope="session")

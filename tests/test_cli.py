@@ -1,17 +1,19 @@
-import importlib.util
 import inspect
 import json
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rankr import cli, limitset, plotting
-from conftest import SPEC_DIR, spec_path, unipotent_draws, write_generator_spec
-
-INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+from conftest import (
+    SPEC_DIR,
+    perfbench_inputs,
+    spec_path,
+    unipotent_draws,
+    write_generator_spec,
+)
 
 
 def _run(capsys, argv):
@@ -144,9 +146,7 @@ def test_load_spec_rejects_malformed_entries(tmp_path, capsys):
 
 def test_load_spec_accepts_bundled_and_benchmark_specs(tmp_path):
     # The benchmark writes its own generator specs; the key rule must take them.
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = perfbench_inputs()
     paths = [os.path.join(SPEC_DIR, name) for name in sorted(os.listdir(SPEC_DIR))]
     for n in (2, 8):
         paths.append(inputs.write_generator_spec(tmp_path / f"sl{n}.json", 0, n))
@@ -528,6 +528,8 @@ def test_schottky_check_rejects_malformed_table_fields(sl3_group, tmp_path, caps
         ("points", lambda p: p[:3], "needs two points and radii per axial generator"),
         ("radii", lambda r: [-0.1, *r[1:]], "radii must be finite and above 0"),
         ("radii", lambda r: [float("nan"), *r[1:]], "radii must be finite and above 0"),
+        # No flag lies at the flag diameter sqrt(2) from a center at n = 3.
+        ("radii", lambda r: [2.0**0.5, *r[1:]], "radii must be below the flag diameter"),
         ("points", lambda p: [{**p[0], "direction": [0.0, 0.0, 0.0]}, *p[1:]],
          "ZeroVector: direction must be nonzero"),
         ("points", lambda p: [{**p[0], "direction": [float("nan"), 0.0, 0.0]}, *p[1:]],

@@ -1,4 +1,5 @@
 import itertools
+import json
 import sys
 import tracemalloc
 from math import comb
@@ -10,12 +11,15 @@ import pytest
 from rankr import boundary, decompositions, kernel, limitset
 from rankr.errors import EmptySample, IllConditionedSpectrum, InsufficientGenerators
 from conftest import (
+    PERFBENCH,
     ball_product_successes,
     cyclic_canonical,
     det_compounds,
     exterior_log_singular_values,
+    perfbench_inputs,
     random_sl,
     random_so,
+    unipotent_draws,
 )
 
 
@@ -988,3 +992,63 @@ def test_stack_log_moduli_matches_determinant_path(sl3_group, monkeypatch):
             patched.setattr(limitset, "_stack_log_moduli", lambda *_: want)
             want_tags, _ = limitset._classify_stack(q, a, nu, lengths)
         assert np.array_equal(tags, want_tags)
+
+
+def _exterior_moduli(monkeypatch, q, a, nu):
+    """_stack_log_moduli with every row on the exterior-power route."""
+    with monkeypatch.context() as patched:
+        patched.setattr(limitset, "_DIRECT_SPREAD", -1.0)
+        return limitset._stack_log_moduli(q, a, nu)
+
+
+def test_direct_moduli_match_exterior_powers_within_the_spread_bound(
+    sl3_group, monkeypatch
+):
+    # Necklaces are cyclically reduced, so each row's moduli are well
+    # defined; rows past the bound must not move a bit.
+    inputs = perfbench_inputs()
+    cases = [(sl3_group[2].effective_generators(), 11)]
+    for seed in (1, 2, 3):
+        for n, length in ((4, 7), (6, 6), (8, 5)):
+            cases.append((inputs.chamber_translation_generators(seed, n), length))
+    near_rows = 0
+    for gens, length in cases:
+        _, q, a, nu = limitset._necklace_values(gens, length)
+        near = a.max(axis=1) - a.min(axis=1) <= limitset._DIRECT_SPREAD
+        got = limitset._stack_log_moduli(q, a, nu)
+        want = _exterior_moduli(monkeypatch, q, a, nu)
+        assert np.array_equal(got[~near], want[~near])
+        assert np.abs(got - want)[near].max(initial=0.0) <= 1e-12
+        near_rows += near.sum()
+    # Both routes are exercised: the SL(n) necklaces all spread less than
+    # 16, and all but ten sl3 necklaces more.
+    assert near_rows > 2500
+
+
+def test_spread_bound_keeps_every_pinned_benchmark_row_on_exterior_powers(sl3_group):
+    # The benchmark pins sampled direction cells of sl3_l2's L = 9
+    # enumerate; rows past the bound keep their bits, so raising the bound
+    # past a pinned row's spread would move a pinned cell.
+    with open(PERFBENCH / "reference" / "sl3_l2.json", encoding="utf-8") as fh:
+        reference = json.load(fh)["enumerate"]
+    words, _, a, _ = limitset._word_values(
+        sl3_group[2].effective_generators(), reference["max_word_length"]
+    )
+    rows = np.array(sorted(int(key) for key in reference["rows"]))
+    rows = rows[(words[rows] != limitset._PAD).any(axis=1)]
+    assert len(rows) == len(reference["rows"]) - 1  # all but the identity
+    spread = a[rows].max(axis=1) - a[rows].min(axis=1)
+    assert spread.min() > limitset._DIRECT_SPREAD
+
+
+def test_sl8_unipotent_draw_is_not_called_regular():
+    # The 30th SL(8) draw is a regular unipotent, and it and its inverse
+    # spread less than the bound.  On exterior powers their moduli scatter
+    # from -0.61 to 0.43, which passes the regularity test; one eig gives
+    # equal-modulus pairs, which send both rows to the per-matrix
+    # classifier.
+    g = unipotent_draws()[(8, 29)]
+    samples = limitset.enumerate_samples([g], 1)
+    spread = samples.a.max(axis=1) - samples.a.min(axis=1)
+    assert np.all(spread[1:] <= limitset._DIRECT_SPREAD)
+    assert "regular-axial" not in samples.tags

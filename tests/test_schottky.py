@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rankr import boundary, cli, isometries, lie, limitset, schottky
-from rankr.errors import InsufficientGenerators, NotInterior, NotTransverse
+from rankr.errors import InsufficientGenerators, NotInterior, NotTransverse, RankrError
 from conftest import loop_generator_margin, random_chamber_dir, random_so, spec_path
 
 
@@ -370,6 +370,26 @@ def test_sample_flags_near_takes_at_most_sixteen_distance_evaluations(monkeypatc
         assert 1 <= len(calls) <= 16
 
 
+def test_sample_flags_near_maps_only_the_rows_still_moving(monkeypatch):
+    # Every row needs about eight evaluations; the last ones serve a few.
+    rows = []
+    distances = boundary.standard_flag_distances
+
+    def counted(frames):
+        rows.append(len(frames))
+        return distances(frames)
+
+    monkeypatch.setattr(boundary, "standard_flag_distances", counted)
+    rng = np.random.default_rng(11)
+    for n in range(2, 9):
+        center = boundary.random_flag(rng, n)
+        targets = rng.uniform(0.24, 0.3, size=2000)
+        rows.clear()
+        schottky.sample_flags_near(center, targets, rng)
+        assert rows[-1] <= 20
+        assert sum(rows) <= 8 * 2000 + 40
+
+
 @pytest.mark.parametrize(
     "low, high", [(0.24, 0.3), (0.48, 0.6), (0.005, 0.015), (1.0, 1.0)]
 )
@@ -393,6 +413,57 @@ def test_sample_flags_near_is_as_close_as_bisection_on_every_row(low, high):
         ]
         assert worst[0] < 2e-15
         assert worst[0] <= worst[1]
+
+
+def test_flag_diameter_is_the_largest_flag_distance():
+    rng = np.random.default_rng(13)
+    for n in range(2, 9):
+        diameter = boundary.flag_diameter(n)
+        standard, reversed_ = boundary.standard_flag(n), boundary.reversed_flag(n)
+        assert abs(boundary.flag_distance(standard, reversed_) - diameter) < 1e-15
+        frames = boundary.random_frames(rng, 500, n)
+        assert boundary.standard_flag_distances(frames).max() < diameter
+
+
+def test_sample_flags_near_rejects_targets_at_the_diameter_before_drawing():
+    for n in range(2, 9):
+        center = boundary.random_flag(np.random.default_rng(n), n)
+        diameter = boundary.flag_diameter(n)
+        for targets in ([0.1, diameter], [diameter + 0.5]):
+            rng = np.random.default_rng(14)
+            state = rng.bit_generator.state
+            with pytest.raises(RankrError, match="flag diameter"):
+                schottky.sample_flags_near(center, np.array(targets), rng)
+            assert rng.bit_generator.state == state
+
+
+def test_sample_flags_near_raises_for_paths_short_of_their_target():
+    # 1.41 is below the diameter sqrt(2) at n = 2, but every path there is
+    # the rotation by 2 arctan(t / sqrt(2)) and stays at distance 1.41 or
+    # more only for t in about [1.31, 1.53], which the bracket's ends 1 and
+    # 2 step over.
+    center = boundary.random_flag(np.random.default_rng(15), 2)
+    with pytest.raises(RankrError, match="still short of their target"):
+        schottky.sample_flags_near(
+            center, np.full(10, 1.41), np.random.default_rng(16)
+        )
+
+
+def test_schottky_build_exits_1_when_a_path_stays_short(tmp_path, capsys, monkeypatch):
+    # Cayley paths that never leave the center stand in for a radius that
+    # sampling cannot reach.
+    def still(skews):
+        return lambda t, rows=slice(None): np.broadcast_to(
+            np.eye(skews.shape[-1]), (len(t), *skews.shape[1:])
+        ).copy()
+
+    monkeypatch.setattr(schottky, "_cayley_map", still)
+    code = cli.main(["schottky", "build", "--input", spec_path("sl3_l2.json"),
+                     "--out", str(tmp_path / "out"), "--resolution", "50"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "still short" in err
+    assert err.count("\n") == 1
 
 
 def test_check_nonelementary(sl3_group):
