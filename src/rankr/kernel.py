@@ -16,8 +16,9 @@ orders the scales: small singular values keep full relative accuracy,
 and a factor too wide for one scaled SVD is split where its rows decouple.
 
 Exterior powers of a stack (compounds) are built in one pass: the
-2-minors by one batched LAPACK determinant, every larger minor by a
-Laplace expansion along its first row over the minors one size smaller.
+2-minors by one batched LAPACK determinant (only those above the diagonal
+for a unit upper triangular stack), every larger minor by a Laplace
+expansion along its first row over the minors one size smaller.
 They serve only the eigenvalue moduli of words whose scales spread too
 wide for one eigenvalue call (limitset._stack_log_moduli).
 """
@@ -243,16 +244,37 @@ def compounds(m: np.ndarray, top: int) -> list:
     k-subsets in lexicographic order; C_1 is m itself.  The 2-minors come
     from one batched LAPACK determinant; each larger k-minor is the
     Laplace expansion along its first row over the (k-1)-minors of
-    C_{k-1}, k vectorised multiply-adds per k."""
+    C_{k-1}, k vectorised multiply-adds per k.
+
+    When every matrix is finite and exactly unit upper triangular (a unit
+    diagonal, only zeros of either sign below it), so is C_2, and only
+    its entries above the diagonal go to LAPACK.  The rest are what
+    LAPACK gives: a diagonal minor [[1, x], [+-0, 1]] has pivots 1 and 1,
+    so its determinant is exp(0) = 1, and every minor below the diagonal
+    has a zero pivot, so its determinant is 0 * exp(-inf) = +0.0."""
     n = m.shape[-1]
     out = [m]
     if top < 2:
         return out[:top]
     combos = list(combinations(range(n), 2))
     pairs = np.array(combos)
-    blocks = m[:, pairs[:, None, :, None], pairs[None, :, None, :]]
+    size = len(combos)
+    c2 = np.zeros((len(m), size, size))
+    unit = (
+        (np.diagonal(m, axis1=1, axis2=2) == 1.0).all()
+        and not np.tril(m, -1).any()
+        and np.isfinite(m).all()
+    )
+    if unit:
+        rows, cols = np.triu_indices(size, 1)
+        c2[:, range(size), range(size)] = 1.0
+    else:
+        rows, cols = np.indices((size, size)).reshape(2, -1)
+    blocks = m[:, pairs[rows][:, :, None], pairs[cols][:, None, :]]
     with _DET_LOCK:
-        out.append(np.linalg.det(blocks))
+        minors = np.linalg.det(blocks)
+    c2[:, rows, cols] = minors
+    out.append(c2)
     for k in range(3, top + 1):
         pos = {c: i for i, c in enumerate(combos)}
         combos = list(combinations(range(n), k))

@@ -36,6 +36,11 @@ computed.  Words then grow level by level from the identity, each straight
 into its preorder row, and growth, the moduli and the Cartan kernels all
 run in equal row blocks on the worker pool; every row is computed on its
 own, so the stream is byte-identical for any worker count or block size.
+
+The sample CSV is written _CSV_BLOCK rows at a time: each block's word
+labels are numpy string additions over its letter columns, and each row
+is one %-template over its numeric cells.  Direction samples are
+grid-snapped and deduplicated by one lexsort of their columns.
 """
 
 import io
@@ -261,7 +266,8 @@ def _stack_log_moduli(q, a, nu, workers=None):
     quantity.  The exterior powers of q and nu come from one
     kernel.compounds pass each per block of words: LAPACK determinants for
     the 2-minors and a Laplace expansion over those for every larger minor.
-    Either route computes each row on its own."""
+    nu is unit upper triangular, so only its 2-minors above the diagonal
+    go to LAPACK.  Either route computes each row on its own."""
     count, n = a.shape
     lm = np.empty((count, n))
     wide = a.max(axis=1) - a.min(axis=1) > _DIRECT_SPREAD
@@ -396,10 +402,18 @@ def enumerate_samples(generators, max_length, workers=None) -> SampleSet:
 
 
 def _snap_unique(dirs: np.ndarray) -> np.ndarray:
-    """Grid-snap directions and drop duplicates; rows come back sorted."""
+    """Grid-snap directions and drop duplicates; rows come back sorted.
+
+    One lexsort of the columns, first column first, and each row that
+    differs from the one before it: the rows np.unique(axis=0) gives,
+    since the cells are finite and -0.0 is normalised, without its sort of
+    a structured view."""
     snapped = np.round(dirs / defaults.DIR_SNAP) * defaults.DIR_SNAP
     snapped[snapped == 0.0] = 0.0  # normalize -0.0
-    return np.unique(snapped, axis=0)
+    snapped = snapped[np.lexsort(snapped.T[::-1])]
+    new = np.ones(len(snapped), dtype=bool)
+    new[1:] = (snapped[1:] != snapped[:-1]).any(axis=1)
+    return snapped[new]
 
 
 def _necklaces(alpha, max_length):
@@ -752,41 +766,44 @@ def write_csv(samples: SampleSet, path, names=None, table=None):
         + [f"jdir_{i + 1}" for i in range(n)]
         + ["flag_dist_to_nearest_U"]
     )
-    if table is None:
-        gaps = [""] * len(samples)
-    else:
-        gaps = gap_to_neighborhoods(samples.frames, table).tolist()
-        gaps = [format(x, ".17g") for x in gaps]
-    labels = [word_label((c,), names) for c in range(2 * len(names))]
+    cols = [samples.dirs, samples.jdirs]
+    if table is not None:
+        cols.append(gap_to_neighborhoods(samples.frames, table)[:, None])
+    # Letter c's label, and "." before it past the first letter; the pad,
+    # -1, indexes the last entry: "e" for the identity, then nothing.
+    letters = [word_label((c,), names) for c in range(2 * len(names))]
+    first = np.array(letters + ["e"])
+    later = np.array(["." + s for s in letters] + [""])
     # One %-template per row; "%.17g" % x is format(x, ".17g").  Rows with
-    # no Jordan direction get blank cells.
+    # no Jordan direction take their NaN cells as "%.0s", which is blank.
     cells = ",".join(["%.17g"] * n)
-    with_jdir = f"%s,%d,%s,{cells},{cells},%s"
-    no_jdir = f"%s,%d,%s,{cells},{',' * (n - 1)},%s"
+    gap = "%.17g" if table is not None else ""
+    with_jdir = f"%s,%d,%s,{cells},{cells},{gap}"
+    no_jdir = f"%s,%d,%s,{cells},{','.join(['%.0s'] * n)},{gap}"
     out = io.BytesIO()
     out.write((",".join(header) + "\n").encode("utf-8"))
-    # Columns go to Python lists, and rows to bytes, _CSV_BLOCK rows at a
-    # time: converting all rows at once makes tens of MB of small objects
-    # live together, which fragments the heap of a process that writes
-    # many files.  One growing buffer, not a list of blocks, leaves no
-    # holes between them.  Word rows are padded at the end, so a row's
-    # letters are its first `length`.
+    # Labels, columns and rows are built _CSV_BLOCK rows at a time:
+    # converting all rows at once makes tens of MB of small objects live
+    # together, which fragments the heap of a process that writes many
+    # files.  One growing buffer, not a list of blocks, leaves no holes
+    # between them.
     for lo in range(0, len(samples), _CSV_BLOCK):
         rows = slice(lo, lo + _CSV_BLOCK)
-        lines = []
-        for word, length, tag, d, j, gap in zip(
-            samples.words[rows].tolist(),
-            samples.lengths[rows].tolist(),
-            samples.tags[rows].tolist(),
-            samples.dirs[rows].tolist(),
-            samples.jdirs[rows].tolist(),
-            gaps[rows],
-        ):
-            label = ".".join([labels[c] for c in word[:length]]) or "e"
-            if j[0] != j[0]:
-                lines.append(no_jdir % (label, length, tag, *d, gap))
-            else:
-                lines.append(with_jdir % (label, length, tag, *d, *j, gap))
+        words = samples.words[rows]
+        labels = first[words[:, 0]]
+        for column in words.T[1:]:
+            labels = np.strings.add(labels, later[column])
+        values = np.concatenate([c[rows] for c in cols], axis=1)
+        lines = [
+            (no_jdir if blank else with_jdir) % (label, length, tag, *row)
+            for blank, label, length, tag, row in zip(
+                np.isnan(values[:, n]).tolist(),
+                labels.tolist(),
+                samples.lengths[rows].tolist(),
+                samples.tags[rows].tolist(),
+                values.tolist(),
+            )
+        ]
         out.write(("\n".join(lines) + "\n").encode("utf-8"))
     data = out.getvalue()
     with open(path, "wb") as fh:

@@ -206,10 +206,15 @@ def test_graded_svd_matches_mpmath_at_any_spread():
 
 
 def _compound_test_stacks(rng, n, count=10):
-    """Gaussian, orthogonal and unit upper triangular stacks."""
+    """Gaussian, orthogonal and unit upper triangular stacks, a unit upper
+    triangular one with -0.0 below the diagonal, and one whose structure
+    one matrix breaks."""
     orth = np.stack([random_so(rng, n) for _ in range(count)])
     unit = np.eye(n) + np.triu(rng.uniform(-3.0, 3.0, (count, n, n)), 1)
-    return rng.standard_normal((count, n, n)), orth, unit
+    signed = np.where(np.tri(n, k=-1, dtype=bool), -0.0, unit)
+    broken = unit.copy()
+    broken[count // 2, n - 1, 0] = 0.5
+    return rng.standard_normal((count, n, n)), orth, unit, signed, broken
 
 
 def test_compounds_match_determinant_oracle():

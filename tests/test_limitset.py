@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rankr import boundary, decompositions, kernel, limitset
+from rankr import boundary, decompositions, defaults, kernel, limitset
 from rankr.errors import EmptySample, IllConditionedSpectrum, InsufficientGenerators
 from conftest import (
     PERFBENCH,
@@ -302,6 +302,36 @@ def test_directional_sample_shell():
         limitset.directional_sample(gens, 2, min_length=3)
     with pytest.raises(ValueError):
         limitset.directional_sample(gens, 2, min_length=0)
+
+
+def test_snap_unique_matches_np_unique(sl3_group):
+    # np.unique(axis=0) of the snapped rows is the oracle, bit for bit.
+    def oracle(dirs):
+        snapped = np.round(dirs / defaults.DIR_SNAP) * defaults.DIR_SNAP
+        snapped[snapped == 0.0] = 0.0
+        return np.unique(snapped, axis=0)
+
+    gens = sl3_group[0]
+    shell = limitset.enumerate_samples(gens, 9)
+    dirs = shell.dirs[shell.lengths == 9]
+    cone = limitset.SampleSet(*limitset._necklace_values(gens, 11))
+    jdirs = cone.jdirs[~np.isnan(cone.jdirs[:, 0])]
+    # Exact duplicates, and cells of either sign that snap to zero.
+    tiny = 0.3 * defaults.DIR_SNAP
+    signed = np.array(
+        [
+            [0.0, -0.0, 1.0],
+            [-0.0, 0.0, 1.0],
+            [0.5, -tiny, -0.5],
+            [0.5, tiny, -0.5],
+            [0.5, 0.0, -0.5],
+        ]
+    )
+    mixed = np.concatenate([signed, dirs[:4], signed[::-1], dirs[:4]])
+    for rows in (dirs, jdirs, mixed, dirs[:1], dirs[:0]):
+        got, want = limitset._snap_unique(rows), oracle(rows)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_one_sided_distance():
@@ -830,6 +860,14 @@ def test_csv_matches_cell_by_cell_writer(sl3_group, tmp_path, monkeypatch):
     assert np.isnan(samples.jdirs[:, 0]).any()
     data = limitset.write_csv(samples, tmp_path / "s.csv")
     assert data == _reference_csv(samples, ["a", "b"], None)
+    # Multi-character and non-ASCII names, on rows that are not the
+    # preorder of a word tree: the necklace rows, last first.
+    gens = table.effective_generators()
+    rows = [v[::-1] for v in limitset._necklace_values(gens, 5)]
+    samples = limitset.SampleSet(*rows)
+    gaps = limitset.gap_to_neighborhoods(samples.frames, table)
+    data = limitset.write_csv(samples, tmp_path / "n.csv", ["x1", "β"], table)
+    assert data == _reference_csv(samples, ["x1", "β"], gaps)
 
 
 def test_csv_peak_stays_below_three_times_its_bytes(sl3_group, tmp_path):
