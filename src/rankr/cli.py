@@ -347,7 +347,6 @@ def cmd_limitset(args) -> int:
                 f"--{key.replace('_', '-')} {length} asks for more than "
                 f"{MAX_WORD_BYTES} bytes of words"
             )
-    workers = limitset.resolve_workers(args.workers)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     checks = {}
@@ -360,7 +359,7 @@ def cmd_limitset(args) -> int:
         outputs.append(path)
 
     if args.subcommand == "enumerate":
-        samples = limitset.enumerate_samples(gens, args.max_word_length, workers)
+        samples = limitset.enumerate_samples(gens, args.max_word_length, args.workers)
         metrics["words"] = len(samples)
         if "csv" in want:
             emit_csv(samples, "samples.csv")
@@ -373,8 +372,8 @@ def cmd_limitset(args) -> int:
             lp for lp in (length - 4, length - 2, length)
             if lp >= args.min_word_length
         )
-        cone = limitset.limit_cone_sample(gens, args.cone_word_length, workers)
-        samples = limitset.enumerate_samples(gens, length, workers)
+        cone = limitset.limit_cone_sample(gens, args.cone_word_length, args.workers)
+        samples = limitset.enumerate_samples(gens, length, args.workers)
         report = limitset.cone_report(
             cone, samples, lp_values, args.cone_word_length
         )
@@ -382,12 +381,12 @@ def cmd_limitset(args) -> int:
         if "svg" in want and spec["n"] in (2, 3):
             shell = limitset.directions_in_range(samples, length, length)
             path = os.path.join(args.out, "cone.svg")
-            plotting.write_chart(path, shell, cone, title="directions vs limit cone")
+            plotting.write_chart(path, shell, cone)
             outputs.append(path)
         if "csv" in want:
             emit_csv(samples, "samples.csv")
     elif args.subcommand == "minimality":
-        probe = limitset.enumerate_samples(gens, args.target_length, workers)
+        probe = limitset.enumerate_samples(gens, args.target_length, args.workers)
         shell = probe.lengths == args.target_length
         report = limitset.minimality_check(
             table,
@@ -395,7 +394,7 @@ def cmd_limitset(args) -> int:
             probe.frames[shell],
             args.max_word_length,
             eps=args.tol,
-            workers=workers,
+            workers=args.workers,
         )
         checks["all_approached"] = report["all_approached"]
         checks["containment_fraction"] = report["containment_fraction"]
@@ -405,12 +404,12 @@ def cmd_limitset(args) -> int:
             args.max_word_length,
             eps=args.tol,
             seed=spec.get("seed", 0) if args.seed is None else args.seed,
-            workers=workers,
+            workers=args.workers,
         )
         checks["success_fraction"] = report["success_fraction"]
     else:
         report = limitset.axial_density_check(
-            table, args.max_word_length, eps=args.tol, workers=workers
+            table, args.max_word_length, eps=args.tol, workers=args.workers
         )
         checks["all_within_eps"] = report["all_within_eps"]
     if args.subcommand != "enumerate":

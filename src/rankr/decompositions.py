@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, lie
-from .errors import IllConditionedCell
+from .errors import IllConditionedCell, SingularMatrix
 
 
 @dataclass
@@ -44,12 +44,15 @@ def cartan_decompose(g) -> KAK:
 
     The columns of k1 take kernel.canonical_signs (each column's
     largest-magnitude entry positive, det k1 = +1), mirrored into the rows
-    of k2, so det k2 = +1 too when det g > 0.
+    of k2, so det k2 = +1 too when det g > 0.  SingularMatrix when a
+    singular value is 0 or not finite: h would not be.
     """
     g = kernel.as_matrix(g)
     # LAPACK works on g itself; squaring into g.T @ g would lose every
     # singular value below sqrt(eps) * sigma_1.
     k1, sigma, k2 = np.linalg.svd(g)
+    if not np.all(np.isfinite(sigma) & (sigma > 0.0)):
+        raise SingularMatrix(f"a singular value is 0 or not finite: {sigma.tolist()}")
     signs = kernel.canonical_signs(k1)
     k1 *= signs
     k2 *= signs[:, None]

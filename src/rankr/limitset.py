@@ -377,7 +377,6 @@ def _classify_stack(q, a, nu, lengths, workers=None):
     tags[regular] = "regular-axial"
     jdirs[regular] = ell[regular] / norms[regular, None]
     tags[lengths == 0] = "identity"
-    jdirs[lengths == 0] = np.nan
     slow = np.flatnonzero((~regular) & (lengths > 0))
     for i in slow:
         g = _materialize(q[i][None], a[i][None], nu[i][None])[0]

@@ -33,12 +33,8 @@ def _to_canvas(coords: np.ndarray) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-def _fmt(x: float) -> str:
-    return format(round(float(x), 3), ".3f")
-
-
-# Markers take one %-format each.  "%.3f" % x equals _fmt(x): both round
-# the exact binary value correctly to three decimals.
+# Every coordinate takes "%.3f", which rounds its exact binary value
+# correctly to three decimals.
 _CIRCLE = '<circle cx="%.3f" cy="%.3f" r="3" fill="#1f5fbf" fill-opacity="0.7"/>'
 _CROSS = (
     '<path d="M %.3f %.3f L %.3f %.3f M %.3f %.3f L %.3f %.3f" '
@@ -46,7 +42,7 @@ _CROSS = (
 )
 
 
-def direction_chart(p_sample, cone_sample=None, title="chamber directions") -> str:
+def direction_chart(p_sample, cone_sample) -> str:
     """SVG overlay: directional sample as dots, limit-cone sample as
     crosses, drawn on the chamber segment of the simplex chart."""
     parts = [
@@ -54,24 +50,23 @@ def direction_chart(p_sample, cone_sample=None, title="chamber directions") -> s
         f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
         f'<text x="{_MARGIN}" y="30" font-family="monospace" '
-        f'font-size="16">{title}</text>',
+        'font-size="16">directions vs limit cone</text>',
     ]
     # The closed chamber: the segment from (1,0) (wall h2=h3) to (0,1).
     ends = _to_canvas(np.array([[1.0, 0.0], [0.0, 1.0]]))
     parts.append(
-        f'<line x1="{_fmt(ends[0, 0])}" y1="{_fmt(ends[0, 1])}" '
-        f'x2="{_fmt(ends[1, 0])}" y2="{_fmt(ends[1, 1])}" '
-        'stroke="#999999" stroke-width="1"/>'
+        '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" '
+        'stroke="#999999" stroke-width="1"/>' % tuple(ends.ravel())
     )
     for label, (cx, cy) in (("wall a2", ends[0]), ("wall a1", ends[1])):
         parts.append(
-            f'<text x="{_fmt(cx + 6)}" y="{_fmt(cy + 14)}" '
-            f'font-family="monospace" font-size="12" fill="#666666">{label}</text>'
+            '<text x="%.3f" y="%.3f" font-family="monospace" font-size="12" '
+            'fill="#666666">%s</text>' % (cx + 6, cy + 14, label)
         )
-    if p_sample is not None and len(p_sample):
+    if len(p_sample):
         for x, y in _to_canvas(simplex_coords(p_sample)).tolist():
             parts.append(_CIRCLE % (x, y))
-    if cone_sample is not None and len(cone_sample):
+    if len(cone_sample):
         for x, y in _to_canvas(simplex_coords(cone_sample)).tolist():
             parts.append(
                 _CROSS % (x - 4, y - 4, x + 4, y + 4, x - 4, y + 4, x + 4, y - 4)
@@ -80,8 +75,8 @@ def direction_chart(p_sample, cone_sample=None, title="chamber directions") -> s
     return "\n".join(parts) + "\n"
 
 
-def write_chart(path, p_sample, cone_sample=None, title="chamber directions"):
-    data = direction_chart(p_sample, cone_sample, title).encode("utf-8")
+def write_chart(path, p_sample, cone_sample):
+    data = direction_chart(p_sample, cone_sample).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)
     return data

@@ -347,13 +347,15 @@ def _sources(table: PingPongTable, resolution: int, rng):
     return np.concatenate(stacks, axis=0), np.array(owner)
 
 
-def _generator_margin(table, m, gen_eff, sources):
-    """Min containment margin for generator m over all required sources.
+def _generator_margin(table, m, sources):
+    """Min containment margin for generator m, at its power in the table,
+    over all required sources.
 
     Each direction maps the rows of _sources' (frames, owner) that every
     neighbourhood but the excluded one owns, then m's own complement
     (source -1), as one stack.  Returns (margin, witness-or-None)."""
     frames, owner = sources
+    gen_eff = table.effective_generators()[m]
     worst = np.inf
     witness = None
     for direction, mat, (skip, tgt) in zip(
@@ -405,8 +407,7 @@ def build_table(flags, ell_choices, seed: int = 0) -> PingPongTable:
     ell / |ell|; every parabolic point has the chamber centre rho / |rho|,
     rho = (n-1, n-3, ..., 1-n).  Every radius is a third of the least
     distance between two flags, at most 0.3.  Each power k up to _K_MAX
-    is tried as matrix_power(base, k), the matrix effective_generators
-    returns, on _WORKING_RESOLUTION samples per neighbourhood.
+    is tried on _WORKING_RESOLUTION samples per neighbourhood.
     """
     flags = list(flags)
     l_count = len(ell_choices)
@@ -445,20 +446,15 @@ def build_table(flags, ell_choices, seed: int = 0) -> PingPongTable:
 
     rng = np.random.default_rng(seed)
     sources = _sources(table, _WORKING_RESOLUTION, rng)
-    for m, base in enumerate(gens):
-        power = None
+    for m in range(len(gens)):
         for k in range(1, _K_MAX + 1):
-            margin, _ = _generator_margin(
-                table, m, np.linalg.matrix_power(base, k), sources
-            )
-            if margin > 0:
-                power = k
+            table.powers[m] = k
+            if _generator_margin(table, m, sources)[0] > 0:
                 break
-        if power is None:
+        else:
             raise PowerExhausted(
                 f"generator {m} failed containment up to power {_K_MAX}"
             )
-        table.powers[m] = power
     return table
 
 
@@ -508,8 +504,8 @@ def certify_klein(
     sources = _sources(table, resolution, rng)
     margins = []
     witness = None
-    for m, gen_eff in enumerate(table.effective_generators()):
-        margin, wit = _generator_margin(table, m, gen_eff, sources)
+    for m in range(len(table.base_generators)):
+        margin, wit = _generator_margin(table, m, sources)
         margins.append(margin)
         if wit is not None and witness is None:
             witness = wit

@@ -2,6 +2,7 @@ import inspect
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,22 @@ def test_decompose_singular_pivot_exits_2(capsys):
     assert code == 2
     assert err == "numerical reliability error: QR pivot 1.000e-10 is below 1.0e-09\n"
     assert cli.main(["decompose", "--which", "kak", "--matrix", matrix]) == 0
+
+
+def test_decompose_kak_zero_singular_value_exits_2(capsys):
+    # det 1 up to EPS_DET, but LAPACK's smallest singular value is 0, so
+    # the Cartan vector would hold -inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(
+            ["decompose", "--which", "kak", "--matrix", "[[1e308,0],[0,1e-308]]"]
+        )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "numerical reliability error: a singular value is 0 or not finite: "
+        "[1e+308, 0.0]\n"
+    )
 
 
 def test_decompose_bruhat_reversal(capsys):
@@ -739,7 +756,6 @@ def test_limitset_cone_outputs_match_library(tmp_path, capsys):
         str(tmp_path / "cone.svg"),
         limitset.directional_sample(gens, 6, min_length=6),
         limitset.limit_cone_sample(gens, 7),
-        title="directions vs limit cone",
     )
     samples = limitset.enumerate_samples(gens, 6)
     expected_csv = limitset.write_csv(

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from rankr import boundary, decompositions, lie
-from rankr.errors import IllConditionedCell
+from rankr.errors import IllConditionedCell, SingularMatrix
 from conftest import random_sl, random_so
 
 
@@ -51,6 +52,21 @@ def test_cartan_decompose_squeezed():
         assert np.abs(dec.h - h).max() < 1e-5
         assert abs(np.linalg.det(dec.k1) - 1.0) < 1e-9
         assert abs(np.linalg.det(dec.k2) - 1.0) < 1e-9
+
+
+def test_cartan_decompose_raises_on_a_zero_or_infinite_singular_value():
+    # No log of 0 or inf reaches h: each raises before any warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in (
+            np.diag([1e308, 1e-308]),
+            np.diag([1.0, 0.0, 1.0]),
+            np.array([[1.5e308, 1.5e308], [-1.5e308, 1.5e308]]),
+        ):
+            with pytest.raises(SingularMatrix, match="0 or not finite"):
+                decompositions.cartan_decompose(g)
+        with pytest.raises(SingularMatrix, match="0 or not finite"):
+            decompositions.point_distance(np.eye(2), np.diag([1e308, 1e-308]))
 
 
 def test_cartan_vector_basics():

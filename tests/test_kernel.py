@@ -19,6 +19,7 @@ from conftest import (
     random_so,
     unipotent_draws,
 )
+import oracle
 
 
 def test_as_matrix_rejects_bad_shapes():
@@ -169,19 +170,13 @@ def test_graded_svd_closed_form_2x2():
 
 
 def _mpmath_svd(mpmath, a, m):
-    """(log singular values, left singular vectors) of e^{diag a} m in
-    exact enough arithmetic: e^{-spread} needs spread / 2.3 digits."""
-    n = len(a)
-    with mpmath.workdps(int(np.ptp(a) / 2.3) + 60):
-        g = mpmath.matrix(
-            [[mpmath.exp(mpmath.mpf(a[i])) * mpmath.mpf(m[i, j]) for j in range(n)]
-             for i in range(n)]
-        )
-        left, sig, _ = mpmath.svd_r(g)
-        values = np.array([float(mpmath.log(x)) for x in sig])
-        frame = np.array(left.tolist(), dtype=float)
-    order = np.argsort(-values)
-    return values[order], frame[:, order]
+    """(log singular values, left singular vectors) of e^{diag a} m from
+    the exact oracle."""
+    dps = oracle.digits(a)
+    with mpmath.workdps(dps):
+        scale = mpmath.diag([mpmath.exp(mpmath.mpf(x)) for x in a])
+    g = oracle.word([scale, m], [0, 1], dps)
+    return oracle.log_singular_values(g, dps), oracle.left_frames(g, dps)
 
 
 def test_graded_svd_matches_mpmath_at_any_spread():
@@ -228,8 +223,9 @@ def test_compounds_match_determinant_oracle():
                 assert g.shape == (len(m), comb(n, k), comb(n, k))
                 err = np.abs(g - w).max(axis=(1, 2))
                 assert np.all(err <= 1e-12 * np.abs(w).max(axis=(1, 2)))
-            # The 2-minors are LAPACK's own determinants, bit for bit.
-            assert np.array_equal(got[1], want[1])
+            # The 2-minors are LAPACK's own determinants, bit for bit, down
+            # to the sign of each zero.
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_compounds_are_multiplicative():

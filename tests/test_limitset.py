@@ -1020,6 +1020,22 @@ def test_stack_log_moduli_matches_determinant_path(sl3_group, monkeypatch):
         assert np.array_equal(got, _one_block_moduli(monkeypatch, q, a, nu))
         want = _determinant_moduli(monkeypatch, q, a, nu)
         assert np.abs(got - want)[cyc].max() <= 1e-11
+        # These words all spread less than _DIRECT_SPREAD, so the line above
+        # compares the direct route with itself.  With the bound at -1 both
+        # sides take exterior powers: the Laplace passes against LAPACK's.
+        seen = []
+
+        def counted(m, top, compounds=kernel.compounds):
+            seen.append(len(m))
+            return compounds(m, top)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(limitset, "_DIRECT_SPREAD", -1.0)
+            want_far = _determinant_moduli(monkeypatch, q, a, nu)
+            patched.setattr(kernel, "compounds", counted)
+            got_far = limitset._stack_log_moduli(q, a, nu)
+        assert sum(seen) == 2 * len(q)  # the powers of q and nu of every row
+        assert np.abs(got_far - want_far)[cyc].max() <= 1e-11
         # These words are short enough for a plain eig of the product.
         plain = np.log(np.abs(np.linalg.eigvals(limitset._materialize(q, a, nu))))
         plain = np.sort(plain, axis=1)[:, ::-1]
