@@ -338,8 +338,8 @@ def cmd_limitset(args) -> int:
     if args.format == "svg" and spec["n"] not in (2, 3):
         raise SpecError("--format svg needs n = 2 or 3")
     gens, names, table = build_group(spec)
-    if table is None and args.subcommand in ("minimality", "product", "axdens"):
-        raise SpecError(f"{args.subcommand} needs a schottky recipe")
+    if table is None and args.subcommand == "minimality":
+        raise SpecError("minimality needs a schottky recipe")
     word_bytes = 8 * (2 * spec["n"] ** 2 + spec["n"])
     for key, length in lengths.items():
         if limitset.word_count(len(gens), length) * word_bytes > MAX_WORD_BYTES:
@@ -390,7 +390,6 @@ def cmd_limitset(args) -> int:
         shell = probe.lengths == args.target_length
         report = limitset.minimality_check(
             table,
-            table.points[1],
             probe.frames[shell],
             args.max_word_length,
             eps=args.tol,
@@ -400,7 +399,7 @@ def cmd_limitset(args) -> int:
         checks["containment_fraction"] = report["containment_fraction"]
     elif args.subcommand == "product":
         report = limitset.product_structure_check(
-            table,
+            gens,
             args.max_word_length,
             eps=args.tol,
             seed=spec.get("seed", 0) if args.seed is None else args.seed,
@@ -409,7 +408,7 @@ def cmd_limitset(args) -> int:
         checks["success_fraction"] = report["success_fraction"]
     else:
         report = limitset.axial_density_check(
-            table, args.max_word_length, eps=args.tol, workers=args.workers
+            gens, args.max_word_length, eps=args.tol, workers=args.workers
         )
         checks["all_within_eps"] = report["all_within_eps"]
     if args.subcommand != "enumerate":

@@ -48,6 +48,17 @@ class IsometryClass:
     translation = property(lambda self: self.parts.translation)
 
 
+def _bounded(gamma) -> np.ndarray:
+    """gamma as a float matrix; IllConditionedSpectrum when an entry is
+    past sqrt(max float) / n, where the squared norms taken of it below
+    may overflow."""
+    gamma = kernel.as_matrix(gamma)
+    top = float(np.abs(gamma).max(initial=0.0))
+    if top * len(gamma) > np.sqrt(np.finfo(float).max):
+        raise IllConditionedSpectrum(f"entry {top:.3e} overflows the squared norm")
+    return gamma
+
+
 def jordan_decompose(gamma) -> JordanParts:
     """Multiplicative Jordan decomposition gamma = e h u (pairwise commuting).
 
@@ -57,7 +68,7 @@ def jordan_decompose(gamma) -> JordanParts:
     really is unipotent; failing every level is reported as an unreliable
     spectrum.
     """
-    gamma = kernel.as_matrix(gamma)
+    gamma = _bounded(gamma)
     last = None
     for tol in _CLUSTER_TOLS:
         g, runs, values = kernel.eig_real(gamma, tol)
@@ -95,7 +106,7 @@ def translation_vector(gamma) -> np.ndarray:
 
 
 def classify(gamma) -> IsometryClass:
-    gamma = kernel.as_matrix(gamma)
+    gamma = _bounded(gamma)
     n = gamma.shape[0]
     if np.linalg.norm(gamma - np.eye(n)) <= kernel.ID_TOL:
         raise IdentityInput("the identity is not classified")
@@ -184,26 +195,21 @@ def unipotent_fixed_flag(gamma) -> boundary.Flag:
 
 
 def parabolic_escape_test(
-    gamma,
-    eta: boundary.BoundaryPoint,
-    samples,
-    jmax: int,
-    delta: float = 1e-3,
+    gamma, eta: boundary.Flag, samples, jmax: int, delta: float = 1e-3
 ):
-    """Dichotomy check for a strictly parabolic isometry.
+    """Dichotomy check for a strictly parabolic isometry fixing the flag eta.
 
     Each sample flag is iterated under gamma^{+-1}; the report records, per
     sample and sign, either the first index after which the transversality
-    margin to eta's flag stays below delta up to jmax ("escaped"), a
-    numerically fixed flag inside the transversal set ("fixed"), or
-    "inconclusive" if jmax was too small.
+    margin to eta stays below delta up to jmax ("escaped"), a numerically
+    fixed flag inside the transversal set ("fixed"), or "inconclusive" if
+    jmax was too small.
     """
     gamma = kernel.as_matrix(gamma)
     cls = classify(gamma)
     if cls.tag != "strictly-parabolic":
         raise NotParabolic(f"classify says {cls.tag}")
-    moved = boundary.act(gamma, eta)
-    if boundary.flag_distance(moved.flag, eta.flag) > 1e-6:
+    if boundary.flag_distance(boundary.act_flag(gamma, eta), eta) > 1e-6:
         raise NotFixed("eta is not fixed by gamma")
     inv = np.linalg.inv(gamma)
     results = []
@@ -218,7 +224,7 @@ def parabolic_escape_test(
             current = flag
             for j in range(1, jmax + 1):
                 current = boundary.act_flag(sign_mat, current)
-                if boundary.transverse(current, eta.flag)[1] >= delta:
+                if boundary.transverse(current, eta)[1] >= delta:
                     last = max(last, j)
         if last < jmax:
             results.append({"outcome": "escaped", "escape_index": last + 1})

@@ -610,19 +610,19 @@ def gap_to_neighborhoods(frames: np.ndarray, table) -> np.ndarray:
     return gaps
 
 
-def minimality_check(
-    table, xi0, targets, max_length, eps=0.1, workers=None
-) -> dict:
+def minimality_check(table, targets, max_length, eps=0.1, workers=None) -> dict:
     """Orbit density and neighborhood containment for a certified table.
 
     (a) the flag of every target frame, an (N, n, n) stack of orthonormal
     frames, must be eps-approached by the orbit of xi0 under words of
-    length <= max_length; (b) every angular flag of a word of length >= 2
-    must land inside the union of the table neighborhoods.  The words of
+    length <= max_length, xi0 the center of generator 0's forward target
+    neighborhood; (b) every angular flag of a word of length >= 2 must
+    land inside the union of the table neighborhoods.  The words of
     f^T g f are grown, f the frame of xi0: each q is the Iwasawa K-part of
     f^T w f, so f q frames w xi0 at any length, and f times an angular
     frame of f^T w f is one of w.  EmptySample below length 2."""
-    f = boundary.flag_frame(xi0.flag)
+    (_, target), _ = table.neighborhood_indices(0)
+    f = boundary.flag_frame(table.points[target].flag)
     generators = [f.T @ g @ f for g in table.effective_generators()]
     samples = enumerate_samples(generators, max_length, workers)
     long_mask = samples.lengths >= 2
@@ -646,14 +646,13 @@ def minimality_check(
 
 
 def product_structure_check(
-    table, max_length, eps=0.1, pair_count=200, seed=0, workers=None
+    generators, max_length, eps=0.1, pair_count=200, seed=0, workers=None
 ) -> dict:
     """Cross-pairing test of the product structure of the limit set.
 
     Flags and directions are drawn from different words of length at
     least 2; a pair succeeds when a single word realizes both within eps.
     EmptySample with fewer than two such words."""
-    generators = table.effective_generators()
     samples = enumerate_samples(generators, max_length, workers)
     idx = np.flatnonzero(samples.lengths >= 2)
     if len(idx) < 2:
@@ -686,14 +685,13 @@ def _axial_plus_frames(vals):
     return kernel.qr_pos(basis)[0]
 
 
-def axial_density_check(table, max_length, eps=0.1, workers=None) -> dict:
+def axial_density_check(generators, max_length, eps=0.1, workers=None) -> dict:
     """Attracting fixed points of axial words versus the orbit samples.
 
     Every sample of a word of length >= 4 (angular flag, Cartan direction)
     must be eps-close to the (fixed flag, translation direction) of some
     regular axial word; reports the worst joint distance.  EmptySample
     without words of length >= 4 or regular axial words."""
-    generators = table.effective_generators()
     samples = enumerate_samples(generators, max_length, workers)
     target_mask = samples.lengths >= 4
     if not target_mask.any():
@@ -750,15 +748,12 @@ def word_label(word: tuple, names) -> str:
     )
 
 
-def write_csv(samples: SampleSet, path, names=None, table=None):
+def write_csv(samples: SampleSet, path, names, table=None):
     """Sample CSV: word, length, class, Cartan direction, Jordan direction
     (blank when not axial) and, with a table, the signed gap to the
     nearest neighborhood.  UTF-8, LF endings, deterministic bytes; every
     float is written with format(x, ".17g")."""
     n = samples.n
-    if names is None:
-        top = int(samples.words.max())
-        names = default_names((top >> 1) + 1 if top >= 0 else 0)
     header = (
         ["word", "length", "class"]
         + [f"dir_{i + 1}" for i in range(n)]

@@ -69,3 +69,35 @@ def cayley(skew, t, dps) -> np.ndarray:
         eye = mpmath.eye(len(skew))
         out = (eye + a) * mpmath.inverse(eye - a)
         return np.array(out.tolist(), dtype=float)
+
+
+def attracting_flag(letters, word, dps):
+    """(frame, cuts): the attracting flag of the word's exact product, and
+    the dimensions k < n at which its k-dimensional piece is fixed.
+
+    The eigenvectors go by descending modulus.  A complex pair gives the
+    real and imaginary parts of one of its vectors, which span the pair's
+    2-plane of the real Schur form; a cut inside that plane moves with the
+    vector's phase, so it is not among the cuts.  A QR, positive diagonal,
+    then makes the frame orthonormal."""
+    mpmath = pytest.importorskip("mpmath")
+    g = globals()["word"](letters, word, dps)  # the parameter hides the function
+    n = g.rows
+    with mpmath.workdps(dps):
+        values, vectors = mpmath.eig(g)
+        noise = mpmath.mpf(10) ** (-dps // 2)
+        cols, cuts = [], []
+        for i in sorted(range(n), key=lambda i: -abs(values[i])):
+            lam, v = mpmath.mpc(values[i]), vectors[:, i]
+            if lam.imag < -noise * abs(lam):
+                continue  # its partner above the axis gives the plane
+            if lam.imag > noise * abs(lam):
+                cols += [[x.real for x in v], [x.imag for x in v]]
+            else:
+                top = max(v, key=abs)  # the phase that makes v real
+                cols.append([(x / top).real for x in v])
+            cuts.append(len(cols))
+        q, r = mpmath.qr(mpmath.matrix(cols).T)
+        frame = np.array(q.tolist(), dtype=float)
+        frame *= np.sign([float(r[j, j]) for j in range(n)])
+    return frame, cuts[:-1]

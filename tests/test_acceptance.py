@@ -200,7 +200,9 @@ def test_criterion_06_flag_dynamics():
     uni = schottky.make_generic_parabolic(f)
     eta = boundary.boundary_point(f, [2.0, 0.0, -2.0])
     samples = [boundary.random_flag(rng, 3) for _ in range(20)]
-    escape = isometries.parabolic_escape_test(uni, eta, samples, jmax=30, delta=1e-2)
+    escape = isometries.parabolic_escape_test(
+        uni, eta.flag, samples, jmax=30, delta=1e-2
+    )
     all_escaped = escape["all_escaped"]
 
     # (c) generic parabolic, two-sided polynomial convergence by j = 1e4.
@@ -316,10 +318,10 @@ def test_criterion_10_minimality_and_product(sl3_group):
     start = time.perf_counter()
     probe = limitset.enumerate_samples(table.effective_generators(), 8)
     shell = probe.lengths == 8
-    minimality = limitset.minimality_check(
-        table, table.points[1], probe.frames[shell], 10, eps=0.05
+    minimality = limitset.minimality_check(table, probe.frames[shell], 10, eps=0.05)
+    product = limitset.product_structure_check(
+        table.effective_generators(), 10, eps=0.1, seed=0
     )
-    product = limitset.product_structure_check(table, 10, eps=0.1, seed=0)
     elapsed = time.perf_counter() - start
     ok = (
         minimality["all_approached"]

@@ -329,6 +329,20 @@ def test_decompose_kak_zero_singular_value_exits_2(capsys):
     )
 
 
+def test_decompose_jordan_overflowing_matrix_exits_2_without_a_warning(capsys):
+    # Its squared norm overflows, and its small eigenvalue underflows to 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(
+            ["decompose", "--which", "jordan", "--matrix", "[[1e308,0],[0,1e-308]]"]
+        )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "numerical reliability error: entry 1.000e+308 overflows the squared norm\n"
+    )
+
+
 def test_decompose_bruhat_reversal(capsys):
     code, report = _run(
         capsys,
@@ -900,8 +914,44 @@ def test_limitset_requires_table_for_checks(tmp_path, capsys):
             "--out", str(tmp_path / "out"),
         ]
     )
-    capsys.readouterr()
+    captured = capsys.readouterr()
     assert code == 1
+    # Only minimality reads the table: one line, and no --out made.
+    assert captured.out == ""
+    assert captured.err == "error: minimality needs a schottky recipe\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sub", ["product", "axdens"])
+def test_limitset_product_and_axdens_run_on_generator_specs(
+    sl3_group, tmp_path, capsys, sub
+):
+    # The recipe's own generators as a generators spec, and the seeded
+    # SL(8) spec: both checks read only the generators.
+    specs = {
+        "recipe": spec_path("sl3_l2.json"),
+        "n3": write_generator_spec(tmp_path / "g3.json", 3, sl3_group[0]),
+        "n8": perfbench_inputs().write_generator_spec(tmp_path / "g8.json", 1, 8),
+    }
+    runs = {}
+    for name, path in specs.items():
+        code, runs[name] = _run(
+            capsys,
+            [
+                "limitset", sub,
+                "--input", str(path),
+                "--out", str(tmp_path / name),
+                "--max-word-length", "4",
+                "--format", "json",
+            ],
+        )
+        assert code == 0, name
+    recipe = runs.pop("recipe")
+    assert runs["n3"]["checks"] == recipe["checks"]
+    assert runs["n3"]["metrics"] == recipe["metrics"]
+    assert runs["n8"]["checks"].keys() == recipe["checks"].keys()
+    assert runs["n8"]["metrics"].keys() == recipe["metrics"].keys()
+    assert runs["n8"]["metrics"][sub].keys() == recipe["metrics"][sub].keys()
 
 
 def test_limitset_rejects_out_of_range_flags(tmp_path, capsys):

@@ -336,7 +336,9 @@ def test_parabolic_escape_for_regular_unipotent():
         ok, margin = boundary.transverse(f, eta.flag)
         if ok and margin > 0.05:
             samples.append(f)
-    report = isometries.parabolic_escape_test(gamma, eta, samples, jmax=30, delta=1e-2)
+    report = isometries.parabolic_escape_test(
+        gamma, eta.flag, samples, jmax=30, delta=1e-2
+    )
     assert report["all_escaped"]
     assert all(
         r["escape_index"] is not None and r["escape_index"] <= 30
@@ -356,7 +358,7 @@ def test_parabolic_escape_detects_fixed_flag():
     fixed_frame = np.eye(3)[:, [1, 0, 2]]
     fixed_frame[:, -1] *= -1.0
     report = isometries.parabolic_escape_test(
-        gamma, eta, [boundary.flag_from_frame(fixed_frame)], jmax=20
+        gamma, eta.flag, [boundary.flag_from_frame(fixed_frame)], jmax=20
     )
     assert report["fixed_flag_found"]
     assert not report["all_escaped"]
@@ -373,7 +375,7 @@ def test_parabolic_escape_inconclusive_when_jmax_small():
         ok, margin = boundary.transverse(f, eta.flag)
         if ok and margin > 0.3:
             break
-    report = isometries.parabolic_escape_test(gamma, eta, [f], jmax=1)
+    report = isometries.parabolic_escape_test(gamma, eta.flag, [f], jmax=1)
     assert report["samples"][0]["outcome"] in ("inconclusive", "escaped")
 
 
@@ -382,11 +384,13 @@ def test_parabolic_escape_rejects_axial_elements_and_unfixed_points():
     chamber = np.array([2.0, 0.0, -2.0]) / math.sqrt(8.0)
     fixed = boundary.boundary_point(boundary.standard_flag(3), chamber)
     with pytest.raises(NotParabolic):
-        isometries.parabolic_escape_test(np.diag([4.0, 1.0, 0.25]), fixed, [], jmax=5)
+        isometries.parabolic_escape_test(
+            np.diag([4.0, 1.0, 0.25]), fixed.flag, [], jmax=5
+        )
     # The unipotent fixes only the standard flag, not the reversed one.
     moved = boundary.boundary_point(boundary.reversed_flag(3), chamber)
     with pytest.raises(NotFixed):
-        isometries.parabolic_escape_test(gamma, moved, [], jmax=5)
+        isometries.parabolic_escape_test(gamma, moved.flag, [], jmax=5)
 
 
 def test_sl8_unipotent_draw_raises_ill_conditioned_spectrum():

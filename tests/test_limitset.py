@@ -3,7 +3,6 @@ import json
 import sys
 import tracemalloc
 from math import comb
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -365,26 +364,25 @@ def test_cone_theorem_higher_rank_trend(sl3_group):
 
 def test_minimality_and_containment(sl3_group):
     _, _, table = sl3_group
-    xi0 = table.points[1]
     rng = np.random.default_rng(0)
     samples = limitset.enumerate_samples(table.effective_generators(), 4)
     targets = samples.frames[
         rng.choice(np.flatnonzero(samples.lengths == 4), size=5, replace=False)
     ]
-    report = limitset.minimality_check(table, xi0, targets, 6, eps=0.1)
+    report = limitset.minimality_check(table, targets, 6, eps=0.1)
     assert report["all_approached"]
     assert report["containment_fraction"] == 1.0
     assert report["containment_worst_gap"] < 0.0
 
 
 def test_product_structure(sl3_group):
-    _, _, table = sl3_group
+    gens, _, _ = sl3_group
     report = limitset.product_structure_check(
-        table, 6, eps=0.15, pair_count=50, seed=0
+        gens, 6, eps=0.15, pair_count=50, seed=0
     )
     assert report["success_fraction"] > 0.9
     again = limitset.product_structure_check(
-        table, 6, eps=0.15, pair_count=50, seed=0
+        gens, 6, eps=0.15, pair_count=50, seed=0
     )
     assert report == again
 
@@ -396,7 +394,8 @@ def test_product_structure_matches_flag_ball_loop(sl3_group, max_length):
     for eps in (0.003, 0.01, 0.04, 0.1):
         for seed in (0, 1):
             report = limitset.product_structure_check(
-                table, max_length, eps=eps, pair_count=200, seed=seed
+                table.effective_generators(), max_length, eps=eps,
+                pair_count=200, seed=seed,
             )
             expect = ball_product_successes(table, max_length, eps, 200, seed)
             assert report["successes"] == expect
@@ -406,8 +405,8 @@ def test_product_structure_matches_flag_ball_loop(sl3_group, max_length):
 
 
 def test_axial_density(sl3_group):
-    _, _, table = sl3_group
-    report = limitset.axial_density_check(table, 6, eps=0.2)
+    gens, _, _ = sl3_group
+    report = limitset.axial_density_check(gens, 6, eps=0.2)
     assert report["all_within_eps"]
     assert report["worst_distance"] < 0.2
 
@@ -416,9 +415,8 @@ def test_axial_density_without_regular_axial_words_is_empty():
     # Every word of two rotations is elliptic.
     rng = np.random.default_rng(3)
     gens = [random_so(rng, 3), random_so(rng, 3)]
-    table = SimpleNamespace(effective_generators=lambda: gens)
     with pytest.raises(EmptySample, match="no regular axial words found"):
-        limitset.axial_density_check(table, 4)
+        limitset.axial_density_check(gens, 4)
 
 
 def test_directional_sample_of_rotations_is_an_empty_stack():
@@ -545,7 +543,7 @@ def test_minimality_and_axdens_distances_are_brute_force(sl3_group):
     euclid, exact = _brute_nearest((np.array(orbit), None), (targets, None))
     # eps splits the targets, so both branches of the worst distance count.
     eps = float(np.median(exact))
-    report = limitset.minimality_check(table, xi0, targets, 5, eps=eps)
+    report = limitset.minimality_check(table, targets, 5, eps=eps)
     approached = exact < eps
     assert 0 < approached.sum() < len(targets)
     assert report["approached_fraction"] == approached.mean()
@@ -568,14 +566,14 @@ def test_minimality_and_axdens_distances_are_brute_force(sl3_group):
         (plus, samples.jdirs[regular]),
         (samples.frames[long_words], samples.dirs[long_words]),
     )[1]
-    report = limitset.axial_density_check(table, 5, eps=0.01)
+    report = limitset.axial_density_check(gens, 5, eps=0.01)
     assert report["worst_distance"] == exact.max()
     assert report["all_within_eps"] == bool((exact < 0.01).all())
 
 
 def test_minimality_without_targets(sl3_group):
     _, _, table = sl3_group
-    report = limitset.minimality_check(table, table.points[1], [], 4)
+    report = limitset.minimality_check(table, [], 4)
     assert report["targets"] == 0
     assert report["all_approached"] is True
     assert report["approached_fraction"] == 1.0
@@ -597,9 +595,9 @@ def test_checks_compute_only_the_columns_they_read(sl3_group, monkeypatch):
     for name in ("_classify_stack", "_stack_log_moduli"):
         monkeypatch.setattr(limitset, name, _refuse(name))
     targets = np.array([point.flag.frame for point in table.points])
-    report = limitset.minimality_check(table, table.points[1], targets, 4)
+    report = limitset.minimality_check(table, targets, 4)
     assert report["targets"] == len(targets)
-    report = limitset.product_structure_check(table, 4, pair_count=20)
+    report = limitset.product_structure_check(gens, 4, pair_count=20)
     assert report["pairs"] == 20
     assert len(limitset.directional_sample(gens, 5, min_length=4))
     report = limitset.cone_theorem_check(gens, lp_values=(3, 5), l_cone=6)
@@ -612,9 +610,9 @@ def test_checks_compute_only_the_columns_they_read(sl3_group, monkeypatch):
 def test_product_structure_small_eps(sl3_group, eps, successes):
     # Small eps makes some pairs fail, so the flag/direction ball
     # intersection decides the count.
-    _, _, table = sl3_group
+    gens, _, _ = sl3_group
     report = limitset.product_structure_check(
-        table, 7, eps=eps, pair_count=300, seed=3
+        gens, 7, eps=eps, pair_count=300, seed=3
     )
     assert report["successes"] == successes
 
@@ -794,7 +792,7 @@ def test_csv_deterministic_bytes(tmp_path):
     for workers in (1, 4, 8):
         samples = limitset.enumerate_samples(gens, 3, workers=workers)
         path = tmp_path / f"w{workers}.csv"
-        payloads.append(limitset.write_csv(samples, path))
+        payloads.append(limitset.write_csv(samples, path, ["a", "b"]))
     assert payloads[0] == payloads[1] == payloads[2]
     text = payloads[0].decode("utf-8")
     lines = text.split("\n")
@@ -855,10 +853,10 @@ def test_csv_matches_cell_by_cell_writer(sl3_group, tmp_path, monkeypatch):
     gaps = limitset.gap_to_neighborhoods(samples.frames, table)
     data = limitset.write_csv(samples, tmp_path / "t.csv", names=names, table=table)
     assert data == _reference_csv(samples, names, gaps)
-    # Parabolic rows (blank Jordan direction) and default names.
+    # Parabolic rows (blank Jordan direction), labelled a and b.
     samples = limitset.enumerate_samples(_shear_pair(), 3)
     assert np.isnan(samples.jdirs[:, 0]).any()
-    data = limitset.write_csv(samples, tmp_path / "s.csv")
+    data = limitset.write_csv(samples, tmp_path / "s.csv", ["a", "b"])
     assert data == _reference_csv(samples, ["a", "b"], None)
     # Multi-character and non-ASCII names, on rows that are not the
     # preorder of a word tree: the necklace rows, last first.

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from rankr import limitset
+from rankr import boundary, isometries, limitset
 from conftest import random_sl
 import oracle
+
+
+def _cut_distance(f1, f2, cuts):
+    """max over k in cuts of ||P_k(f1) - P_k(f2)||_F for orthonormal frames:
+    the flag distance restricted to those pieces."""
+    m = f1.T @ f2
+    return max(np.sqrt(2.0) * np.linalg.norm(m[k:, :k]) for k in cuts)
 
 
 def test_oracle_holds_when_its_digits_double(sl3_group):
@@ -11,7 +18,8 @@ def test_oracle_holds_when_its_digits_double(sl3_group):
     # singular values spread by 61, and one n = 8 word of Gaussian letters
     # with complex pairs.  Letters are limitset's: generator i at 2i, its
     # float inverse at 2i + 1.  At twice the digits no result moves past
-    # 1e-14, and the factored words agree with the oracle.
+    # 1e-14, the attracting flag at the cuts it fixes included, and the
+    # factored words agree with the oracle.
     pytest.importorskip("mpmath")
     rng = np.random.default_rng(22)
     cases = [
@@ -39,6 +47,16 @@ def test_oracle_holds_when_its_digits_double(sl3_group):
         frame, frame2 = oracle.left_frames(g, dps), oracle.left_frames(g2, 2 * dps)
         frame2 *= np.sign(np.sum(frame * frame2, axis=0))  # unit columns up to sign
         assert np.abs(frame - frame2).max() <= 1e-14
+        flag, cuts = oracle.attracting_flag(letters, word, dps)
+        flag2, cuts2 = oracle.attracting_flag(letters, word, 2 * dps)
+        assert cuts == cuts2
+        assert _cut_distance(flag, flag2, cuts) <= 1e-14
         product = limitset._materialize(q[i], a[i], nu[i])[0]
         complex_pair.append(bool(np.iscomplex(np.linalg.eigvals(product)).any()))
     assert complex_pair == [False, True]
+    # A short regular word: every cut is fixed, and isometries agrees.
+    letters = limitset._letter_stack(sl3_group[0])
+    flag, cuts = oracle.attracting_flag(letters, [0, 2], 60)
+    plus, _ = isometries.fixed_points(letters[0] @ letters[2])
+    assert cuts == [1, 2]
+    assert boundary.flag_distance(plus.flag, boundary.flag_from_frame(flag)) <= 1e-12
